@@ -5,12 +5,13 @@
 use crate::grid::CampaignSpec;
 use crate::journal::{self, Journal, CHECKPOINT_INTERVAL};
 use crate::report::{CampaignReport, Tally, TrialRecord};
-use crate::trial::{run_trial, TrialResult, TrialSpec};
+use crate::trial::{run_trial_from, TrialResult, TrialSpec, WarmStart};
 use rmt3d_sweep::{run_pool, PoolEvent};
 use rmt3d_telemetry::{emit, Event, Sink};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Knobs of [`run_campaign_with`]. The zero-value default (via
 /// [`Default`]) is an unjournaled auto-parallel run.
@@ -114,7 +115,7 @@ pub fn run_campaign_watched<S: Sink>(
 /// instant loses at most the trials still in flight. With
 /// `opts.resume` also set, the journal is replayed first: completed
 /// trials are served from it as cache hits, in-flight victims and
-/// panicked trials re-run, and — because [`run_trial`] is
+/// panicked trials re-run, and — because [`run_trial`](crate::run_trial) is
 /// deterministic and the report carries no wall-clock fields — the
 /// final report is byte-identical to an uninterrupted run.
 ///
@@ -187,11 +188,30 @@ pub fn run_campaign_with<S: Sink>(
         err: None,
     }));
 
+    // One warm start per benchmark, checkpointed up to its latest
+    // strike. The first trial that needs one builds it, so a fully
+    // resumed run builds none; all are dropped when the campaign returns.
+    let warm: Vec<(u64, OnceLock<WarmStart>)> = spec
+        .benchmarks
+        .iter()
+        .map(|&b| {
+            let strikes = trials.iter().filter(|t| t.benchmark == b);
+            let last_inject = strikes.map(|t| t.inject_at).max().unwrap_or(0);
+            (last_inject, OnceLock::new())
+        })
+        .collect();
+    let run = |t: &TrialSpec| {
+        let slot = spec.benchmarks.iter().position(|&b| b == t.benchmark);
+        let (last_inject, cell) = &warm[slot.expect("trial benchmark is in the grid")];
+        let ws = cell.get_or_init(|| WarmStart::new(t.benchmark, spec.instructions, *last_inject));
+        run_trial_from(ws, t)
+    };
+
     let pool_records = run_pool(
         &trials,
         workers,
         |t: &TrialSpec| completed.get(&t.index).copied(),
-        run_trial,
+        run,
         |_, _| {},
         opts.watchdog,
         |index, outcome: &Result<TrialResult, String>, cached| {

@@ -28,6 +28,7 @@
 use crate::grid::CampaignSpec;
 use crate::report::Tally;
 use crate::trial::{TrialFate, TrialResult, Violation};
+use rmt3d_obs::ledger::terminate_torn_line;
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
@@ -88,18 +89,8 @@ impl Journal {
     ///
     /// Returns the underlying I/O error.
     pub fn open_append(path: &Path) -> io::Result<Journal> {
-        use std::io::{Read, Seek, SeekFrom};
         let mut file = OpenOptions::new().read(true).append(true).open(path)?;
-        let len = file.seek(SeekFrom::End(0))?;
-        if len > 0 {
-            file.seek(SeekFrom::End(-1))?;
-            let mut last = [0u8; 1];
-            file.read_exact(&mut last)?;
-            if last[0] != b'\n' {
-                file.write_all(b"\n")?;
-                file.flush()?;
-            }
-        }
+        terminate_torn_line(&mut file)?;
         Ok(Journal { file })
     }
 

@@ -12,7 +12,7 @@
 //! 1. **Grids** ([`CampaignSpec`]): (fault site × benchmark ×
 //!    injection point × bit × register) tuples expand deterministically
 //!    from one seed into [`TrialSpec`]s.
-//! 2. **Trials** ([`run_trial`]): each spec runs a fresh
+//! 2. **Trials** ([`run_trial`]): each spec runs an
 //!    [`RmtSystem`](rmt3d_rmt::RmtSystem) to the injection point,
 //!    strikes via the directed-injection API, drains, and classifies
 //!    the fate against the site's expectation ([`expected_fate`]) and a
@@ -25,6 +25,15 @@
 //!    records aggregate in grid order, so the JSONL coverage report
 //!    ([`CampaignReport::to_jsonl`], with per-site detection-latency
 //!    percentiles) is byte-identical between serial and parallel runs.
+//!    The fault-free part of a trial is shared: per benchmark, one
+//!    fault-free system is checkpointed every `instructions/8` commits
+//!    (the grid's lowest injection point) up to the benchmark's latest
+//!    strike, and each trial starts from a clone of the latest
+//!    checkpoint at or before its strike, with a clone of an oracle
+//!    already run to `instructions`. Before the strike a trial's
+//!    trajectory depends only on its benchmark, so results are
+//!    bit-identical to starting from cycle 0; [`run_trial`] is the same
+//!    path with only the cycle-0 checkpoint.
 //! 4. **Crash safety** ([`journal`], [`run_campaign_with`]): an
 //!    append-only write-ahead journal records every trial completion —
 //!    fsynced before the trial is acknowledged — plus periodic

@@ -1,6 +1,7 @@
-//! One fault-injection trial: build a fresh RMT system, run to the
-//! injection point, strike, and classify the outcome against the
-//! paper's coverage invariant and a differential oracle.
+//! One fault-injection trial: start from a shared fault-free
+//! checkpoint of the RMT system, run to the injection point, strike,
+//! and classify the outcome against the paper's coverage invariant and
+//! a differential oracle.
 
 use rmt3d_cache::{CacheHierarchy, NucaLayout, NucaPolicy};
 use rmt3d_cpu::{CoreConfig, OooCore, ReferenceExecutor};
@@ -236,6 +237,72 @@ impl TrialResult {
     }
 }
 
+/// Fault-free state shared by the trials of one benchmark at one run
+/// length, so a trial starts from a checkpoint near its strike instead
+/// of rebuilding, prefilling and re-stepping the system from cycle 0.
+///
+/// Before the strike a trial's trajectory depends only on the
+/// benchmark: the core, the 3d-2a layout, [`RmtConfig::paper`] and the
+/// null sink are the same for every trial, and the spec's ECC is first
+/// read by the strike. A checkpoint is the state at the first cycle
+/// whose committed count reaches its target, and a trial starts from a
+/// checkpoint whose target is at most its `inject_at`, so stepping on
+/// until `inject_at` stops at the same cycle, in the same state, as
+/// stepping from cycle 0 — the trial's result is bit-identical.
+#[derive(Debug)]
+pub(crate) struct WarmStart {
+    benchmark: Benchmark,
+    instructions: u64,
+    /// `(target, state)` in ascending target order: the prefilled
+    /// system at target 0, then one state per multiple of
+    /// [`checkpoint_spacing`] up to the last strike served.
+    checkpoints: Vec<(u64, RmtSystem)>,
+    /// The reference executor, already run to `instructions`.
+    oracle: ReferenceExecutor,
+}
+
+/// Commits between checkpoints: the grid's lowest injection point
+/// ([`CampaignSpec::expand`](crate::CampaignSpec::expand) draws
+/// `inject_at` from `instructions/8 .. instructions*3/4`), so no trial
+/// steps further than one spacing past its checkpoint.
+fn checkpoint_spacing(instructions: u64) -> u64 {
+    (instructions / 8).max(1)
+}
+
+impl WarmStart {
+    /// Runs one fault-free system of `benchmark`, checkpointing it at
+    /// target 0 and at every multiple of [`checkpoint_spacing`] up to
+    /// `last_inject`, and runs the reference executor to
+    /// `instructions`.
+    pub(crate) fn new(benchmark: Benchmark, instructions: u64, last_inject: u64) -> WarmStart {
+        let leader = OooCore::new(
+            CoreConfig::leading_ev7_like(),
+            TraceGenerator::new(benchmark.profile()),
+            CacheHierarchy::new(NucaLayout::three_d_2a(), NucaPolicy::DistributedSets),
+        );
+        let mut sys = RmtSystem::new(leader, RmtConfig::paper());
+        sys.prefill_caches();
+        let spacing = checkpoint_spacing(instructions);
+        let mut checkpoints = vec![(0, sys.clone())];
+        let mut target = spacing;
+        while target <= last_inject {
+            while sys.leader().activity().committed < target {
+                sys.step();
+            }
+            checkpoints.push((target, sys.clone()));
+            target += spacing;
+        }
+        let mut oracle = ReferenceExecutor::new(TraceGenerator::new(benchmark.profile()));
+        oracle.run_to(instructions);
+        WarmStart {
+            benchmark,
+            instructions,
+            checkpoints,
+            oracle,
+        }
+    }
+}
+
 /// Runs one trial to completion and classifies it.
 ///
 /// The system runs to `inject_at` committed instructions, strikes (or
@@ -245,18 +312,37 @@ impl TrialResult {
 /// file, and a [`ReferenceExecutor`] replay of the same trace — ground
 /// truth computed with no pipeline, queue, or recovery machinery.
 ///
+/// Campaigns run the same code from shared fault-free checkpoints; a
+/// lone trial starts it from the prefilled system at cycle 0.
+///
 /// # Panics
 ///
 /// Panics if the spec fails [`TrialSpec::validate`].
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
+    run_trial_from(&WarmStart::new(spec.benchmark, spec.instructions, 0), spec)
+}
+
+/// [`run_trial`] starting from the latest checkpoint of `warm` at or
+/// before the strike, with the oracle resumed from `warm`'s.
+///
+/// # Panics
+///
+/// Panics if the spec fails [`TrialSpec::validate`] or does not match
+/// `warm`'s benchmark and run length.
+pub(crate) fn run_trial_from(warm: &WarmStart, spec: &TrialSpec) -> TrialResult {
     spec.validate().expect("invalid trial spec");
-    let leader = OooCore::new(
-        CoreConfig::leading_ev7_like(),
-        TraceGenerator::new(spec.benchmark.profile()),
-        CacheHierarchy::new(NucaLayout::three_d_2a(), NucaPolicy::DistributedSets),
+    assert!(
+        spec.benchmark == warm.benchmark && spec.instructions == warm.instructions,
+        "trial {} does not match its warm start",
+        spec.label()
     );
-    let mut sys = RmtSystem::new(leader, RmtConfig::paper());
-    sys.prefill_caches();
+    let (_, checkpoint) = warm
+        .checkpoints
+        .iter()
+        .rev()
+        .find(|(target, _)| *target <= spec.inject_at)
+        .expect("the target-0 checkpoint precedes every strike");
+    let mut sys = checkpoint.clone();
     while sys.leader().activity().committed < spec.inject_at {
         sys.step();
     }
@@ -303,7 +389,7 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
 
     // Differential oracle: replay the committed stream independently.
     let committed = sys.leader().activity().committed;
-    let mut oracle = ReferenceExecutor::new(TraceGenerator::new(spec.benchmark.profile()));
+    let mut oracle = warm.oracle.clone();
     oracle.run_to(committed);
     let states_clean = sys.leader().regfile() == oracle.regfile()
         && sys.trailer().regfile() == oracle.regfile()
@@ -367,6 +453,7 @@ fn classify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CampaignSpec;
 
     fn spec(site: FaultSite) -> TrialSpec {
         TrialSpec {
@@ -425,6 +512,70 @@ mod tests {
     fn trials_are_deterministic() {
         let s = spec(FaultSite::RvqOperand);
         assert_eq!(run_trial(&s), run_trial(&s));
+    }
+
+    /// Runs every trial of `grid` from one shared warm start per
+    /// benchmark and requires each result to equal a fresh
+    /// [`run_trial`]; returns the results.
+    fn assert_warm_matches_fresh(grid: &CampaignSpec) -> Vec<TrialResult> {
+        let trials = grid.expand();
+        let mut results = Vec::new();
+        for &b in &grid.benchmarks {
+            let mine = || trials.iter().filter(move |t| t.benchmark == b);
+            let last = mine().map(|t| t.inject_at).max().unwrap_or(0);
+            let warm = WarmStart::new(b, grid.instructions, last);
+            assert!(warm.checkpoints.len() > 1, "the grid uses the ladder");
+            for t in mine() {
+                let r = run_trial_from(&warm, t);
+                assert_eq!(r, run_trial(t), "{}", t.label());
+                results.push(r);
+            }
+        }
+        results
+    }
+
+    #[test]
+    fn warm_start_matches_fresh_trials_on_smoke_grids() {
+        for seed in [1, 7, 42] {
+            assert_warm_matches_fresh(&CampaignSpec::smoke(seed));
+        }
+    }
+
+    #[test]
+    fn warm_start_matches_fresh_trials_with_ecc_sabotaged() {
+        let mut violations = 0;
+        for site in [FaultSite::LvqValue, FaultSite::TrailerRegfile] {
+            let grid = CampaignSpec::smoke(5).sabotage(site).expect("ECC site");
+            let results = assert_warm_matches_fresh(&grid);
+            violations += results.iter().filter(|r| !r.ok()).count();
+        }
+        assert!(violations > 0, "sabotage must reach the violation paths");
+    }
+
+    #[test]
+    fn warm_start_matches_fresh_trials_around_a_checkpoint() {
+        let base = spec(FaultSite::RvqOperand);
+        let target = 3 * checkpoint_spacing(base.instructions);
+        let warm = WarmStart::new(base.benchmark, base.instructions, target + 1);
+        let targets: Vec<u64> = warm.checkpoints.iter().map(|(t, _)| *t).collect();
+        assert_eq!(targets, [0, target / 3, target * 2 / 3, target]);
+        for inject_at in [target - 1, target, target + 1] {
+            for site in FaultSite::ALL {
+                let s = TrialSpec {
+                    site,
+                    inject_at,
+                    ..base
+                };
+                assert_eq!(run_trial_from(&warm, &s), run_trial(&s), "{}", s.label());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match its warm start")]
+    fn a_warm_start_serves_only_its_benchmark() {
+        let warm = WarmStart::new(Benchmark::Mcf, 8_000, 0);
+        run_trial_from(&warm, &spec(FaultSite::LeaderResult));
     }
 
     #[test]

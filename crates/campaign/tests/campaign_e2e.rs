@@ -16,10 +16,12 @@ use rmt3d_telemetry::NullSink;
 fn serial_and_parallel_reports_are_byte_identical() {
     let spec = CampaignSpec::smoke(7);
     let serial = run_campaign(&spec, 1, &mut NullSink).expect("serial runs");
-    let parallel = run_campaign(&spec, 4, &mut NullSink).expect("parallel runs");
     assert!(serial.full_coverage(), "{}", serial.summary());
-    assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
-    assert_eq!(serial.summary(), parallel.summary());
+    for jobs in [2, 4] {
+        let parallel = run_campaign(&spec, jobs, &mut NullSink).expect("parallel runs");
+        assert_eq!(serial.to_jsonl(), parallel.to_jsonl(), "jobs {jobs}");
+        assert_eq!(serial.summary(), parallel.summary(), "jobs {jobs}");
+    }
 }
 
 /// Seeded-bug demonstration: disable trailer-regfile ECC (the oracle's

@@ -67,7 +67,7 @@ impl Verification {
 /// (`pipe_head..pipe_tail` is the occupied window, oldest first). The
 /// ring capacity is the configured pipeline depth rounded up to a power
 /// of two, so slot indexing is a mask instead of a modulo.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct InOrderCore<S: Sink = NullSink> {
     cfg: TrailerConfig,
     cycle: u64,

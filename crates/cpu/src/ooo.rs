@@ -85,7 +85,7 @@ impl FuBudget {
 /// }
 /// assert!(core.activity().committed > 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OooCore<S: Sink = NullSink> {
     cfg: CoreConfig,
     trace: TraceGenerator,

@@ -21,7 +21,7 @@ use rmt3d_workload::{OpClass, TraceGenerator};
 /// squashed, never committed), so replaying the first `n` ops of a
 /// fresh generator with the same profile reproduces the architectural
 /// state after `n` leader commits.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReferenceExecutor {
     trace: TraceGenerator,
     regfile: [u64; 64],

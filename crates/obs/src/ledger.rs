@@ -60,14 +60,7 @@ pub fn unix_now_ms() -> u64 {
 /// never a torn write. Temp names are unique per process *and* per
 /// call, so concurrent writers cannot truncate each other's temp file.
 pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = path.parent().unwrap_or(Path::new("."));
-    let base = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| String::from("file"));
-    let tmp = dir.join(format!(".{base}.tmp.{}.{seq}", std::process::id()));
+    let tmp = temp_path(path);
     fs::write(&tmp, text)?;
     match fs::rename(&tmp, path) {
         Ok(()) => Ok(()),
@@ -76,6 +69,45 @@ pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
             Err(e)
         }
     }
+}
+
+/// A temp-file path beside `path` for a write-then-rename, unique per
+/// process *and* per call, so concurrent writers of one file never
+/// share a temp file. Its name starts with `.` and does not end in
+/// `path`'s extension, so directory scans by extension skip it.
+pub fn temp_path(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = path.parent().unwrap_or(Path::new("."));
+    let base = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| String::from("file"));
+    dir.join(format!(".{base}.tmp.{}.{seq}", std::process::id()))
+}
+
+/// Newline-terminates a torn last line of an append-only JSONL file
+/// opened with read and append access. A crash mid-append can leave
+/// the file ending in a partial line; without this the next appended
+/// line would glue onto that stub and be lost with it on replay, which
+/// skips the stub as one corrupt line. Only for files with one writer:
+/// another writer's unfinished line would be cut.
+///
+/// # Errors
+///
+/// Returns the underlying I/O error.
+pub fn terminate_torn_line(file: &mut fs::File) -> io::Result<()> {
+    use std::io::{Read as _, Seek as _, SeekFrom};
+    if file.seek(SeekFrom::End(0))? == 0 {
+        return Ok(());
+    }
+    file.seek(SeekFrom::End(-1))?;
+    let mut last = [0u8; 1];
+    file.read_exact(&mut last)?;
+    if last[0] != b'\n' {
+        file.write_all(b"\n")?;
+    }
+    Ok(())
 }
 
 /// `(year, month, day, hour, minute, second)` in UTC for a Unix

@@ -153,7 +153,7 @@ pub enum FaultFate {
 
 /// Poisson-ish fault injector: each committed instruction is struck with
 /// probability `rate` at a uniformly chosen site.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FaultInjector {
     rng: SplitMix64,
     /// Faults per committed instruction.

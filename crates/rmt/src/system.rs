@@ -88,7 +88,7 @@ impl RmtStats {
 /// One call to [`RmtSystem::step`] advances one leading-core cycle; the
 /// checker advances fractionally according to the DFS controller's
 /// current normalized frequency (GALS-style decoupling, §2.1).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RmtSystem<S: Sink = NullSink> {
     leader: OooCore<S>,
     trailer: InOrderCore<S>,

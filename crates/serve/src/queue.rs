@@ -19,7 +19,7 @@
 
 use crate::payload::JobPayload;
 use crate::proto::json_str;
-use rmt3d_obs::ledger::unix_now_ms;
+use rmt3d_obs::ledger::{terminate_torn_line, unix_now_ms};
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -178,7 +178,14 @@ impl JobQueue {
                 entry.state = JobState::Cancelled;
             }
         }
-        let journal = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut journal = OpenOptions::new()
+            .read(true)
+            .create(true)
+            .append(true)
+            .open(&path)?;
+        // A submit acknowledged after reopening must not glue onto a
+        // line a crash tore.
+        terminate_torn_line(&mut journal)?;
         Ok(JobQueue {
             dir: dir.to_path_buf(),
             journal,

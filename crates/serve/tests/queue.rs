@@ -1,6 +1,7 @@
 //! Persistent-queue semantics: priority order, cancellation of queued
 //! vs in-flight jobs, duplicate-spec dedup, journal replay after a
-//! restart (graceful or not), and corrupt-journal tolerance.
+//! restart (graceful or not), corrupt-journal tolerance, and appends
+//! after a torn tail.
 
 use rmt3d_serve::{Cancelled, JobOutcome, JobQueue, JobState, JOURNAL_FILE};
 use rmt3d_telemetry::json::parse;
@@ -190,5 +191,36 @@ fn corrupt_journal_lines_are_skipped_not_fatal() {
     assert_eq!(q.count(JobState::Queued), 2, "intact lines survive");
     assert!(q.get("job-000001").is_some());
     assert!(q.get("job-000002").is_some());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_submit_after_a_torn_tail_survives_replay() {
+    let dir = tmp("torn");
+    {
+        let mut q = JobQueue::open(&dir).unwrap();
+        submit(&mut q, "gzip", 0);
+        submit(&mut q, "mcf", 0);
+        submit(&mut q, "vpr", 0);
+    }
+    let path = dir.join(JOURNAL_FILE);
+    let full = fs::read(&path).unwrap();
+    let last = full[..full.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("three records")
+        + 1;
+    // Cut the last record at every byte: a crash mid-append.
+    for cut in last..full.len() {
+        fs::write(&path, &full[..cut]).unwrap();
+        let fresh = submit(&mut JobQueue::open(&dir).unwrap(), "twolf", 0);
+        let q = JobQueue::open(&dir).unwrap();
+        assert!(q.get("job-000001").is_some(), "cut {cut}");
+        assert!(q.get("job-000002").is_some(), "cut {cut}");
+        assert!(q.get(&fresh).is_some(), "cut {cut}: submit lost");
+        // Cut only at its newline, the last record is whole and replays.
+        let whole = usize::from(cut + 1 == full.len());
+        assert_eq!(q.count(JobState::Queued), 3 + whole, "cut {cut}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -21,7 +21,7 @@
 use crate::codec;
 use crate::spec::JobSpec;
 use rmt3d::PerfResult;
-use rmt3d_obs::ledger::{unix_now_ms, write_atomic};
+use rmt3d_obs::ledger::{temp_path, unix_now_ms, write_atomic};
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -153,7 +153,7 @@ impl ResultStore {
     /// Returns the first I/O error hit while writing.
     pub fn save(&self, job: &JobSpec, result: &PerfResult) -> io::Result<()> {
         let final_path = self.entry_path(job);
-        let tmp_path = final_path.with_extension(format!("tmp.{}", std::process::id()));
+        let tmp_path = temp_path(&final_path);
         let mut line = String::from("{\"key\":");
         write_json_str(&mut line, &job.canonical());
         line.push_str(",\"result\":");
@@ -164,7 +164,10 @@ impl ResultStore {
             f.write_all(line.as_bytes())?;
             f.sync_all()?;
         }
-        fs::rename(&tmp_path, &final_path)?;
+        if let Err(e) = fs::rename(&tmp_path, &final_path) {
+            let _ = fs::remove_file(&tmp_path);
+            return Err(e);
+        }
         self.touch(&entry_name(job), line.len() as u64, false);
         Ok(())
     }
@@ -448,6 +451,33 @@ mod tests {
                 verify_failures: 0
             }
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_entry_all_succeed() {
+        let dir = tmp("concurrent");
+        let store = ResultStore::open(&dir).unwrap();
+        let job = one_job();
+        let r = simulate(&job.cfg, job.benchmark);
+        let writers = 8;
+        let start = std::sync::Barrier::new(writers);
+        std::thread::scope(|s| {
+            for _ in 0..writers {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..20 {
+                        store
+                            .save(&job, &r)
+                            .expect("every concurrent save succeeds");
+                    }
+                });
+            }
+        });
+        let back = store.load(&job).expect("the entry decodes");
+        assert_eq!(codec::encode(&back), codec::encode(&r));
+        let files = fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 1, "one entry, no temp files left behind");
         let _ = fs::remove_dir_all(&dir);
     }
 
