@@ -18,6 +18,7 @@
 //! record per target — `{"name", "min", "mean", "max", "samples"}`,
 //! times in nanoseconds — so CI can diff runs machine-readably.
 
+use rmt3d_telemetry::json::write_json_string;
 use std::io::Write;
 use std::time::Instant;
 
@@ -67,14 +68,11 @@ pub fn record_stat(name: &str, value: f64) {
     }
 }
 
-fn json_escape(name: &str) -> String {
-    name.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if c < ' ' => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    write_json_string(&mut out, s);
+    out
 }
 
 fn append_stat_record(path: &str, name: &str, value: f64) -> std::io::Result<()> {
@@ -82,7 +80,7 @@ fn append_stat_record(path: &str, name: &str, value: f64) -> std::io::Result<()>
         .create(true)
         .append(true)
         .open(path)?;
-    writeln!(f, "{{\"name\":\"{}\",\"stat\":{value}}}", json_escape(name))
+    writeln!(f, "{{\"name\":{},\"stat\":{value}}}", json_str(name))
 }
 
 /// Appends one `{"name", "min", "mean", "max", "samples"}` record to
@@ -95,14 +93,14 @@ fn append_json_record(
     max: f64,
     samples: u32,
 ) -> std::io::Result<()> {
-    let escaped = json_escape(name);
+    let name = json_str(name);
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
     writeln!(
         f,
-        "{{\"name\":\"{escaped}\",\"min\":{min},\"mean\":{mean},\"max\":{max},\"samples\":{samples}}}"
+        "{{\"name\":{name},\"min\":{min},\"mean\":{mean},\"max\":{max},\"samples\":{samples}}}"
     )
 }
 

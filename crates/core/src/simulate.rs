@@ -195,7 +195,7 @@ impl Sampler {
 /// `sample_interval > 0` — an [`Event::Interval`] snapshot of
 /// pipeline/queue occupancies every `sample_interval` leader cycles of
 /// the measured window.
-pub fn simulate_traced<S: Sink + Clone + 'static>(
+pub fn simulate_traced<S: Sink + Clone>(
     cfg: &SimConfig,
     benchmark: Benchmark,
     sample_interval: u64,
@@ -239,12 +239,6 @@ pub fn simulate_traced<S: Sink + Clone + 'static>(
             start_leader.committed,
             start_leader.commit_stall_cycles,
         );
-        if sample_interval == 0 {
-            // No interval snapshots wanted: let the system pick its
-            // engine (threaded leader/checker when eligible) instead
-            // of forcing the per-cycle sampling loop.
-            sys.run_instructions(cfg.scale.instructions);
-        }
         while sys.leader().activity().committed - start_leader.committed < cfg.scale.instructions {
             sys.step();
             let cycle = sys.total_cycles();

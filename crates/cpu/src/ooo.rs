@@ -236,11 +236,6 @@ impl<S: Sink> OooCore<S> {
         &self.bpred
     }
 
-    /// The core's configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
-    }
-
     /// Applies or releases commit back-pressure (RVQ/StB full). While
     /// stalled the core stops retiring — this is how an over-throttled
     /// checker slows the leader (paper §4 Discussion).

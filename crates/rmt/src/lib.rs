@@ -38,6 +38,5 @@ mod tmr;
 pub use dfs::{DfsConfig, DfsController, DFS_LEVELS};
 pub use fault::{DirectedOutcome, DrawnFault, EccConfig, FaultFate, FaultInjector, FaultSite};
 pub use queues::{IntercoreQueues, QueueConfig, QueueOccupancy};
-pub use system::parallel::Engine;
 pub use system::{RmtConfig, RmtStats, RmtSystem};
 pub use tmr::{TmrStats, TmrSystem};

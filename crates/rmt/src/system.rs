@@ -10,11 +10,6 @@ use rmt3d_cpu::{
 use rmt3d_telemetry::{emit, CpiComponent, CpiStack, Event, NullSink, Sink};
 use rmt3d_workload::OpClass;
 
-// Child module so the threaded engine can reach the private fields.
-#[path = "parallel.rs"]
-pub(crate) mod parallel;
-pub use parallel::Engine;
-
 /// Configuration of the coupled RMT system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RmtConfig {
@@ -109,11 +104,6 @@ pub struct RmtSystem<S: Sink = NullSink> {
     verify_buf: Vec<Verification>,
     replay_scratch: Vec<CommittedOp>,
     fault_fates: Vec<(FaultSite, FaultFate)>,
-    /// Engine selection for [`RmtSystem::run_instructions`].
-    engine: Engine,
-    /// Set once any directed fault has been injected; the threaded
-    /// engine (which cannot recover) then stays off for good.
-    tainted: bool,
     sink: S,
 }
 
@@ -146,8 +136,6 @@ impl<S: Sink + Clone> RmtSystem<S> {
             verify_buf: Vec::with_capacity(8),
             replay_scratch: Vec::new(),
             fault_fates: Vec::new(),
-            engine: Engine::default(),
-            tainted: false,
             sink,
         }
     }
@@ -188,17 +176,6 @@ impl<S: Sink> RmtSystem<S> {
     /// Fault injector statistics, when injection is enabled.
     pub fn injector(&self) -> Option<&FaultInjector> {
         self.injector.as_ref()
-    }
-
-    /// Selects the execution engine for
-    /// [`RmtSystem::run_instructions`]. The default is [`Engine::Auto`].
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
-    }
-
-    /// The currently selected engine.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// `(site, fate)` record of every applied (non-ECC-corrected) fault.
@@ -324,8 +301,21 @@ impl<S: Sink> RmtSystem<S> {
         }
     }
 
+    /// Fault-free shadow execution of one committed op against the
+    /// golden register file (the recovery-verification oracle).
     fn update_golden(&mut self, item: &CommittedOp) {
-        golden_update(&mut self.golden, item);
+        let golden = &mut self.golden;
+        let op = item.op;
+        let s1 = op.src1_reg.map_or(0, |r| golden[r.index() as usize]);
+        let s2 = op.src2_reg.map_or(0, |r| golden[r.index() as usize]);
+        let result = match op.kind {
+            OpClass::Load => load_memory_value(op.mem_addr),
+            OpClass::Store | OpClass::Branch => 0,
+            _ => op.compute_result(s1, s2),
+        };
+        if let Some(d) = op.dest {
+            golden[d.index() as usize] = result;
+        }
     }
 
     fn process_verifications(&mut self) {
@@ -410,7 +400,6 @@ impl<S: Sink> RmtSystem<S> {
     /// slack. Returns [`DirectedOutcome::NoTarget`] when nothing
     /// suitable is queued; the caller may step and retry.
     pub fn inject_directed(&mut self, fault: DrawnFault, ecc: EccConfig) -> DirectedOutcome {
-        self.tainted = true;
         let cycle = self.leader.activity().cycles;
         if ecc.corrects(fault.site) {
             emit(&mut self.sink, || Event::FaultInjected {
@@ -449,44 +438,11 @@ impl<S: Sink> RmtSystem<S> {
     }
 
     /// Runs until `n` instructions have committed on the leader.
-    ///
-    /// Dispatches to the threaded leader/checker engine when eligible
-    /// (see [`Engine`]): telemetry disabled, no fault injection, and
-    /// no directed strikes ever applied. The threaded schedule is
-    /// bit-identical to the serial one, so the engine choice is purely
-    /// a wall-clock optimization.
-    pub fn run_instructions(&mut self, n: u64)
-    where
-        S: 'static,
-    {
-        if self.threaded_eligible() {
-            if let Some(sys) =
-                (self as &mut dyn std::any::Any).downcast_mut::<RmtSystem<NullSink>>()
-            {
-                sys.run_instructions_threaded(n);
-                return;
-            }
-        }
+    pub fn run_instructions(&mut self, n: u64) {
         let start = self.leader.activity().committed;
         while self.leader.activity().committed - start < n {
             self.step();
         }
-    }
-
-    /// True when `run_instructions` may use the threaded engine: it
-    /// cannot observe faults (no recovery path) or emit telemetry, and
-    /// the batch slots bound the commit width.
-    fn threaded_eligible(&self) -> bool {
-        let want = match self.engine {
-            Engine::Serial => false,
-            Engine::Threaded => true,
-            Engine::Auto => std::thread::available_parallelism().is_ok_and(|p| p.get() > 1),
-        };
-        want && !S::ENABLED
-            && self.injector.is_none()
-            && !self.tainted
-            && self.recovery_cooldown == 0
-            && self.leader.config().commit_width as usize <= parallel::MAX_COMMIT
     }
 
     /// Services an external interrupt or exception (§2: "the leading
@@ -558,23 +514,6 @@ impl<S: Sink> RmtSystem<S> {
     /// that a future recovery would propagate.
     pub fn trailer_matches_golden(&self) -> bool {
         self.trailer.regfile() == &self.golden
-    }
-}
-
-/// Fault-free shadow execution of one committed op against the golden
-/// register file (the recovery-verification oracle). Shared by the
-/// serial step loop and the threaded checker.
-pub(crate) fn golden_update(golden: &mut [u64; 64], item: &CommittedOp) {
-    let op = item.op;
-    let s1 = op.src1_reg.map_or(0, |r| golden[r.index() as usize]);
-    let s2 = op.src2_reg.map_or(0, |r| golden[r.index() as usize]);
-    let result = match op.kind {
-        OpClass::Load => load_memory_value(op.mem_addr),
-        OpClass::Store | OpClass::Branch => 0,
-        _ => op.compute_result(s1, s2),
-    };
-    if let Some(d) = op.dest {
-        golden[d.index() as usize] = result;
     }
 }
 

@@ -13,7 +13,7 @@
 //! daemon. Requests are bounded by [`MAX_REQUEST_LINE`]; responses are
 //! unbounded (a `result` response carries whole cached results).
 
-use rmt3d_telemetry::json::{parse, JsonValue};
+use rmt3d_telemetry::json::{parse, write_json_string, JsonValue};
 use std::io::{self, BufRead};
 
 /// Upper bound on one request line in bytes. Anything longer is
@@ -187,21 +187,7 @@ pub fn error_line(msg: &str) -> String {
 
 /// Appends a JSON string literal (with escapes) to `buf`.
 pub fn write_json_str(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                buf.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => buf.push(c),
-        }
-    }
-    buf.push('"');
+    write_json_string(buf, s);
 }
 
 /// A JSON string literal of `s`, escaped.

@@ -22,7 +22,7 @@ use crate::codec;
 use crate::spec::JobSpec;
 use rmt3d::PerfResult;
 use rmt3d_obs::ledger::{temp_path, unix_now_ms, write_atomic};
-use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
+use rmt3d_telemetry::json::{parse, write_json_string, JsonObject, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write as _};
@@ -155,7 +155,7 @@ impl ResultStore {
         let final_path = self.entry_path(job);
         let tmp_path = temp_path(&final_path);
         let mut line = String::from("{\"key\":");
-        write_json_str(&mut line, &job.canonical());
+        write_json_string(&mut line, &job.canonical());
         line.push_str(",\"result\":");
         line.push_str(&codec::encode(result));
         line.push_str("}\n");
@@ -362,18 +362,6 @@ fn parse_index(text: &str) -> Option<BTreeMap<String, IndexEntry>> {
     Some(out)
 }
 
-fn write_json_str(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            c => buf.push(c),
-        }
-    }
-    buf.push('"');
-}
-
 /// Re-renders a parsed JSON subtree to text so the result decoder can
 /// consume it. Only the shapes the codec emits (objects, arrays,
 /// numbers, strings) need to round-trip.
@@ -384,7 +372,7 @@ fn render(v: &JsonValue) -> String {
         JsonValue::Num(n) => format!("{n}"),
         JsonValue::Str(s) => {
             let mut out = String::new();
-            write_json_str(&mut out, s);
+            write_json_string(&mut out, s);
             out
         }
         JsonValue::Arr(items) => {
@@ -396,7 +384,7 @@ fn render(v: &JsonValue) -> String {
                 .iter()
                 .map(|(k, val)| {
                     let mut key = String::new();
-                    write_json_str(&mut key, k);
+                    write_json_string(&mut key, k);
                     format!("{key}:{}", render(val))
                 })
                 .collect();
@@ -452,6 +440,14 @@ mod tests {
             }
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rendered_strings_escape_control_characters() {
+        let v = JsonValue::Str("a\tb\n\u{1}\"\\".into());
+        let text = render(&v);
+        assert!(!text.chars().any(char::is_control), "{text:?}");
+        assert_eq!(parse(&text).expect("rendered JSON parses"), v);
     }
 
     #[test]

@@ -163,7 +163,10 @@ impl JsonObject {
     }
 }
 
-fn write_json_string(buf: &mut String, s: &str) {
+/// Appends `s` to `buf` as a JSON string literal: quotes, backslashes
+/// and every control character escaped. The one JSON string writer of
+/// the workspace.
+pub fn write_json_string(buf: &mut String, s: &str) {
     buf.push('"');
     for c in s.chars() {
         match c {
