@@ -18,8 +18,9 @@
 //! record per target — `{"name", "min", "mean", "max", "samples"}`,
 //! times in nanoseconds — so CI can diff runs machine-readably.
 
+use rmt3d_obs::durable::AppendLog;
 use rmt3d_telemetry::json::write_json_string;
-use std::io::Write;
+use std::path::Path;
 use std::time::Instant;
 
 /// Times `f` over `samples` passes (after one warmup pass) and prints a
@@ -76,11 +77,8 @@ fn json_str(s: &str) -> String {
 }
 
 fn append_stat_record(path: &str, name: &str, value: f64) -> std::io::Result<()> {
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(f, "{{\"name\":{},\"stat\":{value}}}", json_str(name))
+    AppendLog::open(Path::new(path))?
+        .append(&format!("{{\"name\":{},\"stat\":{value}}}", json_str(name)))
 }
 
 /// Appends one `{"name", "min", "mean", "max", "samples"}` record to
@@ -94,14 +92,9 @@ fn append_json_record(
     samples: u32,
 ) -> std::io::Result<()> {
     let name = json_str(name);
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(
-        f,
+    AppendLog::open(Path::new(path))?.append(&format!(
         "{{\"name\":{name},\"min\":{min},\"mean\":{mean},\"max\":{max},\"samples\":{samples}}}"
-    )
+    ))
 }
 
 fn format_ns(ns: f64) -> String {

@@ -8,6 +8,7 @@
 //! deterministic regression test.
 
 use crate::trial::{run_trial, TrialSpec, Violation};
+use rmt3d_obs::durable::write_atomic;
 use rmt3d_rmt::{EccConfig, FaultSite};
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
 use rmt3d_workload::Benchmark;
@@ -113,9 +114,8 @@ pub fn write_fixture(
     spec: &TrialSpec,
     violation: Violation,
 ) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
     let path = dir.join(fixture_file_name(spec, violation));
-    std::fs::write(&path, fixture_json(spec, violation))
+    write_atomic(&path, &fixture_json(spec, violation))
         .map_err(|e| format!("cannot write {path:?}: {e}"))?;
     Ok(path)
 }

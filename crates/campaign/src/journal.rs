@@ -4,9 +4,11 @@
 //! `campaign.journal.jsonl` inside the campaign's output directory: a
 //! versioned header binding the file to one [`CampaignSpec`], a
 //! `trial_started` line when a worker picks a trial up, a `trial_done`
-//! line — flushed and fsynced *before* the trial is acknowledged — when
-//! it finishes, and a `checkpoint` line with the running [`Tally`]
-//! every [`CHECKPOINT_INTERVAL`] completions.
+//! line — fsynced *before* the trial is acknowledged — when it
+//! finishes, and a `checkpoint` line with the running [`Tally`] every
+//! [`CHECKPOINT_INTERVAL`] completions. The header is written with
+//! [`write_atomic`], which also fsyncs the directory entry, so synced
+//! trials survive power loss along with the file that holds them.
 //!
 //! [`replay`] is the read side: it rebuilds the set of completed
 //! trials from whatever survived a crash. It never panics on corrupt
@@ -28,11 +30,10 @@
 use crate::grid::CampaignSpec;
 use crate::report::Tally;
 use crate::trial::{TrialFate, TrialResult, Violation};
-use rmt3d_obs::ledger::terminate_torn_line;
+use rmt3d_obs::durable::{write_atomic, AppendLog};
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// Journal file name inside the campaign output directory.
@@ -51,30 +52,24 @@ pub const CHECKPOINT_INTERVAL: usize = 25;
 /// Append-only writer for one campaign's journal.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
+    log: AppendLog,
 }
 
 impl Journal {
-    /// Creates a fresh journal at `path`, truncating any existing
-    /// file, and syncs the header line binding it to `spec`.
+    /// Creates a fresh journal at `path`, replacing any existing file
+    /// with the header line binding it to `spec`.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error.
     pub fn create(path: &Path, spec: &CampaignSpec) -> io::Result<Journal> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let mut j = Journal {
-            file: File::create(path)?,
-        };
         let mut o = JsonObject::new();
         o.str("event", "campaign_start")
             .str("journal", JOURNAL_VERSION)
             .str("spec", &spec.canonical())
             .u64("total", spec.total_trials() as u64);
-        j.append(&o.finish(), true)?;
-        Ok(j)
+        write_atomic(path, &(o.finish() + "\n"))?;
+        Journal::open_append(path)
     }
 
     /// Reopens an existing journal at `path` for appending (the resume
@@ -89,23 +84,18 @@ impl Journal {
     ///
     /// Returns the underlying I/O error.
     pub fn open_append(path: &Path) -> io::Result<Journal> {
-        let mut file = OpenOptions::new().read(true).append(true).open(path)?;
-        terminate_torn_line(&mut file)?;
-        Ok(Journal { file })
+        Ok(Journal {
+            log: AppendLog::open(path)?,
+        })
     }
 
-    fn append(&mut self, line: &str, sync: bool) -> io::Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.flush()?;
-        if sync {
-            self.file.sync_data()?;
-        }
-        Ok(())
+    fn append_synced(&mut self, line: &str) -> io::Result<()> {
+        self.log.append(line)?;
+        self.log.sync()
     }
 
-    /// Records that a worker began executing trial `index`. Flushed but
-    /// not fsynced: losing it costs only the in-flight diagnostic.
+    /// Records that a worker began executing trial `index`. Not
+    /// fsynced: losing it costs only the in-flight diagnostic.
     ///
     /// # Errors
     ///
@@ -113,7 +103,7 @@ impl Journal {
     pub fn trial_started(&mut self, index: usize) -> io::Result<()> {
         let mut o = JsonObject::new();
         o.str("event", "trial_started").u64("trial", index as u64);
-        self.append(&o.finish(), false)
+        self.log.append(&o.finish())
     }
 
     /// Records trial `index`'s outcome, fsynced before returning — the
@@ -144,7 +134,7 @@ impl Journal {
                 o.str("error", e);
             }
         }
-        self.append(&o.finish(), true)
+        self.append_synced(&o.finish())
     }
 
     /// Records an aggregation checkpoint: `done` completions so far and
@@ -163,7 +153,7 @@ impl Journal {
             .u64("not_injected", tally.not_injected)
             .u64("violations", tally.violations)
             .u64("failed", tally.failed);
-        self.append(&o.finish(), true)
+        self.append_synced(&o.finish())
     }
 }
 

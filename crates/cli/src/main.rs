@@ -73,6 +73,7 @@ use rmt3d_campaign::{
     run_campaign_with, shrink, write_fixture, CampaignOptions, CampaignSpec, DEFAULT_BENCHMARKS,
     JOURNAL_FILE,
 };
+use rmt3d_obs::durable::write_atomic;
 use rmt3d_obs::WatchdogConfig;
 use rmt3d_rmt::{EccConfig, FaultSite};
 use rmt3d_sweep::{run_sweep, CacheMode, ParallelSimulator, ResultStore, SweepOptions, SweepSpec};
@@ -722,11 +723,8 @@ fn run_campaign_command(mut a: Args) -> ExitCode {
         );
     }
 
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        return fail(&format!("cannot create {}: {e}", out_dir.display()));
-    }
     let report_path = out_dir.join("campaign.jsonl");
-    if let Err(e) = std::fs::write(&report_path, report.to_jsonl()) {
+    if let Err(e) = write_atomic(&report_path, &report.to_jsonl()) {
         return fail(&format!("cannot write {}: {e}", report_path.display()));
     }
 

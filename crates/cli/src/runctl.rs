@@ -14,9 +14,8 @@
 
 use crate::args::Args;
 use crate::fail;
-use rmt3d_obs::ledger::{
-    format_unix_ms, write_atomic, RunLedger, METRICS_FILE, REPORT_FILE, STATUS_FILE,
-};
+use rmt3d_obs::durable::write_atomic;
+use rmt3d_obs::ledger::{format_unix_ms, RunLedger, METRICS_FILE, REPORT_FILE, STATUS_FILE};
 use rmt3d_obs::metricsio::{metrics_to_json, parse_metrics};
 use rmt3d_obs::{render_html_with, DaemonSeries, Manifest, ReportOptions, RunObserver, RunStatus};
 use rmt3d_telemetry::{Event, MetricsRegistry, Sink};

@@ -4,18 +4,14 @@
 //! strict JSON, `status --follow` waits for the server-registered run
 //! instead of failing, and `shutdown` drains the daemon cleanly.
 
-use rmt3d_telemetry::json::{parse, JsonValue};
-use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
-use std::time::{Duration, Instant};
+mod daemon;
 
-fn rmt3d(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_rmt3d"))
-        .args(args)
-        .output()
-        .expect("binary runs")
-}
+use daemon::{rmt3d, Daemon};
+use rmt3d_telemetry::json::{parse, JsonValue};
+use std::io::Read;
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rmt3d-serve-e2e-{tag}-{}", std::process::id()));
@@ -25,77 +21,6 @@ fn tmp(tag: &str) -> PathBuf {
 
 fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
-}
-
-/// A daemon child bound to an ephemeral port; the address comes from
-/// its startup banner so parallel tests never collide.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn start(root: &Path) -> Daemon {
-        let state = root.join("state");
-        let cache = root.join("cache");
-        let runs = root.join("runs");
-        let mut child = Command::new(env!("CARGO_BIN_EXE_rmt3d"))
-            .args([
-                "serve",
-                "--listen",
-                "127.0.0.1:0",
-                "--state-dir",
-                state.to_str().unwrap(),
-                "--out-dir",
-                cache.to_str().unwrap(),
-                "--runs-root",
-                runs.to_str().unwrap(),
-                "--jobs",
-                "2",
-            ])
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("daemon spawns");
-        let mut reader = BufReader::new(child.stderr.take().expect("stderr piped"));
-        let mut addr = None;
-        let mut line = String::new();
-        while reader.read_line(&mut line).unwrap_or(0) > 0 {
-            if let Some(rest) = line.trim().strip_prefix("serve: listening on ") {
-                addr = rest.split(',').next().map(str::to_string);
-                break;
-            }
-            line.clear();
-        }
-        // Keep draining so daemon chatter never backs up the pipe.
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            let _ = reader.read_to_string(&mut sink);
-        });
-        Daemon {
-            child,
-            addr: addr.expect("daemon announced its address"),
-        }
-    }
-
-    fn stop(mut self) {
-        let out = rmt3d(&["shutdown", "--addr", &self.addr]);
-        assert!(out.status.success(), "shutdown failed: {out:?}");
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            match self.child.try_wait().expect("daemon waitable") {
-                Some(status) => {
-                    assert!(status.success(), "daemon exited {status}");
-                    return;
-                }
-                None if Instant::now() > deadline => {
-                    let _ = self.child.kill();
-                    panic!("daemon did not drain within the deadline");
-                }
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
 }
 
 fn submit_wait(addr: &str) -> Output {

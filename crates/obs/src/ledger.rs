@@ -18,19 +18,19 @@
 //! so a manifest whose outcome is still `"running"` long after its
 //! start stamp is itself a diagnostic: the process died without
 //! finishing. All multi-writer files (`manifest.json`, `latest`) go
-//! through temp-file + rename; `ledger.jsonl` is append-only, one JSON
-//! document per line.
+//! through [`write_atomic`]; `ledger.jsonl` is an [`AppendLog`], one
+//! JSON document per line.
 //!
 //! Determinism: the manifest is deterministic for a given spec and
 //! version except for `run_id` (embeds the start stamp) and the
 //! `"wall"` object (start/finish clocks).
 
+use crate::durable::{write_atomic, AppendLog};
 use crate::version_string;
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// File name of a run's manifest inside its run directory.
@@ -53,61 +53,6 @@ pub fn unix_now_ms() -> u64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0)
-}
-
-/// Writes `text` to `path` atomically: temp file in the same directory,
-/// then rename. Readers either see the old document or the new one,
-/// never a torn write. Temp names are unique per process *and* per
-/// call, so concurrent writers cannot truncate each other's temp file.
-pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    let tmp = temp_path(path);
-    fs::write(&tmp, text)?;
-    match fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-/// A temp-file path beside `path` for a write-then-rename, unique per
-/// process *and* per call, so concurrent writers of one file never
-/// share a temp file. Its name starts with `.` and does not end in
-/// `path`'s extension, so directory scans by extension skip it.
-pub fn temp_path(path: &Path) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = path.parent().unwrap_or(Path::new("."));
-    let base = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| String::from("file"));
-    dir.join(format!(".{base}.tmp.{}.{seq}", std::process::id()))
-}
-
-/// Newline-terminates a torn last line of an append-only JSONL file
-/// opened with read and append access. A crash mid-append can leave
-/// the file ending in a partial line; without this the next appended
-/// line would glue onto that stub and be lost with it on replay, which
-/// skips the stub as one corrupt line. Only for files with one writer:
-/// another writer's unfinished line would be cut.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error.
-pub fn terminate_torn_line(file: &mut fs::File) -> io::Result<()> {
-    use std::io::{Read as _, Seek as _, SeekFrom};
-    if file.seek(SeekFrom::End(0))? == 0 {
-        return Ok(());
-    }
-    file.seek(SeekFrom::End(-1))?;
-    let mut last = [0u8; 1];
-    file.read_exact(&mut last)?;
-    if last[0] != b'\n' {
-        file.write_all(b"\n")?;
-    }
-    Ok(())
 }
 
 /// `(year, month, day, hour, minute, second)` in UTC for a Unix
@@ -352,7 +297,7 @@ impl RunLedger {
             .str("kind", kind)
             .u64("total_jobs", total_jobs)
             .u64("unix_ms", started_unix_ms);
-        self.append_ledger_line(&line.finish())?;
+        AppendLog::open(&self.root.join(LEDGER_FILE))?.append(&line.finish())?;
         write_atomic(&self.root.join(LATEST_FILE), &format!("{run_id}\n"))?;
         Ok(RunHandle {
             root: self.root.clone(),
@@ -386,14 +331,6 @@ impl RunLedger {
         }
         out.sort_by(|a, b| (a.started_unix_ms, &a.run_id).cmp(&(b.started_unix_ms, &b.run_id)));
         Ok(out)
-    }
-
-    fn append_ledger_line(&self, line: &str) -> io::Result<()> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.root.join(LEDGER_FILE))?;
-        writeln!(f, "{line}")
     }
 }
 
@@ -444,18 +381,14 @@ impl RunHandle {
             .str("run_id", &self.manifest.run_id)
             .str("outcome", outcome)
             .u64("unix_ms", self.manifest.finished_unix_ms);
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.root.join(LEDGER_FILE))?;
-        writeln!(f, "{}", line.finish())
+        AppendLog::open(&self.root.join(LEDGER_FILE))?.append(&line.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn tempdir(tag: &str) -> PathBuf {
         static N: AtomicU32 = AtomicU32::new(0);
@@ -564,21 +497,5 @@ mod tests {
         assert_eq!(utc_parts(0), (1970, 1, 1, 0, 0, 0));
         // Leap-year boundary: 2024-02-29 23:59:59 UTC.
         assert_eq!(utc_parts(1_709_251_199_000), (2024, 2, 29, 23, 59, 59));
-    }
-
-    #[test]
-    fn write_atomic_replaces_content() {
-        let root = tempdir("atomic");
-        let path = root.join("f.json");
-        write_atomic(&path, "{\"a\":1}").unwrap();
-        write_atomic(&path, "{\"a\":2}").unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "{\"a\":2}");
-        // No temp droppings left behind.
-        let names: Vec<_> = fs::read_dir(&root)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["f.json"]);
-        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -5,7 +5,9 @@
 //! durable *run* instead of a black box between launch and final
 //! report.
 //!
-//! The crate has four pieces:
+//! The crate has four pieces, all of whose files go through
+//! [`durable`], the workspace's one way to append a line or replace a
+//! file:
 //!
 //! 1. **Run ledger** ([`RunLedger`], [`Manifest`]): an append-only
 //!    directory of runs. Each run gets `runs/<run_id>/manifest.json`
@@ -35,6 +37,7 @@
 //! `*_nanos`/`*_unix_ms` name), and `run_id` embeds the start stamp.
 
 pub mod daemonseries;
+pub mod durable;
 pub mod ledger;
 pub mod metricsio;
 pub mod report;
@@ -50,7 +53,7 @@ pub use watchdog::{Stall, Watchdog, WatchdogConfig};
 
 /// FNV-1a 64-bit over a byte string: tiny, dependency-free, stable
 /// across platforms and compiler versions. Used for run spec hashes
-/// (the sweep cache uses its own copy for cache keys).
+/// and the sweep cache's keys.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

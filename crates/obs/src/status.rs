@@ -22,7 +22,8 @@
 //! the `"wall"` object (`updated_unix_ms`, `elapsed_nanos`,
 //! `eta_nanos`, per-job timings, stall diagnostics, pool utilization).
 
-use crate::ledger::{unix_now_ms, write_atomic};
+use crate::durable::write_atomic;
+use crate::ledger::unix_now_ms;
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
 use rmt3d_telemetry::{Event, MetricsRegistry, Sink};
 use std::fmt::Write as _;

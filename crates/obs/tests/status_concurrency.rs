@@ -4,7 +4,7 @@
 //! writers while readers poll, and require every successful read to
 //! parse and carry a coherent run id.
 
-use rmt3d_obs::ledger::write_atomic;
+use rmt3d_obs::durable::write_atomic;
 use rmt3d_obs::RunStatus;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -25,8 +25,8 @@
 //! every item that had already been saved.
 
 use crate::metrics::{
-    sample_line, CacheCounters, DaemonMetrics, MetricsRing, TraceLog, METRICS_RING_CAP,
-    METRICS_RING_FILE, TRACE_LOG_FILE,
+    sample_line, CacheCounters, DaemonMetrics, MetricsRing, METRICS_RING_CAP, METRICS_RING_FILE,
+    TRACE_LOG_FILE,
 };
 use crate::payload::JobPayload;
 use crate::proto::{
@@ -34,7 +34,8 @@ use crate::proto::{
 };
 use crate::queue::{Cancelled, JobEntry, JobOutcome, JobQueue, JobState};
 use rmt3d_campaign::run_campaign_watched;
-use rmt3d_obs::ledger::{unix_now_ms, write_atomic, RunHandle, RunLedger};
+use rmt3d_obs::durable::{write_atomic, AppendLog};
+use rmt3d_obs::ledger::{unix_now_ms, RunHandle, RunLedger};
 use rmt3d_obs::{metrics_to_json, RunObserver};
 use rmt3d_sweep::{codec, run_sweep, CacheMode, ResultStore, SweepOptions};
 use rmt3d_telemetry::json::JsonObject;
@@ -95,7 +96,7 @@ struct Ctx {
 struct Instruments {
     metrics: DaemonMetrics,
     ring: Mutex<Option<MetricsRing>>,
-    trace: Mutex<Option<TraceLog>>,
+    trace: Mutex<Option<AppendLog>>,
 }
 
 impl Instruments {
@@ -111,7 +112,7 @@ impl Instruments {
                 None
             }
         };
-        let trace = match TraceLog::open(&state_dir.join(TRACE_LOG_FILE)) {
+        let trace = match AppendLog::open(&state_dir.join(TRACE_LOG_FILE)) {
             Ok(t) => Some(t),
             Err(e) => {
                 metrics.note_metrics_write_error();
@@ -148,7 +149,7 @@ impl Instruments {
     fn trace_event(&self, event: &Event) {
         let mut guard = self.trace.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(log) = guard.as_mut() {
-            if log.append(event).is_err() {
+            if log.append(&event.to_json_line(false)).is_err() {
                 self.metrics.note_metrics_write_error();
             }
         }
@@ -439,11 +440,8 @@ fn execute_job(
                 Ok(report) => {
                     let violations = report.violations().len() as u64;
                     let total = payload.total_jobs();
-                    let report_dir = opts.state_dir.join("results");
-                    let written = std::fs::create_dir_all(&report_dir).and_then(|()| {
-                        write_atomic(&report_dir.join(format!("{id}.jsonl")), &report.to_jsonl())
-                    });
-                    if let Err(e) = written {
+                    let report_path = opts.state_dir.join("results").join(format!("{id}.jsonl"));
+                    if let Err(e) = write_atomic(&report_path, &report.to_jsonl()) {
                         eprintln!("serve: warning: cannot write campaign report for {id}: {e}");
                     }
                     let outcome = JobOutcome {

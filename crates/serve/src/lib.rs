@@ -24,7 +24,7 @@ pub mod proto;
 
 pub use daemon::{serve, ServeOptions};
 pub use metrics::{
-    parse_sample_line, DaemonMetrics, MetricsRing, TraceLog, METRICS_RING_CAP, METRICS_RING_FILE,
+    parse_sample_line, DaemonMetrics, MetricsRing, METRICS_RING_CAP, METRICS_RING_FILE,
     TRACE_LOG_FILE,
 };
 pub use payload::JobPayload;

@@ -10,18 +10,20 @@
 //! strict-JSON line; [`MetricsRing`] persists periodic snapshots so
 //! dashboards can plot the daemon *over time*, not just now.
 //!
-//! Both files follow the queue journal's durability rules: append one
-//! JSON line, flush before moving on, skip (never die on) corrupt or
-//! torn lines at replay. The ring is additionally bounded — when the
-//! file exceeds twice the retention cap it is compacted down to the
-//! newest `cap` samples with an atomic rewrite, so a long-lived daemon
-//! cannot grow it without bound.
+//! Both files are [`AppendLog`]s, like the queue journal: one JSON
+//! line per record, a torn tail closed off on reopen, corrupt or torn
+//! lines skipped (never fatal) at replay. The ring is additionally
+//! bounded — when the file exceeds twice the retention cap it is
+//! compacted down to the newest `cap` samples with
+//! [`write_atomic`], so a long-lived daemon cannot grow it without
+//! bound.
 
+use rmt3d_obs::durable::{write_atomic, AppendLog};
 use rmt3d_obs::metrics_to_json;
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
-use rmt3d_telemetry::{Event, MetricsRegistry};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use rmt3d_telemetry::MetricsRegistry;
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -29,7 +31,10 @@ use std::sync::Mutex;
 /// Time-series ring file name inside the daemon state directory.
 pub const METRICS_RING_FILE: &str = "daemon.metrics.jsonl";
 
-/// Raw span/event log file name inside the daemon state directory.
+/// Raw span/event log file name inside the daemon state directory:
+/// one codec line per job-lifecycle span event, with real wall
+/// durations. `TraceEventSink` is `Rc`-based and single-threaded, so
+/// the daemon logs raw lines and `trace-report --chrome-out` renders.
 pub const TRACE_LOG_FILE: &str = "daemon.trace.jsonl";
 
 /// Samples retained by the ring after compaction.
@@ -139,7 +144,7 @@ impl DaemonMetrics {
 #[derive(Debug)]
 pub struct MetricsRing {
     path: PathBuf,
-    file: File,
+    log: AppendLog,
     lines: usize,
     cap: usize,
 }
@@ -154,20 +159,15 @@ impl MetricsRing {
     /// Returns the underlying I/O error when the file cannot be
     /// created or opened for append.
     pub fn open(path: &Path, cap: usize) -> io::Result<MetricsRing> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let lines = match fs::read_to_string(path) {
-            Ok(text) => text
-                .lines()
+        let log = AppendLog::open(path)?;
+        let lines = fs::read_to_string(path).map_or(0, |text| {
+            text.lines()
                 .filter(|l| parse_sample_line(l).is_some())
-                .count(),
-            Err(_) => 0,
-        };
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+                .count()
+        });
         Ok(MetricsRing {
             path: path.to_path_buf(),
-            file,
+            log,
             lines,
             cap: cap.max(1),
         })
@@ -183,10 +183,10 @@ impl MetricsRing {
         self.lines == 0
     }
 
-    /// Appends one sample line (flushed before returning) and compacts
-    /// the file down to the newest `cap` samples once it holds twice
-    /// that many — an atomic rewrite, so a crash mid-compaction leaves
-    /// either the old or the new file, never a mix.
+    /// Appends one sample line and compacts the file down to the
+    /// newest `cap` samples once it holds twice that many — an atomic
+    /// rewrite, so a crash mid-compaction leaves either the old or the
+    /// new file, never a mix.
     ///
     /// # Errors
     ///
@@ -194,9 +194,7 @@ impl MetricsRing {
     /// failures (see [`DaemonMetrics::note_metrics_write_error`])
     /// rather than die.
     pub fn append(&mut self, line: &str) -> io::Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.flush()?;
+        self.log.append(line)?;
         self.lines += 1;
         if self.lines >= self.cap * 2 {
             self.compact()?;
@@ -216,8 +214,8 @@ impl MetricsRing {
             out.push_str(line);
             out.push('\n');
         }
-        rmt3d_obs::ledger::write_atomic(&self.path, &out)?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        write_atomic(&self.path, &out)?;
+        self.log = AppendLog::open(&self.path)?;
         self.lines = valid.len() - keep;
         Ok(())
     }
@@ -283,44 +281,6 @@ pub struct CacheCounters {
     pub verify_failures: u64,
     pub entries: u64,
     pub bytes: u64,
-}
-
-/// Append-only raw event log (`daemon.trace.jsonl`): every
-/// job-lifecycle span event as one codec JSONL line, flushed before
-/// returning. `rmt3d trace-report` reads it directly, and
-/// `--chrome-out` re-renders it through `TraceEventSink` — which is
-/// `Rc`-based and single-threaded, so the multi-threaded daemon logs
-/// raw lines instead of holding the sink itself.
-#[derive(Debug)]
-pub struct TraceLog {
-    file: File,
-}
-
-impl TraceLog {
-    /// Opens (creating if necessary) the log for append.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn open(path: &Path) -> io::Result<TraceLog> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(TraceLog { file })
-    }
-
-    /// Appends one event (non-deterministic encoding: the log keeps
-    /// real wall durations; the Chrome converter quarantines them).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn append(&mut self, event: &Event) -> io::Result<()> {
-        self.file.write_all(event.to_json_line(false).as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.flush()
-    }
 }
 
 #[cfg(test)]
@@ -409,6 +369,34 @@ mod tests {
     }
 
     #[test]
+    fn a_sample_appended_after_a_torn_tail_is_kept() {
+        let dir = tmp("torn-append");
+        let path = dir.join(METRICS_RING_FILE);
+        let metrics = DaemonMetrics::new();
+        {
+            let mut ring = MetricsRing::open(&path, 16).unwrap();
+            ring.append(&sample(&metrics, 1)).unwrap();
+            ring.append(&sample(&metrics, 2)).unwrap();
+        }
+        let mut text = fs::read_to_string(&path).unwrap();
+        text.push_str("{\"unix_ms\":99,\"queued\":");
+        fs::write(&path, &text).unwrap();
+        MetricsRing::open(&path, 16)
+            .unwrap()
+            .append(&sample(&metrics, 3))
+            .unwrap();
+        let ring = MetricsRing::open(&path, 16).unwrap();
+        assert_eq!(ring.len(), 3, "the sample after the torn tail was lost");
+        let last = fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .filter_map(parse_sample_line)
+            .next_back()
+            .unwrap();
+        assert_eq!(last.get("unix_ms").and_then(JsonValue::as_u64), Some(3));
+    }
+
+    #[test]
     fn ring_compacts_to_cap_and_survives_garbage_lines() {
         let dir = tmp("compact");
         let path = dir.join(METRICS_RING_FILE);
@@ -446,30 +434,5 @@ mod tests {
         assert_eq!(m.cache_evictions(), 3);
         assert_eq!(m.tick(), 0);
         assert_eq!(m.tick(), 1);
-    }
-
-    #[test]
-    fn trace_log_appends_parseable_codec_lines() {
-        let dir = tmp("trace");
-        let path = dir.join(TRACE_LOG_FILE);
-        let mut log = TraceLog::open(&path).unwrap();
-        log.append(&Event::JobSpanBegin {
-            job: 7,
-            phase: "queued",
-            ts: 1,
-        })
-        .unwrap();
-        log.append(&Event::JobSpanEnd {
-            job: 7,
-            phase: "queued",
-            ts: 2,
-            wall_nanos: 55,
-        })
-        .unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        for line in text.lines() {
-            rmt3d_telemetry::ParsedEvent::from_json_line(line).unwrap();
-        }
-        assert_eq!(text.lines().count(), 2);
     }
 }

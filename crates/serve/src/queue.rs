@@ -3,7 +3,9 @@
 //! State lives in one append-only journal, `journal.jsonl`, inside the
 //! daemon's state directory: every lifecycle transition (`submitted`,
 //! `started`, `finished`, `cancelled`, `cancel_requested`) is one JSON
-//! line, written and flushed before the transition is acknowledged. A
+//! line, appended through [`AppendLog`] before the transition is
+//! acknowledged. That survives SIGKILL; the journal is not fsynced, so
+//! a power loss may drop recent transitions. A
 //! restarted daemon replays the journal to rebuild the queue: jobs
 //! that were queued — or running when the daemon died — come back as
 //! queued (the content-addressed result cache makes re-running a
@@ -19,11 +21,12 @@
 
 use crate::payload::JobPayload;
 use crate::proto::json_str;
-use rmt3d_obs::ledger::{terminate_torn_line, unix_now_ms};
+use rmt3d_obs::durable::AppendLog;
+use rmt3d_obs::ledger::unix_now_ms;
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Journal file name inside the daemon state directory.
@@ -144,7 +147,7 @@ pub enum Cancelled {
 #[derive(Debug)]
 pub struct JobQueue {
     dir: PathBuf,
-    journal: File,
+    journal: AppendLog,
     jobs: BTreeMap<u64, JobEntry>,
     next_seq: u64,
 }
@@ -158,7 +161,6 @@ impl JobQueue {
     /// Returns the underlying I/O error when the directory or journal
     /// cannot be created.
     pub fn open(dir: &Path) -> io::Result<JobQueue> {
-        fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
         let mut jobs: BTreeMap<u64, JobEntry> = BTreeMap::new();
         let mut next_seq = 1u64;
@@ -178,17 +180,9 @@ impl JobQueue {
                 entry.state = JobState::Cancelled;
             }
         }
-        let mut journal = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        // A submit acknowledged after reopening must not glue onto a
-        // line a crash tore.
-        terminate_torn_line(&mut journal)?;
         Ok(JobQueue {
             dir: dir.to_path_buf(),
-            journal,
+            journal: AppendLog::open(&path)?,
             jobs,
             next_seq,
         })
@@ -231,7 +225,8 @@ impl JobQueue {
             .str("spec_hash", &format!("{spec_hash:016x}"))
             .u64("unix_ms", submitted_unix_ms)
             .raw("spec", &spec_json);
-        self.append(&o.finish())
+        self.journal
+            .append(&o.finish())
             .map_err(|e| format!("cannot journal submission: {e}"))?;
         self.next_seq = seq + 1;
         self.jobs.insert(
@@ -271,7 +266,7 @@ impl JobQueue {
             .str("run_id", run_id.unwrap_or(""))
             .u64("unix_ms", unix_now_ms());
         let line = o.finish();
-        let _ = self.append(&line);
+        let _ = self.journal.append(&line);
         if let Some(entry) = self.find_mut(id) {
             entry.state = JobState::Running;
             entry.run_id = run_id.map(str::to_string);
@@ -297,7 +292,7 @@ impl JobQueue {
             .str("error", error.unwrap_or(""))
             .u64("unix_ms", unix_now_ms());
         let line = o.finish();
-        let _ = self.append(&line);
+        let _ = self.journal.append(&line);
         if let Some(entry) = self.find_mut(id) {
             entry.state = state;
             entry.outcome = Some(outcome);
@@ -322,7 +317,7 @@ impl JobQueue {
                     json_str(id),
                     unix_now_ms()
                 );
-                let _ = self.append(&line);
+                let _ = self.journal.append(&line);
                 Ok(Cancelled::Queued)
             }
             JobState::Running => {
@@ -332,7 +327,7 @@ impl JobQueue {
                     json_str(id),
                     unix_now_ms()
                 );
-                let _ = self.append(&line);
+                let _ = self.journal.append(&line);
                 Ok(Cancelled::InFlight)
             }
             terminal => Err(format!("job {id} is already {}", terminal.as_str())),
@@ -356,12 +351,6 @@ impl JobQueue {
 
     fn find_mut(&mut self, id: &str) -> Option<&mut JobEntry> {
         self.jobs.values_mut().find(|j| j.id == id)
-    }
-
-    fn append(&mut self, line: &str) -> io::Result<()> {
-        self.journal.write_all(line.as_bytes())?;
-        self.journal.write_all(b"\n")?;
-        self.journal.flush()
     }
 }
 

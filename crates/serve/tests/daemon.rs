@@ -6,6 +6,7 @@
 use rmt3d_serve::client;
 use rmt3d_serve::{serve, ServeOptions};
 use rmt3d_telemetry::json::{parse, JsonValue};
+use rmt3d_telemetry::ParsedEvent;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -140,6 +141,21 @@ fn cold_submit_executes_warm_resubmit_is_all_cache_hits_byte_identical() {
         .join("manifest.json")
         .exists());
     daemon.stop();
+
+    // Every span line the daemon appended parses as a codec event, and
+    // both finished jobs closed every span they opened.
+    let trace = std::fs::read_to_string(root.join("state").join(rmt3d_serve::TRACE_LOG_FILE))
+        .expect("span trace written");
+    let (mut begins, mut ends) = (0, 0);
+    for line in trace.lines() {
+        match ParsedEvent::from_json_line(line).expect("span line is a codec event") {
+            ParsedEvent::JobSpanBegin { .. } => begins += 1,
+            ParsedEvent::JobSpanEnd { .. } => ends += 1,
+            other => panic!("unexpected event in the span trace: {other:?}"),
+        }
+    }
+    assert!(begins > 0, "the jobs left spans in the trace");
+    assert_eq!(begins, ends, "every span opened was closed");
     let _ = std::fs::remove_dir_all(&root);
 }
 

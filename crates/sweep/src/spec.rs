@@ -149,23 +149,13 @@ impl JobSpec {
         )
     }
 
-    /// Stable 64-bit content hash of [`JobSpec::canonical`] (FNV-1a);
-    /// the cache file name is this key in hex.
+    /// Stable 64-bit content hash of [`JobSpec::canonical`]
+    /// ([`rmt3d_obs::fnv1a`], stable across platforms and compiler
+    /// versions, unlike `DefaultHasher`); the cache file name is this
+    /// key in hex.
     pub fn cache_key(&self) -> u64 {
-        fnv1a(self.canonical().as_bytes())
+        rmt3d_obs::fnv1a(self.canonical().as_bytes())
     }
-}
-
-/// FNV-1a 64-bit: tiny, dependency-free, stable across platforms and
-/// compiler versions (unlike `DefaultHasher`, which is explicitly
-/// unstable between releases).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! in hex, holding a single JSON line `{"key": <canonical>, "result": {…}}`.
 //! The canonical configuration text is stored alongside the result and
 //! re-verified on load, so a 64-bit hash collision degrades to a cache
-//! miss instead of serving the wrong result. Writes go through a
-//! temporary file and an atomic rename, so a sweep killed mid-write
-//! leaves no partial entry and `--resume` picks up cleanly.
+//! miss instead of serving the wrong result. Writes go through
+//! [`write_atomic`], so a sweep killed mid-write leaves no partial
+//! entry and `--resume` picks up cleanly.
 //!
 //! The store also keeps observability state: in-memory hit/miss/verify
 //! counters (snapshot via [`ResultStore::stats`]) and a usage index —
@@ -21,11 +21,12 @@
 use crate::codec;
 use crate::spec::JobSpec;
 use rmt3d::PerfResult;
-use rmt3d_obs::ledger::{temp_path, unix_now_ms, write_atomic};
+use rmt3d_obs::durable::write_atomic;
+use rmt3d_obs::ledger::unix_now_ms;
 use rmt3d_telemetry::json::{parse, write_json_string, JsonObject, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -146,28 +147,18 @@ impl ResultStore {
         }
     }
 
-    /// Persists a job's result atomically (temp file + rename).
+    /// Persists a job's result with [`write_atomic`].
     ///
     /// # Errors
     ///
     /// Returns the first I/O error hit while writing.
     pub fn save(&self, job: &JobSpec, result: &PerfResult) -> io::Result<()> {
-        let final_path = self.entry_path(job);
-        let tmp_path = temp_path(&final_path);
         let mut line = String::from("{\"key\":");
         write_json_string(&mut line, &job.canonical());
         line.push_str(",\"result\":");
         line.push_str(&codec::encode(result));
         line.push_str("}\n");
-        {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(line.as_bytes())?;
-            f.sync_all()?;
-        }
-        if let Err(e) = fs::rename(&tmp_path, &final_path) {
-            let _ = fs::remove_file(&tmp_path);
-            return Err(e);
-        }
+        write_atomic(&self.entry_path(job), &line)?;
         self.touch(&entry_name(job), line.len() as u64, false);
         Ok(())
     }
