@@ -44,6 +44,10 @@ pub struct SetAssocCache {
     /// Tag storage: `sets x ways`, most-recently-used first within each
     /// set. `u64::MAX` marks an invalid way.
     tags: Vec<u64>,
+    /// `log2(line_bytes)`: address bits below the set index.
+    line_shift: u32,
+    /// `log2(sets)`: width of the set index.
+    set_bits: u32,
     stats: CacheStats,
 }
 
@@ -52,13 +56,32 @@ const INVALID: u64 = u64::MAX;
 
 impl SetAssocCache {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line size or set count is not a power of two
+    /// ([`CacheConfig::new`] rejects such geometries).
     pub fn new(config: CacheConfig) -> SetAssocCache {
-        let entries = (config.sets() as usize) * config.ways as usize;
+        let sets = config.sets();
+        assert!(
+            config.line_bytes.is_power_of_two() && sets.is_power_of_two(),
+            "cache geometry must be a power of two: {config}"
+        );
         SetAssocCache {
             config,
-            tags: vec![INVALID; entries],
+            tags: vec![INVALID; sets as usize * config.ways as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             stats: CacheStats::default(),
         }
+    }
+
+    /// [`CacheConfig::index_tag`] by shift and mask: the geometry is a
+    /// power of two, so the hot path needs no division.
+    #[inline]
+    fn index_tag(&self, addr: u64) -> (u64, u64) {
+        let line = addr >> self.line_shift;
+        (line & ((1 << self.set_bits) - 1), line >> self.set_bits)
     }
 
     /// The configuration this cache was built with.
@@ -79,7 +102,7 @@ impl SetAssocCache {
     /// Accesses `addr`; returns `true` on hit. Misses allocate the line
     /// (write-allocate for stores).
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
-        let (set, tag) = self.config.index_tag(addr);
+        let (set, tag) = self.index_tag(addr);
         let ways = self.config.ways as usize;
         let base = set as usize * ways;
         let slot = &mut self.tags[base..base + ways];
@@ -105,7 +128,7 @@ impl SetAssocCache {
     /// Probes without updating LRU or statistics; returns `true` when the
     /// line is resident.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.config.index_tag(addr);
+        let (set, tag) = self.index_tag(addr);
         let ways = self.config.ways as usize;
         let base = set as usize * ways;
         self.tags[base..base + ways].contains(&tag)
@@ -113,7 +136,7 @@ impl SetAssocCache {
 
     /// Invalidates a line if present; returns whether it was resident.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.config.index_tag(addr);
+        let (set, tag) = self.index_tag(addr);
         let ways = self.config.ways as usize;
         let base = set as usize * ways;
         let slot = &mut self.tags[base..base + ways];
@@ -237,6 +260,31 @@ mod tests {
         }
         let mr = c.stats().miss_rate();
         assert!(mr > 0.3 && mr < 0.7, "64K set in 32K cache: {mr}");
+    }
+
+    #[test]
+    fn shift_mask_index_matches_index_tag() {
+        use crate::NucaLayout;
+        let mut geometries = vec![CacheConfig::l1_32k_2way()];
+        for layout in [
+            NucaLayout::two_d_a(),
+            NucaLayout::two_d_2a(),
+            NucaLayout::three_d_2a(),
+            NucaLayout::three_d_hetero_90nm(),
+        ] {
+            geometries.push(CacheConfig::l2_bank_1mb(8, layout.bank_cycles));
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for config in geometries {
+            let c = SetAssocCache::new(config);
+            for _ in 0..10_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                assert_eq!(c.index_tag(x), config.index_tag(x), "{config} at {x:#x}");
+            }
+            assert_eq!(c.index_tag(u64::MAX), config.index_tag(u64::MAX));
+        }
     }
 
     #[test]

@@ -65,6 +65,19 @@ impl FuBudget {
     }
 }
 
+/// A dispatched-but-unissued op in the select window.
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    seq: u64,
+    kind: OpClass,
+    /// Cycle at which every operand is available: the max of the
+    /// producers' `complete_at`. `PENDING` while `blocker` is unissued.
+    ready_at: u64,
+    /// An unissued producer; only meaningful while `ready_at` is
+    /// `PENDING`.
+    blocker: u64,
+}
+
 /// The out-of-order leading core.
 ///
 /// # Examples
@@ -105,10 +118,14 @@ pub struct OooCore<S: Sink = NullSink> {
     commit_head: u64,
     dispatch_head: u64,
     fetch_tail: u64,
-    /// Sequence numbers of dispatched-but-unissued ops, in program
-    /// order: the issue stage's select window. Entries leave on issue,
-    /// so issue cost scales with waiting ops, not ROB size.
-    unissued: Vec<u64>,
+    /// Dispatched-but-unissued ops in program order: the issue stage's
+    /// select window. Each entry caches its operand-ready cycle, so a
+    /// scan tests one field per waiting op; entries leave on issue.
+    unissued: Vec<Waiting>,
+    /// Earliest cycle at which any waiting op can issue; `do_issue`
+    /// skips its scan before then. Set by each scan, lowered by
+    /// dispatch.
+    issue_wake: u64,
     iq_int: u32,
     iq_fp: u32,
     lsq: u32,
@@ -168,6 +185,7 @@ impl<S: Sink> OooCore<S> {
             dispatch_head: 0,
             fetch_tail: 0,
             unissued: Vec::with_capacity(cfg.rob_size as usize),
+            issue_wake: PENDING,
             iq_int: 0,
             iq_fp: 0,
             lsq: 0,
@@ -417,11 +435,21 @@ impl<S: Sink> OooCore<S> {
     }
 
     fn do_issue(&mut self) {
-        if self.unissued.is_empty() {
+        let cycle = self.cycle;
+        if cycle < self.issue_wake {
+            // No waiting op is ready: the full scan would issue nothing.
+            debug_assert!(
+                self.unissued.iter().all(|w| !Self::operands_ready(
+                    &self.complete_at,
+                    &self.ops[(w.seq % RING as u64) as usize],
+                    cycle
+                )),
+                "skipped an issue scan with a ready op at cycle {cycle}"
+            );
             return;
         }
         let mut budget = FuBudget::new(&self.cfg);
-        let cycle = self.cycle;
+        let mut wake = PENDING;
         // Oldest-first select over the waiting window; ops that issue
         // are compacted out of the list in place.
         let len = self.unissued.len();
@@ -431,21 +459,35 @@ impl<S: Sink> OooCore<S> {
             if budget.total == 0 {
                 self.unissued.copy_within(i..len, keep);
                 keep += len - i;
+                wake = cycle + 1;
                 break;
             }
-            let seq = self.unissued[i];
-            let slot = (seq % RING as u64) as usize;
-            let (ready, kind) = {
-                let op = &self.ops[slot];
-                let ready = Self::operands_ready(&self.complete_at, op, cycle);
-                (ready, op.kind)
+            let mut w = self.unissued[i];
+            i += 1;
+            if w.ready_at == PENDING
+                && self.complete_at[(w.blocker % RING as u64) as usize] != PENDING
+            {
+                // The blocker has issued, in an earlier scan or (being
+                // older) earlier in this one: re-derive.
+                (w.ready_at, w.blocker) =
+                    Self::ready_at(&self.complete_at, &self.ops[(w.seq % RING as u64) as usize]);
+            }
+            let stay = if w.ready_at > cycle {
+                Some(w.ready_at)
+            } else if !budget.take(w.kind) {
+                // Ready, but its functional units are taken this cycle.
+                Some(cycle + 1)
+            } else {
+                None
             };
-            if !ready || !budget.take(kind) {
-                self.unissued[keep] = seq;
+            if let Some(at) = stay {
+                wake = wake.min(at);
+                self.unissued[keep] = w;
                 keep += 1;
-                i += 1;
                 continue;
             }
+            let slot = (w.seq % RING as u64) as usize;
+            let kind = w.kind;
             let complete = match kind {
                 OpClass::Load => {
                     let addr = self.ops[slot].mem_addr;
@@ -476,11 +518,31 @@ impl<S: Sink> OooCore<S> {
             if kind.is_memory() {
                 self.activity.lsq_accesses += 1;
             }
-            i += 1;
         }
         self.unissued.truncate(keep);
+        self.issue_wake = wake;
     }
 
+    /// The cycle at which all of `op`'s operands are available, or
+    /// `(PENDING, producer)` while some producer has not issued. A
+    /// producer's `complete_at` is written once, at issue, and its ring
+    /// slot outlives every waiting consumer, so the result never goes
+    /// stale.
+    fn ready_at(ring: &[u64; RING], op: &MicroOp) -> (u64, u64) {
+        let mut ready = 0;
+        for dist in [op.src1_dist, op.src2_dist].into_iter().flatten() {
+            let producer = op.seq - dist.get() as u64;
+            let done = ring[(producer % RING as u64) as usize];
+            if done == PENDING {
+                return (PENDING, producer);
+            }
+            ready = ready.max(done);
+        }
+        (ready, 0)
+    }
+
+    /// The readiness predicate a full per-cycle rescan would apply;
+    /// checks skipped scans in debug builds.
     fn operands_ready(ring: &[u64; RING], op: &MicroOp, cycle: u64) -> bool {
         for dist in [op.src1_dist, op.src2_dist].into_iter().flatten() {
             let producer = op.seq - dist.get() as u64;
@@ -499,7 +561,8 @@ impl<S: Sink> OooCore<S> {
             if self.dispatch_head == self.fetch_tail {
                 break;
             }
-            let kind = self.ops[(self.dispatch_head % RING as u64) as usize].kind;
+            let op = &self.ops[(self.dispatch_head % RING as u64) as usize];
+            let kind = op.kind;
             // Structural checks before consuming.
             if kind.is_fp() {
                 if self.iq_fp >= self.cfg.iq_fp_size {
@@ -520,9 +583,17 @@ impl<S: Sink> OooCore<S> {
                 self.lsq += 1;
             }
             // The ring slot already reads PENDING (marked at fetch), so
-            // there is no ROB entry to fill: dispatch just advances the
-            // cursor into the issue window.
-            self.unissued.push(self.dispatch_head);
+            // there is no ROB entry to fill: dispatch records when the
+            // operands will be ready and advances the cursor into the
+            // issue window.
+            let (ready_at, blocker) = Self::ready_at(&self.complete_at, op);
+            self.issue_wake = self.issue_wake.min(ready_at);
+            self.unissued.push(Waiting {
+                seq: self.dispatch_head,
+                kind,
+                ready_at,
+                blocker,
+            });
             self.dispatch_head += 1;
             self.activity.dispatched += 1;
         }
