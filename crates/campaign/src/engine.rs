@@ -298,8 +298,12 @@ pub fn run_campaign_with<S: Sink>(
     for r in &records {
         emit(sink, || Event::CampaignTrial {
             trial: r.spec.index as u64,
-            site: r.spec.site.name(),
-            fate: r.outcome.as_ref().map_or("panicked", |t| t.fate.name()),
+            site: r.spec.site.name().into(),
+            fate: r
+                .outcome
+                .as_ref()
+                .map_or("panicked", |t| t.fate.name())
+                .into(),
             detect_cycles: r.outcome.as_ref().map_or(0, |t| t.detect_cycles),
             ok: r.ok(),
         });

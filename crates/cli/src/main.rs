@@ -45,7 +45,7 @@
 //! Experiment names: `tables`, `fig4`, `fig5`, `fig6`, `fig7`,
 //! `iso-thermal`, `interconnect`, `heterogeneous`, `margins`,
 //! `dfs-ablation`, `hard-error`, `summary`, `tmr`, `interrupts`,
-//! `resilience`, `shared-cache`, `leakage`.
+//! `resilience`, `dtm`, `shared-cache`, `leakage`.
 //!
 //! Unknown flags are errors; every argument must be consumed by the
 //! selected command.
@@ -299,7 +299,7 @@ fn run_traced(
         let mut f = io::BufWriter::new(
             File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
         );
-        write_samples_csv(&mut f, snapshot.ring.iter())
+        write_samples_csv(&mut f, snapshot.samples.iter())
             .map_err(|e| format!("csv write failed: {e}"))?;
     }
     if opts.metrics {
@@ -308,9 +308,8 @@ fn run_traced(
         eprintln!("-- metrics --");
         eprint!("{}", snapshot.registry.format_human());
         eprintln!(
-            "samples: {} retained ({} dropped), dfs transitions: {}",
-            snapshot.ring.len(),
-            snapshot.ring.dropped(),
+            "samples: {}, dfs transitions: {}",
+            snapshot.samples.len(),
             snapshot.dfs_transitions(),
         );
         eprintln!(
@@ -1019,7 +1018,9 @@ fn main() -> ExitCode {
                 "leakage" => {
                     let r = leakage_feedback::run(Benchmark::Gzip, scale).expect("coupled solve");
                     println!(
-                        "leakage-temperature coupling: open-loop peak {:.2} C,                          closed-loop {:.2} C (shift {:+.3} C in {} iterations) — negligible,                          as the paper reports",
+                        "leakage-temperature coupling: open-loop peak {:.2} C, \
+                         closed-loop {:.2} C (shift {:+.3} C in {} iterations) — negligible, \
+                         as the paper reports",
                         r.open_loop_peak.0,
                         r.closed_loop_peak.0,
                         r.peak_shift(),

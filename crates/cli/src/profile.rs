@@ -18,7 +18,7 @@ use crate::runctl;
 use crate::{fail, parse_model};
 use rmt3d::telemetry::json::{parse, JsonObject, JsonValue};
 use rmt3d::telemetry::{
-    CollectorSink, CpiComponent, CpiStack, MetricsRegistry, ParsedEvent, Sink, TraceEventSink,
+    CollectorSink, CpiComponent, CpiStack, Event, MetricsRegistry, Sink, TraceEventSink,
 };
 use rmt3d::{simulate_traced, RunScale, SimConfig};
 use rmt3d_workload::Benchmark;
@@ -197,8 +197,9 @@ fn cpi_series(name: &str) -> Option<(bool, CpiComponent)> {
 
 /// `rmt3d trace-report --in FILE [--chrome-out FILE]`: rebuild the
 /// profile report from a JSONL event trace, offline. `--chrome-out`
-/// additionally re-renders the events as a Chrome/Perfetto
-/// `.trace.json` — the offline path for the daemon's
+/// additionally records the decoded events into the same
+/// `TraceEventSink` that `profile` uses live, so the `.trace.json` is
+/// byte-identical to a live one — the offline path for the daemon's
 /// `daemon.trace.jsonl`, whose job spans become async timeline events.
 pub fn run_trace_report_command(mut a: Args) -> ExitCode {
     let path = match a.opt("--in") {
@@ -234,20 +235,24 @@ pub fn run_trace_report_command(mut a: Args) -> ExitCode {
         if line.is_empty() {
             continue;
         }
-        let event = match ParsedEvent::from_json_line(line) {
+        let event = match Event::from_json_line(line) {
             Ok(e) => e,
             Err(e) => return fail(&format!("{path}:{}: {e}", lineno + 1)),
         };
         events += 1;
-        if let Some(chrome) = chrome.as_mut() {
-            chrome.record_parsed(&event);
-        }
-        match counts.iter_mut().find(|(k, _)| *k == event.kind()) {
+        // The trailing metrics-summary line is counted but has no event
+        // form.
+        let kind = event.as_ref().map_or("summary", Event::kind);
+        match counts.iter_mut().find(|(k, _)| *k == kind) {
             Some((_, n)) => *n += 1,
-            None => counts.push((event.kind(), 1)),
+            None => counts.push((kind, 1)),
+        }
+        let Some(event) = event else { continue };
+        if let Some(chrome) = chrome.as_mut() {
+            chrome.record(&event);
         }
         match &event {
-            ParsedEvent::Counter { name, value, .. } => {
+            Event::Counter { name, value, .. } => {
                 // The stacks are exported once, post-measurement; keep
                 // the last sample in case a file concatenates runs.
                 match cpi_series(name) {
@@ -256,7 +261,7 @@ pub fn run_trace_report_command(mut a: Args) -> ExitCode {
                     None => registry.record(name, *value),
                 }
             }
-            ParsedEvent::Interval(s) => {
+            Event::Interval(s) => {
                 registry.record("interval_ipc", s.ipc);
                 registry.record_hist("slack", u64::from(s.rvq));
                 registry.record_hist("rob_occupancy", u64::from(s.rob));
@@ -265,7 +270,7 @@ pub fn run_trace_report_command(mut a: Args) -> ExitCode {
                 registry.record_hist("boq_occupancy", u64::from(s.boq));
                 registry.record_hist("stb_occupancy", u64::from(s.stb));
             }
-            ParsedEvent::CampaignTrial { detect_cycles, .. } if *detect_cycles > 0 => {
+            Event::CampaignTrial { detect_cycles, .. } if *detect_cycles > 0 => {
                 registry.record_hist("detection_latency", *detect_cycles);
             }
             _ => {}

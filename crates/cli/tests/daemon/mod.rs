@@ -55,15 +55,17 @@ impl Daemon {
             }
             line.clear();
         }
+        let Some(addr) = addr else {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("daemon did not announce its address");
+        };
         // Keep draining so daemon chatter never backs up the pipe.
         std::thread::spawn(move || {
             let mut sink = String::new();
             let _ = reader.read_to_string(&mut sink);
         });
-        Daemon {
-            child,
-            addr: addr.expect("daemon announced its address"),
-        }
+        Daemon { child, addr }
     }
 
     /// Drains the daemon through `shutdown` and waits for a clean exit.
@@ -83,6 +85,17 @@ impl Daemon {
                 }
                 None => std::thread::sleep(Duration::from_millis(50)),
             }
+        }
+    }
+}
+
+impl Drop for Daemon {
+    /// Kills and reaps a daemon that is still running, so a test that
+    /// panics before `stop()` leaves no orphaned `rmt3d serve` behind.
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
         }
     }
 }

@@ -282,12 +282,16 @@ pub fn simulate_traced<S: Sink + Clone>(
             // `trace-report` can rebuild them from the JSONL alone.
             let cycle = sys.total_cycles();
             for c in CpiComponent::ALL {
-                let name = c.leader_counter_name();
-                let value = leader_cpi.get(c) as f64;
-                emit(&mut sink, || Event::Counter { name, cycle, value });
-                let name = c.checker_counter_name();
-                let value = trailer_cpi.get(c) as f64;
-                emit(&mut sink, || Event::Counter { name, cycle, value });
+                emit(&mut sink, || Event::Counter {
+                    name: c.leader_counter_name().into(),
+                    cycle,
+                    value: leader_cpi.get(c) as f64,
+                });
+                emit(&mut sink, || Event::Counter {
+                    name: c.checker_counter_name().into(),
+                    cycle,
+                    value: trailer_cpi.get(c) as f64,
+                });
             }
         }
         PerfResult {
@@ -340,9 +344,11 @@ pub fn simulate_traced<S: Sink + Clone>(
         if S::ENABLED {
             let cycle = core.activity().cycles;
             for c in CpiComponent::ALL {
-                let name = c.leader_counter_name();
-                let value = leader_cpi.get(c) as f64;
-                emit(&mut sink, || Event::Counter { name, cycle, value });
+                emit(&mut sink, || Event::Counter {
+                    name: c.leader_counter_name().into(),
+                    cycle,
+                    value: leader_cpi.get(c) as f64,
+                });
             }
         }
         PerfResult {

@@ -349,7 +349,7 @@ impl<S: Sink> InOrderCore<S> {
             if outcome != CheckOutcome::Ok {
                 let cycle = self.cycle;
                 emit(&mut self.sink, || Event::Counter {
-                    name: "checker_mismatch",
+                    name: "checker_mismatch".into(),
                     cycle,
                     value: 1.0,
                 });

@@ -261,7 +261,7 @@ impl<S: Sink> OooCore<S> {
         if stalled != self.commit_stalled {
             let cycle = self.cycle;
             emit(&mut self.sink, || Event::Counter {
-                name: "leader_commit_stall",
+                name: "leader_commit_stall".into(),
                 cycle,
                 value: if stalled { 1.0 } else { 0.0 },
             });

@@ -256,7 +256,7 @@ impl<S: Sink> RmtSystem<S> {
                 if let Some((fault, corrected)) = inj.draw_event() {
                     emit(&mut self.sink, || Event::FaultInjected {
                         cycle,
-                        site: fault.site.name(),
+                        site: fault.site.name().into(),
                         bit: fault.bit,
                         corrected,
                     });
@@ -404,7 +404,7 @@ impl<S: Sink> RmtSystem<S> {
         if ecc.corrects(fault.site) {
             emit(&mut self.sink, || Event::FaultInjected {
                 cycle,
-                site: fault.site.name(),
+                site: fault.site.name().into(),
                 bit: fault.bit,
                 corrected: true,
             });
@@ -430,7 +430,7 @@ impl<S: Sink> RmtSystem<S> {
         self.fault_fates.push((fault.site, FaultFate::Masked));
         emit(&mut self.sink, || Event::FaultInjected {
             cycle,
-            site: fault.site.name(),
+            site: fault.site.name().into(),
             bit: fault.bit,
             corrected: false,
         });

@@ -132,7 +132,11 @@ impl Instruments {
     /// Opens a job-lifecycle phase span in the trace log.
     fn span_begin(&self, job: u64, phase: &'static str) {
         let ts = self.metrics.tick();
-        self.trace_event(&Event::JobSpanBegin { job, phase, ts });
+        self.trace_event(&Event::JobSpanBegin {
+            job,
+            phase: phase.into(),
+            ts,
+        });
     }
 
     /// Closes a job-lifecycle phase span in the trace log.
@@ -140,7 +144,7 @@ impl Instruments {
         let ts = self.metrics.tick();
         self.trace_event(&Event::JobSpanEnd {
             job,
-            phase,
+            phase: phase.into(),
             ts,
             wall_nanos,
         });

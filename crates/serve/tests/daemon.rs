@@ -6,7 +6,7 @@
 use rmt3d_serve::client;
 use rmt3d_serve::{serve, ServeOptions};
 use rmt3d_telemetry::json::{parse, JsonValue};
-use rmt3d_telemetry::ParsedEvent;
+use rmt3d_telemetry::Event;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -148,9 +148,9 @@ fn cold_submit_executes_warm_resubmit_is_all_cache_hits_byte_identical() {
         .expect("span trace written");
     let (mut begins, mut ends) = (0, 0);
     for line in trace.lines() {
-        match ParsedEvent::from_json_line(line).expect("span line is a codec event") {
-            ParsedEvent::JobSpanBegin { .. } => begins += 1,
-            ParsedEvent::JobSpanEnd { .. } => ends += 1,
+        match Event::from_json_line(line).expect("span line is a codec event") {
+            Some(Event::JobSpanBegin { .. }) => begins += 1,
+            Some(Event::JobSpanEnd { .. }) => ends += 1,
             other => panic!("unexpected event in the span trace: {other:?}"),
         }
     }

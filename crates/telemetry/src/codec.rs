@@ -1,13 +1,14 @@
 //! JSON Lines encoding and decoding for [`Event`].
 //!
 //! Every event becomes one flat object with an `"event"` discriminator.
-//! Decoding returns owned [`ParsedEvent`]s (string fields become
-//! `String`, since `&'static str` cannot be reconstituted from a file);
-//! the round-trip tests compare events through this lossless view.
+//! Decoding returns the same [`Event`] type, with its name-like
+//! `Cow<'static, str>` fields owned, so a decoded event compares equal
+//! to the one that was encoded and renders through the same sinks.
 
 use crate::json::{parse, JsonObject, JsonValue};
 use crate::sample::IntervalSample;
 use crate::Event;
+use std::borrow::Cow;
 
 impl Event {
     /// Serializes the event as one JSON line (no trailing newline).
@@ -196,120 +197,17 @@ impl Event {
         }
         o.finish()
     }
-}
 
-/// An [`Event`] read back from a JSON line. Mirrors [`Event`] with
-/// owned strings so decoded traces can be compared and post-processed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParsedEvent {
-    /// See [`Event::SpanBegin`].
-    SpanBegin { name: String, cycle: u64 },
-    /// See [`Event::SpanEnd`].
-    SpanEnd {
-        name: String,
-        cycle: u64,
-        wall_nanos: u64,
-    },
-    /// See [`Event::Counter`].
-    Counter {
-        name: String,
-        cycle: u64,
-        value: f64,
-    },
-    /// See [`Event::DfsTransition`].
-    DfsTransition {
-        cycle: u64,
-        from_level: u8,
-        to_level: u8,
-        fraction: f64,
-    },
-    /// See [`Event::FaultInjected`].
-    FaultInjected {
-        cycle: u64,
-        site: String,
-        bit: u8,
-        corrected: bool,
-    },
-    /// See [`Event::Recovery`].
-    Recovery {
-        cycle: u64,
-        penalty_cycles: u64,
-        unrecoverable: bool,
-    },
-    /// See [`Event::SolverIteration`].
-    SolverIteration { iteration: u64, residual: f64 },
-    /// See [`Event::Interval`].
-    Interval(IntervalSample),
-    /// See [`Event::JobStarted`].
-    JobStarted { job: u64, total: u64, label: String },
-    /// See [`Event::JobFinished`].
-    JobFinished {
-        job: u64,
-        total: u64,
-        ok: bool,
-        wall_nanos: u64,
-        eta_nanos: u64,
-    },
-    /// See [`Event::JobCacheHit`].
-    JobCacheHit { job: u64, total: u64, label: String },
-    /// See [`Event::PoolStats`].
-    PoolStats {
-        workers: u64,
-        executed: u64,
-        cache_hits: u64,
-        failed: u64,
-        steals: u64,
-        busy_nanos: u64,
-        idle_nanos: u64,
-        wall_nanos: u64,
-    },
-    /// See [`Event::CacheStats`].
-    CacheStats {
-        hits: u64,
-        misses: u64,
-        verify_failures: u64,
-        entries: u64,
-        bytes: u64,
-    },
-    /// See [`Event::JobStalled`].
-    JobStalled {
-        job: u64,
-        total: u64,
-        label: String,
-        elapsed_nanos: u64,
-        median_nanos: u64,
-    },
-    /// See [`Event::JobSpanBegin`].
-    JobSpanBegin { job: u64, phase: String, ts: u64 },
-    /// See [`Event::JobSpanEnd`].
-    JobSpanEnd {
-        job: u64,
-        phase: String,
-        ts: u64,
-        wall_nanos: u64,
-    },
-    /// See [`Event::CampaignTrial`].
-    CampaignTrial {
-        trial: u64,
-        site: String,
-        fate: String,
-        detect_cycles: u64,
-        ok: bool,
-    },
-    /// The trailing metrics-summary line (`"event":"summary"`).
-    Summary,
-}
-
-impl ParsedEvent {
-    /// Parses one JSON line back into an event. Errors on malformed
-    /// JSON, unknown discriminators, or missing fields.
-    pub fn from_json_line(line: &str) -> Result<ParsedEvent, String> {
+    /// Parses one JSON line back into an event. The trailing
+    /// metrics-summary line (`"event":"summary"`) has no event form and
+    /// decodes to `Ok(None)`. Errors on malformed JSON, unknown
+    /// discriminators, and missing, mistyped or out-of-range fields.
+    pub fn from_json_line(line: &str) -> Result<Option<Event>, String> {
         let v = parse(line)?;
         let kind = v
             .get("event")
             .and_then(JsonValue::as_str)
-            .ok_or("missing \"event\" field")?
-            .to_string();
+            .ok_or("missing \"event\" field")?;
         let u = |k: &str| -> Result<u64, String> {
             v.get(k)
                 .and_then(JsonValue::as_u64)
@@ -328,6 +226,7 @@ impl ParsedEvent {
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing or non-string \"{k}\""))
         };
+        let name = |k: &str| s(k).map(Cow::Owned);
         let b = |k: &str| -> Result<bool, String> {
             v.get(k)
                 .and_then(JsonValue::as_bool)
@@ -336,55 +235,58 @@ impl ParsedEvent {
         let byte = |k: &str| -> Result<u8, String> {
             u(k).and_then(|n| u8::try_from(n).map_err(|_| format!("\"{k}\" out of u8 range")))
         };
-        Ok(match kind.as_str() {
-            "span_begin" => ParsedEvent::SpanBegin {
-                name: s("name")?,
+        let word = |k: &str| -> Result<u32, String> {
+            u(k).and_then(|n| u32::try_from(n).map_err(|_| format!("\"{k}\" out of u32 range")))
+        };
+        Ok(Some(match kind {
+            "span_begin" => Event::SpanBegin {
+                name: name("name")?,
                 cycle: u("cycle")?,
             },
-            "span_end" => ParsedEvent::SpanEnd {
-                name: s("name")?,
+            "span_end" => Event::SpanEnd {
+                name: name("name")?,
                 cycle: u("cycle")?,
                 wall_nanos: u("wall_nanos")?,
             },
-            "counter" => ParsedEvent::Counter {
-                name: s("name")?,
+            "counter" => Event::Counter {
+                name: name("name")?,
                 cycle: u("cycle")?,
                 value: f("value")?,
             },
-            "dfs_transition" => ParsedEvent::DfsTransition {
+            "dfs_transition" => Event::DfsTransition {
                 cycle: u("cycle")?,
                 from_level: byte("from_level")?,
                 to_level: byte("to_level")?,
                 fraction: f("fraction")?,
             },
-            "fault" => ParsedEvent::FaultInjected {
+            "fault" => Event::FaultInjected {
                 cycle: u("cycle")?,
-                site: s("site")?,
+                site: name("site")?,
                 bit: byte("bit")?,
                 corrected: b("corrected")?,
             },
-            "recovery" => ParsedEvent::Recovery {
+            "recovery" => Event::Recovery {
                 cycle: u("cycle")?,
                 penalty_cycles: u("penalty_cycles")?,
                 unrecoverable: b("unrecoverable")?,
             },
-            "solver_iteration" => ParsedEvent::SolverIteration {
+            "solver_iteration" => Event::SolverIteration {
                 iteration: u("iteration")?,
                 residual: f("residual")?,
             },
-            "interval" => ParsedEvent::Interval(IntervalSample {
+            "interval" => Event::Interval(IntervalSample {
                 index: u("index")?,
                 cycle: u("cycle")?,
                 committed: u("committed")?,
                 ipc: f("ipc")?,
-                rob: u("rob")? as u32,
-                iq_int: u("iq_int")? as u32,
-                iq_fp: u("iq_fp")? as u32,
-                lsq: u("lsq")? as u32,
-                rvq: u("rvq")? as u32,
-                lvq: u("lvq")? as u32,
-                boq: u("boq")? as u32,
-                stb: u("stb")? as u32,
+                rob: word("rob")?,
+                iq_int: word("iq_int")?,
+                iq_fp: word("iq_fp")?,
+                lsq: word("lsq")?,
+                rvq: word("rvq")?,
+                lvq: word("lvq")?,
+                boq: word("boq")?,
+                stb: word("stb")?,
                 checker_fraction: f("checker_fraction")?,
                 dl1_accesses: u("dl1_accesses")?,
                 dl1_misses: u("dl1_misses")?,
@@ -392,24 +294,24 @@ impl ParsedEvent {
                 l2_misses: u("l2_misses")?,
                 commit_stall_cycles: u("commit_stall_cycles")?,
             }),
-            "job_started" => ParsedEvent::JobStarted {
+            "job_started" => Event::JobStarted {
                 job: u("job")?,
                 total: u("total")?,
                 label: s("label")?,
             },
-            "job_finished" => ParsedEvent::JobFinished {
+            "job_finished" => Event::JobFinished {
                 job: u("job")?,
                 total: u("total")?,
                 ok: b("ok")?,
                 wall_nanos: u("wall_nanos")?,
                 eta_nanos: u("eta_nanos")?,
             },
-            "job_cache_hit" => ParsedEvent::JobCacheHit {
+            "job_cache_hit" => Event::JobCacheHit {
                 job: u("job")?,
                 total: u("total")?,
                 label: s("label")?,
             },
-            "pool_stats" => ParsedEvent::PoolStats {
+            "pool_stats" => Event::PoolStats {
                 workers: u("workers")?,
                 executed: u("executed")?,
                 cache_hits: u("cache_hits")?,
@@ -419,293 +321,41 @@ impl ParsedEvent {
                 idle_nanos: u("idle_nanos")?,
                 wall_nanos: u("wall_nanos")?,
             },
-            "cache_stats" => ParsedEvent::CacheStats {
+            "cache_stats" => Event::CacheStats {
                 hits: u("hits")?,
                 misses: u("misses")?,
                 verify_failures: u("verify_failures")?,
                 entries: u("entries")?,
                 bytes: u("bytes")?,
             },
-            "job_stalled" => ParsedEvent::JobStalled {
+            "job_stalled" => Event::JobStalled {
                 job: u("job")?,
                 total: u("total")?,
                 label: s("label")?,
                 elapsed_nanos: u("elapsed_nanos")?,
                 median_nanos: u("median_nanos")?,
             },
-            "job_span_begin" => ParsedEvent::JobSpanBegin {
+            "job_span_begin" => Event::JobSpanBegin {
                 job: u("job")?,
-                phase: s("phase")?,
+                phase: name("phase")?,
                 ts: u("ts")?,
             },
-            "job_span_end" => ParsedEvent::JobSpanEnd {
+            "job_span_end" => Event::JobSpanEnd {
                 job: u("job")?,
-                phase: s("phase")?,
+                phase: name("phase")?,
                 ts: u("ts")?,
                 wall_nanos: u("wall_nanos")?,
             },
-            "campaign_trial" => ParsedEvent::CampaignTrial {
+            "campaign_trial" => Event::CampaignTrial {
                 trial: u("trial")?,
-                site: s("site")?,
-                fate: s("fate")?,
+                site: name("site")?,
+                fate: name("fate")?,
                 detect_cycles: u("detect_cycles")?,
                 ok: b("ok")?,
             },
-            "summary" => ParsedEvent::Summary,
+            "summary" => return Ok(None),
             other => return Err(format!("unknown event kind {other:?}")),
-        })
-    }
-
-    /// The `"event"` discriminator this variant serializes under
-    /// (mirrors [`Event::kind`], plus `"summary"`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ParsedEvent::SpanBegin { .. } => "span_begin",
-            ParsedEvent::SpanEnd { .. } => "span_end",
-            ParsedEvent::Counter { .. } => "counter",
-            ParsedEvent::DfsTransition { .. } => "dfs_transition",
-            ParsedEvent::FaultInjected { .. } => "fault",
-            ParsedEvent::Recovery { .. } => "recovery",
-            ParsedEvent::SolverIteration { .. } => "solver_iteration",
-            ParsedEvent::Interval(_) => "interval",
-            ParsedEvent::JobStarted { .. } => "job_started",
-            ParsedEvent::JobFinished { .. } => "job_finished",
-            ParsedEvent::JobCacheHit { .. } => "job_cache_hit",
-            ParsedEvent::PoolStats { .. } => "pool_stats",
-            ParsedEvent::CacheStats { .. } => "cache_stats",
-            ParsedEvent::JobStalled { .. } => "job_stalled",
-            ParsedEvent::JobSpanBegin { .. } => "job_span_begin",
-            ParsedEvent::JobSpanEnd { .. } => "job_span_end",
-            ParsedEvent::CampaignTrial { .. } => "campaign_trial",
-            ParsedEvent::Summary => "summary",
-        }
-    }
-
-    /// True when this parsed event equals the given in-memory event
-    /// (string fields compared by content, wall clocks ignored when
-    /// `deterministic`).
-    pub fn matches(&self, event: &Event, deterministic: bool) -> bool {
-        match (self, event) {
-            (ParsedEvent::SpanBegin { name, cycle }, Event::SpanBegin { name: n, cycle: c }) => {
-                name == n && cycle == c
-            }
-            (
-                ParsedEvent::SpanEnd {
-                    name,
-                    cycle,
-                    wall_nanos,
-                },
-                Event::SpanEnd {
-                    name: n,
-                    cycle: c,
-                    wall_nanos: w,
-                },
-            ) => name == n && cycle == c && (deterministic || wall_nanos == w),
-            (
-                ParsedEvent::Counter { name, cycle, value },
-                Event::Counter {
-                    name: n,
-                    cycle: c,
-                    value: x,
-                },
-            ) => name == n && cycle == c && value == x,
-            (
-                ParsedEvent::DfsTransition {
-                    cycle,
-                    from_level,
-                    to_level,
-                    fraction,
-                },
-                Event::DfsTransition {
-                    cycle: c,
-                    from_level: fl,
-                    to_level: tl,
-                    fraction: fr,
-                },
-            ) => cycle == c && from_level == fl && to_level == tl && fraction == fr,
-            (
-                ParsedEvent::FaultInjected {
-                    cycle,
-                    site,
-                    bit,
-                    corrected,
-                },
-                Event::FaultInjected {
-                    cycle: c,
-                    site: s,
-                    bit: bi,
-                    corrected: co,
-                },
-            ) => cycle == c && site == s && bit == bi && corrected == co,
-            (
-                ParsedEvent::Recovery {
-                    cycle,
-                    penalty_cycles,
-                    unrecoverable,
-                },
-                Event::Recovery {
-                    cycle: c,
-                    penalty_cycles: p,
-                    unrecoverable: un,
-                },
-            ) => cycle == c && penalty_cycles == p && unrecoverable == un,
-            (
-                ParsedEvent::SolverIteration {
-                    iteration,
-                    residual,
-                },
-                Event::SolverIteration {
-                    iteration: i,
-                    residual: r,
-                },
-            ) => iteration == i && residual == r,
-            (ParsedEvent::Interval(a), Event::Interval(b)) => a == b,
-            (
-                ParsedEvent::JobStarted { job, total, label },
-                Event::JobStarted {
-                    job: j,
-                    total: t,
-                    label: l,
-                },
-            ) => job == j && total == t && label == l,
-            (
-                ParsedEvent::JobFinished {
-                    job,
-                    total,
-                    ok,
-                    wall_nanos,
-                    eta_nanos,
-                },
-                Event::JobFinished {
-                    job: j,
-                    total: t,
-                    ok: o,
-                    wall_nanos: w,
-                    eta_nanos: e,
-                },
-            ) => {
-                job == j
-                    && total == t
-                    && ok == o
-                    && (deterministic || (wall_nanos == w && eta_nanos == e))
-            }
-            (
-                ParsedEvent::JobCacheHit { job, total, label },
-                Event::JobCacheHit {
-                    job: j,
-                    total: t,
-                    label: l,
-                },
-            ) => job == j && total == t && label == l,
-            (
-                ParsedEvent::PoolStats {
-                    workers,
-                    executed,
-                    cache_hits,
-                    failed,
-                    steals,
-                    busy_nanos,
-                    idle_nanos,
-                    wall_nanos,
-                },
-                Event::PoolStats {
-                    workers: w,
-                    executed: e,
-                    cache_hits: ch,
-                    failed: fa,
-                    steals: st,
-                    busy_nanos: bn,
-                    idle_nanos: i,
-                    wall_nanos: wn,
-                },
-            ) => {
-                workers == w
-                    && executed == e
-                    && cache_hits == ch
-                    && failed == fa
-                    && (deterministic
-                        || (steals == st
-                            && busy_nanos == bn
-                            && idle_nanos == i
-                            && wall_nanos == wn))
-            }
-            (
-                ParsedEvent::CacheStats {
-                    hits,
-                    misses,
-                    verify_failures,
-                    entries,
-                    bytes,
-                },
-                Event::CacheStats {
-                    hits: h,
-                    misses: m,
-                    verify_failures: vf,
-                    entries: en,
-                    bytes: by,
-                },
-            ) => hits == h && misses == m && verify_failures == vf && entries == en && bytes == by,
-            (
-                ParsedEvent::JobStalled {
-                    job,
-                    total,
-                    label,
-                    elapsed_nanos,
-                    median_nanos,
-                },
-                Event::JobStalled {
-                    job: j,
-                    total: t,
-                    label: l,
-                    elapsed_nanos: el,
-                    median_nanos: me,
-                },
-            ) => {
-                job == j
-                    && total == t
-                    && label == l
-                    && (deterministic || (elapsed_nanos == el && median_nanos == me))
-            }
-            (
-                ParsedEvent::JobSpanBegin { job, phase, ts },
-                Event::JobSpanBegin {
-                    job: j,
-                    phase: p,
-                    ts: t,
-                },
-            ) => job == j && phase == p && ts == t,
-            (
-                ParsedEvent::JobSpanEnd {
-                    job,
-                    phase,
-                    ts,
-                    wall_nanos,
-                },
-                Event::JobSpanEnd {
-                    job: j,
-                    phase: p,
-                    ts: t,
-                    wall_nanos: w,
-                },
-            ) => job == j && phase == p && ts == t && (deterministic || wall_nanos == w),
-            (
-                ParsedEvent::CampaignTrial {
-                    trial,
-                    site,
-                    fate,
-                    detect_cycles,
-                    ok,
-                },
-                Event::CampaignTrial {
-                    trial: tr,
-                    site: s,
-                    fate: fa,
-                    detect_cycles: d,
-                    ok: o,
-                },
-            ) => trial == tr && site == s && fate == fa && detect_cycles == d && ok == o,
-            _ => false,
-        }
+        }))
     }
 }
 
@@ -719,39 +369,72 @@ mod tests {
         // cannot compile without joining this round-trip.
         for event in Event::examples() {
             let line = event.to_json_line(false);
-            let parsed =
-                ParsedEvent::from_json_line(&line).unwrap_or_else(|e| panic!("parse {line}: {e}"));
-            assert!(parsed.matches(&event, false), "mismatch for {line}");
+            assert_eq!(Event::from_json_line(&line), Ok(Some(event)), "{line}");
         }
     }
 
     #[test]
     fn deterministic_round_trip_zeroes_only_wall_clocks() {
+        // Re-encoding reproduces the line byte for byte: the round trip
+        // loses nothing but the wall clocks the line already zeroed.
         for event in Event::examples() {
             let line = event.to_json_line(true);
-            let parsed =
-                ParsedEvent::from_json_line(&line).unwrap_or_else(|e| panic!("parse {line}: {e}"));
-            assert!(parsed.matches(&event, true), "mismatch for {line}");
+            let decoded = Event::from_json_line(&line)
+                .unwrap_or_else(|e| panic!("parse {line}: {e}"))
+                .expect("an event, not the summary");
+            assert_eq!(decoded.to_json_line(true), line);
         }
     }
 
     #[test]
     fn deterministic_mode_zeroes_wall_clock() {
         let event = Event::SpanEnd {
-            name: "x",
+            name: "x".into(),
             cycle: 1,
             wall_nanos: 42,
         };
         let line = event.to_json_line(true);
-        match ParsedEvent::from_json_line(&line).unwrap() {
-            ParsedEvent::SpanEnd { wall_nanos, .. } => assert_eq!(wall_nanos, 0),
-            other => panic!("wrong variant: {other:?}"),
-        }
+        assert_eq!(
+            Event::from_json_line(&line),
+            Ok(Some(Event::SpanEnd {
+                name: "x".into(),
+                cycle: 1,
+                wall_nanos: 0,
+            }))
+        );
+    }
+
+    #[test]
+    fn summary_line_decodes_to_none() {
+        assert_eq!(
+            Event::from_json_line(r#"{"event":"summary","series":{}}"#),
+            Ok(None)
+        );
     }
 
     #[test]
     fn unknown_kind_is_an_error() {
-        assert!(ParsedEvent::from_json_line(r#"{"event":"bogus"}"#).is_err());
-        assert!(ParsedEvent::from_json_line(r#"{"cycle":1}"#).is_err());
+        assert!(Event::from_json_line(r#"{"event":"bogus"}"#).is_err());
+        assert!(Event::from_json_line(r#"{"cycle":1}"#).is_err());
+    }
+
+    #[test]
+    fn out_of_range_interval_occupancy_is_an_error() {
+        let line = Event::examples()
+            .into_iter()
+            .find(|e| matches!(e, Event::Interval(_)))
+            .expect("an interval example")
+            .to_json_line(true);
+        let max = line.replacen("\"rob\":41", "\"rob\":4294967295", 1);
+        assert_ne!(max, line);
+        assert!(matches!(
+            Event::from_json_line(&max),
+            Ok(Some(Event::Interval(IntervalSample { rob: u32::MAX, .. })))
+        ));
+        let over = line.replacen("\"rob\":41", "\"rob\":4294967296", 1);
+        assert_eq!(
+            Event::from_json_line(&over),
+            Err("\"rob\" out of u32 range".to_string())
+        );
     }
 }

@@ -1,12 +1,16 @@
 //! Typed telemetry events emitted by the simulation stack.
 //!
-//! Events are flat, owned values (no lifetimes, no foreign types) so
+//! Events are flat values (no borrowed lifetimes, no foreign types) so
 //! every layer of the workspace can emit them without the telemetry
-//! crate depending on the simulators. The JSONL schema of each variant
-//! is documented on the variant itself; see `DESIGN.md` ("Observability")
-//! for the complete schema reference.
+//! crate depending on the simulators. Name-like fields are
+//! `Cow<'static, str>`: emitters pass string literals (borrowed, no
+//! allocation) and the JSONL decoder ([`Event::from_json_line`]) fills
+//! them with owned strings, so one type serves both directions. The
+//! JSONL schema of each variant is documented on the variant itself;
+//! see `DESIGN.md` ("Observability") for the complete schema reference.
 
 use crate::sample::IntervalSample;
+use std::borrow::Cow;
 
 /// One telemetry event. Each variant maps to one JSON Lines record with
 /// an `"event"` discriminator field.
@@ -15,7 +19,7 @@ pub enum Event {
     /// A named phase started. JSONL: `{"event":"span_begin","name":…,"cycle":…}`.
     SpanBegin {
         /// Phase name (`"simulate"`, `"warmup"`, `"measure"`, `"thermal_solve"`, …).
-        name: &'static str,
+        name: Cow<'static, str>,
         /// Leader cycle (or solver iteration) at entry.
         cycle: u64,
     },
@@ -23,7 +27,7 @@ pub enum Event {
     /// `{"event":"span_end","name":…,"cycle":…,"wall_nanos":…}`.
     SpanEnd {
         /// Phase name, matching the corresponding [`Event::SpanBegin`].
-        name: &'static str,
+        name: Cow<'static, str>,
         /// Leader cycle (or solver iteration) at exit.
         cycle: u64,
         /// Wall-clock nanoseconds spent inside the span (0 when the
@@ -34,7 +38,7 @@ pub enum Event {
     /// `{"event":"counter","name":…,"cycle":…,"value":…}`.
     Counter {
         /// Series name.
-        name: &'static str,
+        name: Cow<'static, str>,
         /// Leader cycle at the sample.
         cycle: u64,
         /// Sampled value.
@@ -59,7 +63,7 @@ pub enum Event {
         /// Leader cycle of the strike.
         cycle: u64,
         /// Strike site name (see `rmt3d_rmt::FaultSite`).
-        site: &'static str,
+        site: Cow<'static, str>,
         /// Bit position flipped.
         bit: u8,
         /// True when ECC absorbed the strike before it propagated.
@@ -206,7 +210,7 @@ pub enum Event {
         job: u64,
         /// Phase name (`"job"`, `"queued"`, `"leased"`, `"run"`,
         /// `"store_write"`).
-        phase: &'static str,
+        phase: Cow<'static, str>,
         /// Logical daemon tick at phase entry.
         ts: u64,
     },
@@ -218,7 +222,7 @@ pub enum Event {
         /// Daemon job sequence number — the async-span id.
         job: u64,
         /// Phase name, matching the corresponding begin.
-        phase: &'static str,
+        phase: Cow<'static, str>,
         /// Logical daemon tick at phase exit.
         ts: u64,
         /// Wall-clock nanoseconds spent inside the phase (0 when the
@@ -232,11 +236,11 @@ pub enum Event {
         /// Zero-based trial index in grid order.
         trial: u64,
         /// Strike site name (see `rmt3d_rmt::FaultSite`).
-        site: &'static str,
+        site: Cow<'static, str>,
         /// Observed fate label (`"corrected_by_ecc"`,
         /// `"detected_recovered"`, `"masked_harmless"`, or a violation
         /// label).
-        fate: &'static str,
+        fate: Cow<'static, str>,
         /// Leader cycles from injection to checker detection (0 when
         /// the fault was corrected or masked).
         detect_cycles: u64,
@@ -255,16 +259,16 @@ impl Event {
     pub fn examples() -> Vec<Event> {
         let examples = vec![
             Event::SpanBegin {
-                name: "measure",
+                name: "measure".into(),
                 cycle: 7,
             },
             Event::SpanEnd {
-                name: "measure",
+                name: "measure".into(),
                 cycle: 11,
                 wall_nanos: 12_345,
             },
             Event::Counter {
-                name: "ipc",
+                name: "ipc".into(),
                 cycle: 13,
                 value: 1.25,
             },
@@ -276,7 +280,7 @@ impl Event {
             },
             Event::FaultInjected {
                 cycle: 19,
-                site: "rvq_operand",
+                site: "rvq_operand".into(),
                 bit: 3,
                 corrected: true,
             },
@@ -352,19 +356,19 @@ impl Event {
             },
             Event::JobSpanBegin {
                 job: 53,
-                phase: "queued",
+                phase: "queued".into(),
                 ts: 59,
             },
             Event::JobSpanEnd {
                 job: 53,
-                phase: "queued",
+                phase: "queued".into(),
                 ts: 61,
                 wall_nanos: 67_000,
             },
             Event::CampaignTrial {
                 trial: 47,
-                site: "leader_result",
-                fate: "detected_recovered",
+                site: "leader_result".into(),
+                fate: "detected_recovered".into(),
                 detect_cycles: 120,
                 ok: true,
             },
@@ -435,6 +439,17 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), events.len());
+    }
+
+    #[test]
+    fn interval_stays_the_largest_variant() {
+        // Events travel by value through every sink: the `Cow` name
+        // fields must not grow `Event` past an interval record plus its
+        // discriminant.
+        assert_eq!(
+            std::mem::size_of::<Event>(),
+            std::mem::size_of::<IntervalSample>() + 8
+        );
     }
 
     #[test]

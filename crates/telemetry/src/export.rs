@@ -2,7 +2,7 @@
 //! feeds the metrics registry, and the CSV writer for interval samples.
 
 use crate::registry::MetricsRegistry;
-use crate::sample::{IntervalSample, SampleRing};
+use crate::sample::IntervalSample;
 use crate::sink::Sink;
 use crate::Event;
 use std::cell::RefCell;
@@ -111,12 +111,12 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 }
 
-/// In-memory aggregation: interval samples into a bounded ring, scalar
-/// series into a [`MetricsRegistry`], and a per-kind event tally.
+/// In-memory aggregation: every interval sample, scalar series into a
+/// [`MetricsRegistry`], and fault, recovery and DFS tallies.
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
-    /// The retained interval samples (bounded; see [`SampleRing`]).
-    pub ring: SampleRing,
+    /// Every interval sample, in arrival order.
+    pub samples: Vec<IntervalSample>,
     /// Scalar series summarized at end of run.
     pub registry: MetricsRegistry,
     faults: u64,
@@ -124,10 +124,6 @@ pub struct Collector {
     recoveries: u64,
     unrecoverable: u64,
     dfs_transitions: u64,
-    jobs_executed: u64,
-    jobs_failed: u64,
-    job_cache_hits: u64,
-    jobs_stalled: u64,
 }
 
 impl Collector {
@@ -178,21 +174,13 @@ impl Collector {
                 self.registry.record_hist("lvq_occupancy", u64::from(s.lvq));
                 self.registry.record_hist("boq_occupancy", u64::from(s.boq));
                 self.registry.record_hist("stb_occupancy", u64::from(s.stb));
-                self.ring.push(*s);
+                self.samples.push(*s);
             }
-            Event::JobFinished { ok, wall_nanos, .. } => {
-                self.jobs_executed += 1;
-                if !*ok {
-                    self.jobs_failed += 1;
-                }
+            Event::JobFinished { wall_nanos, .. } => {
                 self.registry.record("job_wall_nanos", *wall_nanos as f64);
                 self.registry.record_hist("job_wall_nanos", *wall_nanos);
             }
-            Event::JobCacheHit { .. } => {
-                self.job_cache_hits += 1;
-            }
             Event::JobStalled { elapsed_nanos, .. } => {
-                self.jobs_stalled += 1;
                 self.registry
                     .record("stall_elapsed_nanos", *elapsed_nanos as f64);
             }
@@ -240,6 +228,7 @@ impl Collector {
             Event::SpanBegin { .. }
             | Event::SpanEnd { .. }
             | Event::JobStarted { .. }
+            | Event::JobCacheHit { .. }
             | Event::JobSpanBegin { .. }
             | Event::JobSpanEnd { .. } => {}
         }
@@ -259,16 +248,6 @@ impl Collector {
     pub fn dfs_transitions(&self) -> u64 {
         self.dfs_transitions
     }
-
-    /// Sweep-job tallies: `(executed, failed, cache_hits)`.
-    pub fn job_counts(&self) -> (u64, u64, u64) {
-        (self.jobs_executed, self.jobs_failed, self.job_cache_hits)
-    }
-
-    /// Number of watchdog stall flags observed.
-    pub fn jobs_stalled(&self) -> u64 {
-        self.jobs_stalled
-    }
 }
 
 /// Clonable sink that feeds a shared [`Collector`].
@@ -278,28 +257,9 @@ pub struct CollectorSink {
 }
 
 impl CollectorSink {
-    /// Creates a collector with an unbounded sample ring.
+    /// Creates an empty collector.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a collector retaining at most `capacity` interval
-    /// samples (0 = unbounded).
-    ///
-    /// Eviction is strictly oldest-first: once the ring holds
-    /// `capacity` samples, each new [`Event::Interval`] evicts the
-    /// sample with the smallest index, so the ring always holds the
-    /// most recent `capacity` samples in arrival order and
-    /// [`SampleRing::dropped`] counts the evictions. Scalar series in
-    /// the registry are unaffected — only retained raw samples are
-    /// bounded.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
-        CollectorSink {
-            inner: Rc::new(RefCell::new(Collector {
-                ring: SampleRing::new(capacity),
-                ..Collector::default()
-            })),
-        }
     }
 
     /// Runs `f` against the aggregated state.
@@ -323,46 +283,6 @@ impl Sink for CollectorSink {
 /// fields.
 pub const CSV_HEADER: &str = "index,cycle,committed,ipc,rob,iq_int,iq_fp,lsq,rvq,lvq,boq,stb,\
 checker_fraction,dl1_accesses,dl1_misses,l2_accesses,l2_misses,commit_stall_cycles";
-
-/// Quotes a CSV field when it contains a comma, quote, or newline
-/// (quotes are doubled per RFC 4180); plain fields pass through.
-fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        let mut out = String::with_capacity(field.len() + 2);
-        out.push('"');
-        for c in field.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
-        }
-        out.push('"');
-        out
-    } else {
-        field.to_string()
-    }
-}
-
-/// Writes per-series summary statistics as CSV. Series names are
-/// CSV-escaped, so names containing commas or quotes cannot shift
-/// columns.
-pub fn write_metrics_csv<W: Write>(out: &mut W, registry: &MetricsRegistry) -> io::Result<()> {
-    writeln!(out, "series,count,min,mean,p50,p99,max")?;
-    for (name, s) in registry.summaries() {
-        writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
-            csv_escape(name),
-            s.count,
-            s.min,
-            s.mean,
-            s.p50,
-            s.p99,
-            s.max,
-        )?;
-    }
-    out.flush()
-}
 
 /// Writes interval samples as CSV (header + one row per sample).
 pub fn write_samples_csv<'a, W: Write>(
@@ -400,7 +320,6 @@ pub fn write_samples_csv<'a, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::ParsedEvent;
     use crate::registry::Log2Histogram;
 
     /// Shared byte buffer that outlives the sink, so tests can inspect
@@ -427,7 +346,7 @@ mod tests {
     fn fault(cycle: u64, corrected: bool) -> Event {
         Event::FaultInjected {
             cycle,
-            site: "lvq_value",
+            site: "lvq_value".into(),
             bit: 1,
             corrected,
         }
@@ -439,7 +358,7 @@ mod tests {
         let mut sink = JsonlSink::new(buf.clone());
         sink.record(&fault(10, true));
         sink.record(&Event::SpanBegin {
-            name: "measure",
+            name: "measure".into(),
             cycle: 10,
         });
         let mut reg = MetricsRegistry::new();
@@ -450,7 +369,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         for line in &lines {
-            ParsedEvent::from_json_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            Event::from_json_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
         assert!(lines[2].contains("\"event\":\"summary\""));
     }
@@ -474,7 +393,7 @@ mod tests {
         assert!(text.ends_with('\n'), "trace must be newline-terminated");
         assert_eq!(text.lines().count(), 2);
         for line in text.lines() {
-            ParsedEvent::from_json_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            Event::from_json_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
     }
 
@@ -514,7 +433,7 @@ mod tests {
         assert_eq!(sink.with(|c| c.fault_counts()), (2, 1));
         assert_eq!(sink.with(|c| c.recovery_counts()), (1, 0));
         assert_eq!(sink.with(|c| c.dfs_transitions()), 1);
-        assert_eq!(sink.with(|c| c.ring.len()), 1);
+        assert_eq!(sink.with(|c| c.samples.len()), 1);
         let ipc = sink.with(|c| c.registry.summary("interval_ipc").unwrap());
         assert_eq!(ipc.mean, 1.5);
     }
@@ -564,55 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_escape_quotes_only_when_needed() {
-        assert_eq!(csv_escape("interval_ipc"), "interval_ipc");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_escape("two\nlines"), "\"two\nlines\"");
-    }
-
-    #[test]
-    fn metrics_csv_escapes_series_names() {
-        let mut reg = MetricsRegistry::new();
-        reg.record("plain", 1.0);
-        reg.record("weird,name \"x\"", 2.0);
-        let mut buf = Vec::new();
-        write_metrics_csv(&mut buf, &reg).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "series,count,min,mean,p50,p99,max");
-        assert!(lines[1].starts_with("plain,1,"));
-        assert!(lines[2].starts_with("\"weird,name \"\"x\"\"\",1,"));
-        // Every row keeps the header's arity once quoted fields are
-        // accounted for: the quoted name counts as one field.
-        assert_eq!(lines[0].split(',').count(), 7);
-    }
-
-    #[test]
-    fn ring_capacity_evicts_oldest_first() {
-        let mut sink = CollectorSink::with_ring_capacity(2);
-        for index in 0..3 {
-            sink.record(&Event::Interval(IntervalSample {
-                index,
-                cycle: (index + 1) * 100,
-                ..IntervalSample::default()
-            }));
-        }
-        sink.with(|c| {
-            assert_eq!(c.ring.len(), 2);
-            assert_eq!(c.ring.dropped(), 1);
-            let kept: Vec<u64> = c.ring.iter().map(|s| s.index).collect();
-            assert_eq!(kept, vec![1, 2], "sample 0 (oldest) is evicted first");
-        });
-        // The registry still saw every sample — only raw retention is
-        // bounded.
-        assert_eq!(
-            sink.with(|c| c.registry.summary("interval_ipc").unwrap().count),
-            3
-        );
-    }
-
-    #[test]
     fn collector_feeds_histograms() {
         let mut sink = CollectorSink::new();
         sink.record(&Event::Interval(IntervalSample {
@@ -622,15 +492,15 @@ mod tests {
         }));
         sink.record(&Event::CampaignTrial {
             trial: 0,
-            site: "rvq_operand",
-            fate: "detected_recovered",
+            site: "rvq_operand".into(),
+            fate: "detected_recovered".into(),
             detect_cycles: 37,
             ok: true,
         });
         sink.record(&Event::CampaignTrial {
             trial: 1,
-            site: "lvq_value",
-            fate: "corrected_by_ecc",
+            site: "lvq_value".into(),
+            fate: "corrected_by_ecc".into(),
             detect_cycles: 0,
             ok: true,
         });

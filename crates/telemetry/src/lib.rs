@@ -12,12 +12,17 @@
 //!    default [`NullSink`] has `ENABLED = false`, so instrumented code
 //!    compiles down to the uninstrumented code: event construction is
 //!    gated behind a compile-time constant.
-//! 2. **Interval sampling** ([`IntervalSample`], [`SampleRing`]): the
-//!    driver in `rmt3d::simulate` snapshots pipeline, intercore-queue,
-//!    and cache state every N cycles into flat records.
-//! 3. **Exporters** ([`JsonlSink`], [`CollectorSink`],
-//!    [`write_samples_csv`], [`MetricsRegistry`]): JSON Lines streams,
-//!    CSV tables, and min/max/mean/p50/p99 summaries per series.
+//! 2. **Interval sampling** ([`IntervalSample`]): the driver in
+//!    `rmt3d::simulate` snapshots pipeline, intercore-queue, and cache
+//!    state every N cycles into flat records.
+//! 3. **Exporters** ([`JsonlSink`], [`TraceEventSink`],
+//!    [`CollectorSink`], [`write_samples_csv`], [`MetricsRegistry`]):
+//!    JSON Lines streams, Chrome/Perfetto traces, CSV tables, and
+//!    min/max/mean/p50/p99 summaries per series.
+//!
+//! There is one event type in both directions: [`Event::from_json_line`]
+//! decodes a JSONL trace back into [`Event`]s, which `trace-report`
+//! replays through the same sinks that rendered them live.
 //!
 //! There is no serde in this workspace (it builds fully offline); the
 //! [`json`] module provides the small writer/parser the schema needs.
@@ -26,7 +31,7 @@
 //! use rmt3d_telemetry::{emit, Event, RecordingSink, Sink};
 //!
 //! let mut sink = RecordingSink::new();
-//! emit(&mut sink, || Event::Counter { name: "ipc", cycle: 100, value: 1.5 });
+//! emit(&mut sink, || Event::Counter { name: "ipc".into(), cycle: 100, value: 1.5 });
 //! assert_eq!(sink.events().len(), 1);
 //! ```
 
@@ -40,14 +45,11 @@ pub mod sample;
 pub mod sink;
 pub mod trace_event;
 
-pub use codec::ParsedEvent;
 pub use cpi::{CpiComponent, CpiStack};
 pub use event::Event;
-pub use export::{
-    write_metrics_csv, write_samples_csv, Collector, CollectorSink, JsonlSink, CSV_HEADER,
-};
+pub use export::{write_samples_csv, Collector, CollectorSink, JsonlSink, CSV_HEADER};
 pub use registry::{Log2Histogram, MetricsRegistry, SeriesSummary};
-pub use sample::{IntervalSample, SampleRing};
+pub use sample::IntervalSample;
 pub use sink::{emit, NullSink, RecordingSink, Sink};
 pub use trace_event::TraceEventSink;
 
@@ -67,7 +69,10 @@ pub struct SpanTimer {
 impl SpanTimer {
     /// Emits `SpanBegin` and starts the clock.
     pub fn begin<S: Sink>(sink: &mut S, name: &'static str, cycle: u64) -> SpanTimer {
-        emit(sink, || Event::SpanBegin { name, cycle });
+        emit(sink, || Event::SpanBegin {
+            name: name.into(),
+            cycle,
+        });
         SpanTimer {
             name,
             start: S::ENABLED.then(Instant::now),
@@ -81,7 +86,7 @@ impl SpanTimer {
             .map(|t| t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64)
             .unwrap_or(0);
         emit(sink, || Event::SpanEnd {
-            name: self.name,
+            name: self.name.into(),
             cycle,
             wall_nanos,
         });
@@ -102,16 +107,16 @@ mod tests {
         assert_eq!(
             events[0],
             Event::SpanBegin {
-                name: "phase",
+                name: "phase".into(),
                 cycle: 5
             }
         );
-        match events[1] {
+        match &events[1] {
             Event::SpanEnd { name, cycle, .. } => {
                 assert_eq!(name, "phase");
-                assert_eq!(cycle, 10);
+                assert_eq!(*cycle, 10);
             }
-            ref other => panic!("wrong event: {other:?}"),
+            other => panic!("wrong event: {other:?}"),
         }
     }
 

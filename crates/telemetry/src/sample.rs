@@ -1,5 +1,4 @@
-//! Periodic machine-state snapshots and the bounded ring that stores
-//! them.
+//! Periodic machine-state snapshots.
 //!
 //! The interval sampler lives in `rmt3d::simulate`, which is the only
 //! layer that can see the leader pipeline, the checker queues, and the
@@ -51,90 +50,4 @@ pub struct IntervalSample {
     pub l2_misses: u64,
     /// Leader cycles spent commit-stalled since the previous sample.
     pub commit_stall_cycles: u64,
-}
-
-/// Bounded FIFO of [`IntervalSample`]s. Keeps the most recent
-/// `capacity` samples; older ones are dropped (and counted) so a long
-/// run cannot grow memory without bound.
-#[derive(Debug, Clone, Default)]
-pub struct SampleRing {
-    samples: std::collections::VecDeque<IntervalSample>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl SampleRing {
-    /// Creates a ring holding at most `capacity` samples. A capacity of
-    /// 0 means unbounded.
-    pub fn new(capacity: usize) -> Self {
-        SampleRing {
-            samples: std::collections::VecDeque::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends a sample, evicting the oldest if the ring is full.
-    pub fn push(&mut self, sample: IntervalSample) {
-        if self.capacity != 0 && self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(sample);
-    }
-
-    /// Number of samples currently held.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Number of samples evicted to respect the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Iterates the retained samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &IntervalSample> {
-        self.samples.iter()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample(i: u64) -> IntervalSample {
-        IntervalSample {
-            index: i,
-            cycle: i * 100,
-            ..IntervalSample::default()
-        }
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let mut ring = SampleRing::new(3);
-        for i in 0..5 {
-            ring.push(sample(i));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let idx: Vec<u64> = ring.iter().map(|s| s.index).collect();
-        assert_eq!(idx, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_capacity_is_unbounded() {
-        let mut ring = SampleRing::new(0);
-        for i in 0..1000 {
-            ring.push(sample(i));
-        }
-        assert_eq!(ring.len(), 1000);
-        assert_eq!(ring.dropped(), 0);
-    }
 }

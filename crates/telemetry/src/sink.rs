@@ -116,7 +116,7 @@ mod tests {
 
     fn counter(cycle: u64) -> Event {
         Event::Counter {
-            name: "x",
+            name: "x".into(),
             cycle,
             value: 1.0,
         }
@@ -143,7 +143,7 @@ mod tests {
         assert_eq!(
             events[0],
             Event::Counter {
-                name: "x",
+                name: "x".into(),
                 cycle: 3,
                 value: 1.0
             }

@@ -17,6 +17,14 @@
 //!
 //! [trace-event JSON format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
+//! [`Sink::record`] is the only renderer. `rmt3d trace-report
+//! --chrome-out` decodes a JSONL trace with [`Event::from_json_line`]
+//! and records each event here, so a replayed trace is byte-identical
+//! to one written live. That is how the daemon's `daemon.trace.jsonl`
+//! becomes a timeline: the daemon is multi-threaded and cannot hold
+//! this `Rc`-based sink, so it appends JSONL and the file is rendered
+//! offline.
+//!
 //! The sink is clonable (clones share the writer) and finalizes the
 //! JSON document exactly once: call [`TraceEventSink::finish`] to close
 //! the array and surface I/O errors, or rely on the drop guard, which
@@ -149,8 +157,10 @@ impl<W: Write> TraceEventSink<W> {
             None => Ok(()),
         }
     }
+}
 
-    fn record_event(&mut self, event: &Event) {
+impl<W: Write> Sink for TraceEventSink<W> {
+    fn record(&mut self, event: &Event) {
         match event {
             Event::SpanBegin { name, cycle } => {
                 self.span(name, "B", *cycle);
@@ -314,135 +324,9 @@ impl<W: Write> TraceEventSink<W> {
             }
         }
     }
+}
 
-    /// Re-renders an event decoded from a JSONL file. This is how
-    /// `rmt3d trace-report --chrome-out` turns a daemon's raw event log
-    /// into a Chrome/Perfetto trace offline: the daemon (multi-threaded,
-    /// so it cannot hold this `Rc`-based sink) appends codec lines, and
-    /// the converter replays them through the same rendering used for
-    /// live events. Lifecycle and counter events render exactly as
-    /// their in-memory counterparts; the trailing `summary` line has no
-    /// trace representation and is skipped.
-    pub fn record_parsed(&mut self, event: &crate::ParsedEvent) {
-        use crate::ParsedEvent as P;
-        match event {
-            P::SpanBegin { name, cycle } => self.span(name, "B", *cycle),
-            P::SpanEnd { name, cycle, .. } => self.span(name, "E", *cycle),
-            P::Counter { name, cycle, value } => self.counter(name, *cycle, &[("value", *value)]),
-            P::DfsTransition {
-                cycle,
-                to_level,
-                fraction,
-                ..
-            } => self.counter(
-                "checker_frequency",
-                *cycle,
-                &[("fraction", *fraction), ("level", f64::from(*to_level))],
-            ),
-            P::FaultInjected {
-                cycle,
-                site,
-                bit,
-                corrected,
-            } => {
-                let mut args = JsonObject::new();
-                args.str("site", site)
-                    .u64("bit", u64::from(*bit))
-                    .bool("corrected", *corrected);
-                self.instant("fault", *cycle, TID_LEADER, &args.finish());
-            }
-            P::Recovery {
-                cycle,
-                penalty_cycles,
-                unrecoverable,
-            } => {
-                let mut args = JsonObject::new();
-                args.u64("penalty_cycles", *penalty_cycles)
-                    .bool("unrecoverable", *unrecoverable);
-                self.instant("recovery", *cycle, TID_LEADER, &args.finish());
-            }
-            P::SolverIteration {
-                iteration,
-                residual,
-            } => self.counter("solver_residual", *iteration, &[("kelvin", *residual)]),
-            P::Interval(s) => self.record_event(&Event::Interval(*s)),
-            P::JobStarted { job, total, label } => {
-                let mut args = JsonObject::new();
-                args.u64("job", *job)
-                    .u64("total", *total)
-                    .str("label", label);
-                self.instant("job_started", *job, TID_DRIVER, &args.finish());
-            }
-            P::JobFinished { job, total, ok, .. } => {
-                let mut args = JsonObject::new();
-                args.u64("job", *job).u64("total", *total).bool("ok", *ok);
-                self.instant("job_finished", *job, TID_DRIVER, &args.finish());
-            }
-            P::JobCacheHit { job, total, label } => {
-                let mut args = JsonObject::new();
-                args.u64("job", *job)
-                    .u64("total", *total)
-                    .str("label", label);
-                self.instant("job_cache_hit", *job, TID_DRIVER, &args.finish());
-            }
-            P::PoolStats {
-                workers,
-                executed,
-                cache_hits,
-                failed,
-                ..
-            } => {
-                let mut args = JsonObject::new();
-                args.u64("workers", *workers)
-                    .u64("executed", *executed)
-                    .u64("cache_hits", *cache_hits)
-                    .u64("failed", *failed);
-                self.instant("pool_stats", 0, TID_DRIVER, &args.finish());
-            }
-            P::CacheStats {
-                hits,
-                misses,
-                verify_failures,
-                entries,
-                bytes,
-            } => {
-                let mut args = JsonObject::new();
-                args.u64("hits", *hits)
-                    .u64("misses", *misses)
-                    .u64("verify_failures", *verify_failures)
-                    .u64("entries", *entries)
-                    .u64("bytes", *bytes);
-                self.instant("cache_stats", 0, TID_DRIVER, &args.finish());
-            }
-            P::JobStalled {
-                job, total, label, ..
-            } => {
-                let mut args = JsonObject::new();
-                args.u64("job", *job)
-                    .u64("total", *total)
-                    .str("label", label);
-                self.instant("job_stalled", *job, TID_DRIVER, &args.finish());
-            }
-            P::JobSpanBegin { job, phase, ts } => self.async_span(phase, "b", *job, *ts),
-            P::JobSpanEnd { job, phase, ts, .. } => self.async_span(phase, "e", *job, *ts),
-            P::CampaignTrial {
-                trial,
-                site,
-                fate,
-                detect_cycles,
-                ok,
-            } => {
-                let mut args = JsonObject::new();
-                args.str("site", site)
-                    .str("fate", fate)
-                    .u64("detect_cycles", *detect_cycles)
-                    .bool("ok", *ok);
-                self.instant("campaign_trial", *trial, TID_DRIVER, &args.finish());
-            }
-            P::Summary => {}
-        }
-    }
-
+impl<W: Write> TraceEventSink<W> {
     fn span(&mut self, name: &str, ph: &str, ts: u64) {
         let mut o = JsonObject::new();
         o.str("name", name)
@@ -503,12 +387,6 @@ impl<W: Write> TraceEventSink<W> {
     }
 }
 
-impl<W: Write> Sink for TraceEventSink<W> {
-    fn record(&mut self, event: &Event) {
-        self.record_event(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,11 +410,11 @@ mod tests {
 
     fn drive(sink: &mut TraceEventSink<SharedBuf>) {
         sink.record(&Event::SpanBegin {
-            name: "measure",
+            name: "measure".into(),
             cycle: 0,
         });
         sink.record(&Event::Counter {
-            name: "leader_commit_stall",
+            name: "leader_commit_stall".into(),
             cycle: 10,
             value: 1.0,
         });
@@ -555,12 +433,12 @@ mod tests {
         });
         sink.record(&Event::FaultInjected {
             cycle: 180,
-            site: "rvq_operand",
+            site: "rvq_operand".into(),
             bit: 3,
             corrected: false,
         });
         sink.record(&Event::SpanEnd {
-            name: "measure",
+            name: "measure".into(),
             cycle: 200,
             wall_nanos: 123_456,
         });
@@ -664,23 +542,23 @@ mod tests {
         // would mis-nest these; async ids keep them separate.
         sink.record(&Event::JobSpanBegin {
             job: 1,
-            phase: "queued",
+            phase: "queued".into(),
             ts: 10,
         });
         sink.record(&Event::JobSpanBegin {
             job: 2,
-            phase: "queued",
+            phase: "queued".into(),
             ts: 11,
         });
         sink.record(&Event::JobSpanEnd {
             job: 1,
-            phase: "queued",
+            phase: "queued".into(),
             ts: 20,
             wall_nanos: 99,
         });
         sink.record(&Event::JobSpanEnd {
             job: 2,
-            phase: "queued",
+            phase: "queued".into(),
             ts: 30,
             wall_nanos: 77,
         });
@@ -702,34 +580,5 @@ mod tests {
         assert_eq!(spans[1].get("id").and_then(JsonValue::as_str), Some("0x2"));
         // Wall-clock fields never reach the trace.
         assert!(!text.contains("wall_nanos"));
-    }
-
-    #[test]
-    fn record_parsed_matches_live_rendering() {
-        // The offline converter (trace-report --chrome-out) must render
-        // a decoded JSONL stream byte-identically to the live sink.
-        let events = Event::examples();
-        let live = {
-            let buf = SharedBuf::default();
-            let mut sink = TraceEventSink::new(buf.clone());
-            for e in &events {
-                sink.record(e);
-            }
-            sink.finish().unwrap();
-            let bytes = buf.0.borrow().clone();
-            bytes
-        };
-        let replayed = {
-            let buf = SharedBuf::default();
-            let mut sink = TraceEventSink::new(buf.clone());
-            for e in &events {
-                let parsed = crate::ParsedEvent::from_json_line(&e.to_json_line(false)).unwrap();
-                sink.record_parsed(&parsed);
-            }
-            sink.finish().unwrap();
-            let bytes = buf.0.borrow().clone();
-            bytes
-        };
-        assert_eq!(live, replayed);
     }
 }
