@@ -7,6 +7,7 @@ use rmt3d_cache::{CacheHierarchy, NucaLayout, NucaPolicy};
 use rmt3d_cpu::{CoreConfig, OooCore, ReferenceExecutor};
 use rmt3d_rmt::{DirectedOutcome, DrawnFault, EccConfig, FaultSite, RmtConfig, RmtSystem};
 use rmt3d_workload::{Benchmark, TraceGenerator};
+use std::sync::OnceLock;
 
 /// A fully-determined single-fault experiment. Two runs of the same
 /// spec produce bit-identical [`TrialResult`]s, which is what lets the
@@ -249,6 +250,10 @@ impl TrialResult {
 /// checkpoint whose target is at most its `inject_at`, so stepping on
 /// until `inject_at` stops at the same cycle, in the same state, as
 /// stepping from cycle 0 — the trial's result is bit-identical.
+///
+/// A strike that ECC absorbs changes no state, so such a trial runs
+/// the fault-free trajectory to its end; the warm start runs that end
+/// once, on first demand, and every absorbed trial reads it.
 #[derive(Debug)]
 pub(crate) struct WarmStart {
     benchmark: Benchmark,
@@ -259,6 +264,77 @@ pub(crate) struct WarmStart {
     checkpoints: Vec<(u64, RmtSystem)>,
     /// The reference executor, already run to `instructions`.
     oracle: ReferenceExecutor,
+    /// The fault-free run's ending, built from the last checkpoint.
+    fault_free: OnceLock<Ending>,
+}
+
+/// What a system shows at the end of a trial: run to `instructions`
+/// committed, drained, and compared with the oracle.
+#[derive(Debug, Clone, Copy)]
+struct Ending {
+    /// Leader cycle of the checker's first detection.
+    detect_cycle: Option<u64>,
+    committed: u64,
+    detections: u64,
+    recoveries: u64,
+    unrecoverable: bool,
+    /// Leader, trailer and golden register files all equal the oracle's.
+    states_clean: bool,
+}
+
+impl Ending {
+    /// Steps `sys` until `instructions` have committed, drains the
+    /// checker, replays `oracle` to the final committed count, and
+    /// cross-checks three independent views of the architectural state:
+    /// the leader register file, the trailer register file, and the
+    /// oracle's — ground truth computed with no pipeline, queue, or
+    /// recovery machinery.
+    fn reach(mut sys: RmtSystem, instructions: u64, oracle: &ReferenceExecutor) -> Ending {
+        let mut detect_cycle = None;
+        while sys.leader().activity().committed < instructions {
+            sys.step();
+            if detect_cycle.is_none() && sys.stats().detected > 0 {
+                detect_cycle = Some(sys.total_cycles());
+            }
+        }
+        sys.drain();
+        if detect_cycle.is_none() && sys.stats().detected > 0 {
+            // Flagged during the drain; the leader clock stops there, so
+            // charge the end-of-run cycle.
+            detect_cycle = Some(sys.total_cycles());
+        }
+
+        // Differential oracle: replay the committed stream independently.
+        let committed = sys.leader().activity().committed;
+        let mut oracle = oracle.clone();
+        oracle.run_to(committed);
+        let states_clean = sys.leader().regfile() == oracle.regfile()
+            && sys.trailer().regfile() == oracle.regfile()
+            && sys.leader_matches_golden();
+        Ending {
+            detect_cycle,
+            committed,
+            detections: sys.stats().detected,
+            recoveries: sys.stats().recoveries,
+            unrecoverable: sys.stats().unrecoverable > 0,
+            states_clean,
+        }
+    }
+
+    /// Classifies the ending of `spec`'s trial, struck at leader cycle
+    /// `inject_cycle` with outcome `fate`.
+    fn result(&self, spec: &TrialSpec, fate: TrialFate, inject_cycle: u64) -> TrialResult {
+        TrialResult {
+            fate,
+            violation: classify(spec, fate, self.unrecoverable, self.states_clean),
+            detect_cycles: self
+                .detect_cycle
+                .map_or(0, |c| c.saturating_sub(inject_cycle)),
+            detections: self.detections,
+            recoveries: self.recoveries,
+            committed: self.committed,
+        }
+    }
 }
 
 /// Commits between checkpoints: the grid's lowest injection point
@@ -269,19 +345,25 @@ fn checkpoint_spacing(instructions: u64) -> u64 {
     (instructions / 8).max(1)
 }
 
+/// The trial system of `benchmark` at cycle 0, caches prefilled.
+fn prefilled_system(benchmark: Benchmark) -> RmtSystem {
+    let leader = OooCore::new(
+        CoreConfig::leading_ev7_like(),
+        TraceGenerator::new(benchmark.profile()),
+        CacheHierarchy::new(NucaLayout::three_d_2a(), NucaPolicy::DistributedSets),
+    );
+    let mut sys = RmtSystem::new(leader, RmtConfig::paper());
+    sys.prefill_caches();
+    sys
+}
+
 impl WarmStart {
     /// Runs one fault-free system of `benchmark`, checkpointing it at
     /// target 0 and at every multiple of [`checkpoint_spacing`] up to
     /// `last_inject`, and runs the reference executor to
     /// `instructions`.
     pub(crate) fn new(benchmark: Benchmark, instructions: u64, last_inject: u64) -> WarmStart {
-        let leader = OooCore::new(
-            CoreConfig::leading_ev7_like(),
-            TraceGenerator::new(benchmark.profile()),
-            CacheHierarchy::new(NucaLayout::three_d_2a(), NucaPolicy::DistributedSets),
-        );
-        let mut sys = RmtSystem::new(leader, RmtConfig::paper());
-        sys.prefill_caches();
+        let mut sys = prefilled_system(benchmark);
         let spacing = checkpoint_spacing(instructions);
         let mut checkpoints = vec![(0, sys.clone())];
         let mut target = spacing;
@@ -299,7 +381,19 @@ impl WarmStart {
             instructions,
             checkpoints,
             oracle,
+            fault_free: OnceLock::new(),
         }
+    }
+
+    /// The ending of the fault-free run, built on first use from a
+    /// clone of the last checkpoint. Every checkpoint lies on that one
+    /// trajectory, so it is the ending of every trial whose strike
+    /// changes no state.
+    fn fault_free(&self) -> &Ending {
+        self.fault_free.get_or_init(|| {
+            let (_, last) = self.checkpoints.last().expect("the target-0 checkpoint");
+            Ending::reach(last.clone(), self.instructions, &self.oracle)
+        })
     }
 }
 
@@ -313,7 +407,10 @@ impl WarmStart {
 /// truth computed with no pipeline, queue, or recovery machinery.
 ///
 /// Campaigns run the same code from shared fault-free checkpoints; a
-/// lone trial starts it from the prefilled system at cycle 0.
+/// lone trial starts it from the prefilled system at cycle 0. A strike
+/// that ECC absorbs leaves the system on its fault-free trajectory, so
+/// unless the fault-free run itself detects something, such a trial
+/// takes the fault-free run's ending instead of stepping to it.
 ///
 /// # Panics
 ///
@@ -336,6 +433,12 @@ pub(crate) fn run_trial_from(warm: &WarmStart, spec: &TrialSpec) -> TrialResult 
         "trial {} does not match its warm start",
         spec.label()
     );
+    if spec.ecc.corrects(spec.site) {
+        let free = warm.fault_free();
+        if free.detections == 0 {
+            return free.result(spec, TrialFate::CorrectedByEcc, 0);
+        }
+    }
     let (_, checkpoint) = warm
         .checkpoints
         .iter()
@@ -373,45 +476,15 @@ pub(crate) fn run_trial_from(warm: &WarmStart, spec: &TrialSpec) -> TrialResult 
     }
     let inject_cycle = sys.total_cycles();
 
-    let mut detect_cycle = None;
-    while sys.leader().activity().committed < spec.instructions {
-        sys.step();
-        if detect_cycle.is_none() && sys.stats().detected > 0 {
-            detect_cycle = Some(sys.total_cycles());
-        }
-    }
-    sys.drain();
-    if detect_cycle.is_none() && sys.stats().detected > 0 {
-        // Flagged during the drain; the leader clock stops there, so
-        // charge the end-of-run cycle.
-        detect_cycle = Some(sys.total_cycles());
-    }
-
-    // Differential oracle: replay the committed stream independently.
-    let committed = sys.leader().activity().committed;
-    let mut oracle = warm.oracle.clone();
-    oracle.run_to(committed);
-    let states_clean = sys.leader().regfile() == oracle.regfile()
-        && sys.trailer().regfile() == oracle.regfile()
-        && sys.leader_matches_golden();
-
-    let detected = sys.stats().detected > 0;
+    let ending = Ending::reach(sys, spec.instructions, &warm.oracle);
     let fate = if injected == DirectedOutcome::CorrectedByEcc {
         TrialFate::CorrectedByEcc
-    } else if detected {
+    } else if ending.detections > 0 {
         TrialFate::DetectedRecovered
     } else {
         TrialFate::MaskedHarmless
     };
-    let violation = classify(spec, fate, sys.stats().unrecoverable > 0, states_clean);
-    TrialResult {
-        fate,
-        violation,
-        detect_cycles: detect_cycle.map_or(0, |c| c.saturating_sub(inject_cycle)),
-        detections: sys.stats().detected,
-        recoveries: sys.stats().recoveries,
-        committed,
-    }
+    ending.result(spec, fate, inject_cycle)
 }
 
 /// Applies the coverage invariant to one trial's observations.
@@ -514,9 +587,60 @@ mod tests {
         assert_eq!(run_trial(&s), run_trial(&s));
     }
 
+    /// An absorbed strike run the long way, with no warm start and no
+    /// shortcut: the system from cycle 0 stepped to `inject_at`, struck,
+    /// stepped to `instructions`, drained, and compared with a fresh
+    /// reference executor.
+    fn stepped_absorbed_trial(spec: &TrialSpec) -> TrialResult {
+        let mut sys = prefilled_system(spec.benchmark);
+        while sys.leader().activity().committed < spec.inject_at {
+            sys.step();
+        }
+        let fault = DrawnFault {
+            site: spec.site,
+            bit: spec.bit,
+            reg: spec.reg,
+        };
+        let injected = sys.inject_directed(fault, spec.ecc);
+        assert_eq!(
+            injected,
+            DirectedOutcome::CorrectedByEcc,
+            "{}",
+            spec.label()
+        );
+        let inject_cycle = sys.total_cycles();
+        let mut detect_cycle = None;
+        while sys.leader().activity().committed < spec.instructions {
+            sys.step();
+            if detect_cycle.is_none() && sys.stats().detected > 0 {
+                detect_cycle = Some(sys.total_cycles());
+            }
+        }
+        sys.drain();
+        if detect_cycle.is_none() && sys.stats().detected > 0 {
+            detect_cycle = Some(sys.total_cycles());
+        }
+        let committed = sys.leader().activity().committed;
+        let mut oracle = ReferenceExecutor::new(TraceGenerator::new(spec.benchmark.profile()));
+        oracle.run_to(committed);
+        let states_clean = sys.leader().regfile() == oracle.regfile()
+            && sys.trailer().regfile() == oracle.regfile()
+            && sys.leader_matches_golden();
+        let fate = TrialFate::CorrectedByEcc;
+        TrialResult {
+            fate,
+            violation: classify(spec, fate, sys.stats().unrecoverable > 0, states_clean),
+            detect_cycles: detect_cycle.map_or(0, |c| c - inject_cycle),
+            detections: sys.stats().detected,
+            recoveries: sys.stats().recoveries,
+            committed,
+        }
+    }
+
     /// Runs every trial of `grid` from one shared warm start per
     /// benchmark and requires each result to equal a fresh
-    /// [`run_trial`]; returns the results.
+    /// [`run_trial`], and each absorbed strike's to equal
+    /// [`stepped_absorbed_trial`]; returns the results.
     fn assert_warm_matches_fresh(grid: &CampaignSpec) -> Vec<TrialResult> {
         let trials = grid.expand();
         let mut results = Vec::new();
@@ -525,11 +649,18 @@ mod tests {
             let last = mine().map(|t| t.inject_at).max().unwrap_or(0);
             let warm = WarmStart::new(b, grid.instructions, last);
             assert!(warm.checkpoints.len() > 1, "the grid uses the ladder");
+            let mut absorbed = 0;
             for t in mine() {
                 let r = run_trial_from(&warm, t);
                 assert_eq!(r, run_trial(t), "{}", t.label());
+                if t.ecc.corrects(t.site) {
+                    assert_eq!(r, stepped_absorbed_trial(t), "{}", t.label());
+                    absorbed += 1;
+                }
                 results.push(r);
             }
+            assert!(absorbed > 0, "the grid has absorbed strikes");
+            assert!(warm.fault_free.get().is_some(), "absorbed strikes shortcut");
         }
         results
     }
@@ -569,6 +700,38 @@ mod tests {
                 assert_eq!(run_trial_from(&warm, &s), run_trial(&s), "{}", s.label());
             }
         }
+    }
+
+    /// The shortcut classifies the ending it recorded, whatever that
+    /// holds; fault-free runs of real grids all end clean, so only a
+    /// planted ending shows it does not assume so.
+    #[test]
+    fn absorbed_strikes_classify_the_recorded_fault_free_ending() {
+        let s = spec(FaultSite::TrailerRegfile);
+        let ending = Ending {
+            detect_cycle: None,
+            committed: 8_003,
+            detections: 0,
+            recoveries: 0,
+            unrecoverable: false,
+            states_clean: false,
+        };
+        let warm = WarmStart::new(s.benchmark, s.instructions, 0);
+        warm.fault_free.set(ending).expect("unset");
+        let r = run_trial_from(&warm, &s);
+        assert_eq!(r.violation, Some(Violation::SilentCorruption));
+        assert_eq!(r.committed, 8_003);
+
+        // A fault-free run that detects something is no ending to
+        // share: the trial runs in full.
+        let warm = WarmStart::new(s.benchmark, s.instructions, 0);
+        let detecting = Ending {
+            detect_cycle: Some(1),
+            detections: 1,
+            ..ending
+        };
+        warm.fault_free.set(detecting).expect("unset");
+        assert_eq!(run_trial_from(&warm, &s), stepped_absorbed_trial(&s));
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl Default for RmtConfig {
 }
 
 /// Reliability and coupling statistics of an RMT run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RmtStats {
     /// Errors detected by the checker (mismatched verifications).
     pub detected: u64,
@@ -753,6 +753,44 @@ mod tests {
             assert!(s.fault_fates().is_empty());
             assert!(s.trailer_matches_golden());
         }
+    }
+
+    /// The premise of the campaign's absorbed-strike shortcut: a strike
+    /// that ECC absorbs leaves the system on its fault-free trajectory.
+    #[test]
+    fn absorbed_strikes_leave_the_fault_free_trajectory_unchanged() {
+        use crate::DrawnFault;
+        for site in [FaultSite::LvqValue, FaultSite::TrailerRegfile] {
+            let mut struck = system(Benchmark::Gzip);
+            struck.prefill_caches();
+            struck.run_instructions(3_000);
+            let mut free = struck.clone();
+            let fault = DrawnFault {
+                site,
+                bit: 17,
+                reg: 5,
+            };
+            let out = struck.inject_directed(fault, EccConfig::paper());
+            assert_eq!(out, DirectedOutcome::CorrectedByEcc, "{site:?}");
+            assert_same_state(&struck, &free);
+            for s in [&mut struck, &mut free] {
+                while s.leader().activity().committed < 6_000 {
+                    s.step();
+                }
+                s.drain();
+            }
+            assert_same_state(&struck, &free);
+        }
+    }
+
+    fn assert_same_state(a: &RmtSystem, b: &RmtSystem) {
+        assert_eq!(a.leader().regfile(), b.leader().regfile());
+        assert_eq!(a.trailer().regfile(), b.trailer().regfile());
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.total_cycles(), b.total_cycles());
+        assert_eq!(a.leader().activity(), b.leader().activity());
+        assert_eq!(a.trailer().activity(), b.trailer().activity());
+        assert_eq!(a.fault_fates(), b.fault_fates());
     }
 
     #[test]
