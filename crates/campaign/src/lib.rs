@@ -34,8 +34,9 @@
 //!    trajectory depends only on its benchmark, so results are
 //!    bit-identical to starting from cycle 0; [`run_trial`] is the same
 //!    path with only the cycle-0 checkpoint. A strike that ECC absorbs
-//!    changes no state, so such a trial takes the fault-free run's
-//!    ending, run once per warm start, instead of stepping to it.
+//!    changes no state, and a flipped BOQ branch outcome is a hint
+//!    nothing downstream reads, so such a trial takes the fault-free
+//!    run's ending, run once per warm start, instead of stepping to it.
 //! 4. **Crash safety** ([`journal`], [`run_campaign_with`]): an
 //!    append-only write-ahead journal records every trial completion —
 //!    fsynced before the trial is acknowledged — plus periodic

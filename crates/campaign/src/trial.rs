@@ -251,9 +251,10 @@ impl TrialResult {
 /// until `inject_at` stops at the same cycle, in the same state, as
 /// stepping from cycle 0 — the trial's result is bit-identical.
 ///
-/// A strike that ECC absorbs changes no state, so such a trial runs
-/// the fault-free trajectory to its end; the warm start runs that end
-/// once, on first demand, and every absorbed trial reads it.
+/// A strike that ECC absorbs changes no state, and a BOQ-outcome
+/// strike flips a bit nothing reads, so such a trial runs the
+/// fault-free trajectory to its end; the warm start runs that end
+/// once, on first demand, and every such trial reads it.
 #[derive(Debug)]
 pub(crate) struct WarmStart {
     benchmark: Benchmark,
@@ -388,7 +389,7 @@ impl WarmStart {
     /// The ending of the fault-free run, built on first use from a
     /// clone of the last checkpoint. Every checkpoint lies on that one
     /// trajectory, so it is the ending of every trial whose strike
-    /// changes no state.
+    /// changes no state that execution reads.
     fn fault_free(&self) -> &Ending {
         self.fault_free.get_or_init(|| {
             let (_, last) = self.checkpoints.last().expect("the target-0 checkpoint");
@@ -408,9 +409,10 @@ impl WarmStart {
 ///
 /// Campaigns run the same code from shared fault-free checkpoints; a
 /// lone trial starts it from the prefilled system at cycle 0. A strike
-/// that ECC absorbs leaves the system on its fault-free trajectory, so
-/// unless the fault-free run itself detects something, such a trial
-/// takes the fault-free run's ending instead of stepping to it.
+/// that ECC absorbs, or a BOQ-outcome strike once it lands, leaves the
+/// system on its fault-free trajectory, so unless the fault-free run
+/// itself detects something, such a trial takes the fault-free run's
+/// ending instead of stepping to it.
 ///
 /// # Panics
 ///
@@ -475,6 +477,13 @@ pub(crate) fn run_trial_from(warm: &WarmStart, spec: &TrialSpec) -> TrialResult 
         };
     }
     let inject_cycle = sys.total_cycles();
+    if spec.site == FaultSite::BoqOutcome && warm.fault_free().detections == 0 {
+        // The flipped outcome bit is a hint nothing downstream reads:
+        // the system is still on the fault-free trajectory.
+        return warm
+            .fault_free()
+            .result(spec, TrialFate::MaskedHarmless, inject_cycle);
+    }
 
     let ending = Ending::reach(sys, spec.instructions, &warm.oracle);
     let fate = if injected == DirectedOutcome::CorrectedByEcc {
@@ -587,11 +596,12 @@ mod tests {
         assert_eq!(run_trial(&s), run_trial(&s));
     }
 
-    /// An absorbed strike run the long way, with no warm start and no
-    /// shortcut: the system from cycle 0 stepped to `inject_at`, struck,
+    /// A trial run the long way, with no warm start and no shortcut:
+    /// the system from cycle 0 stepped to `inject_at`, struck (stepping
+    /// on while no target is queued, as [`run_trial_from`] does),
     /// stepped to `instructions`, drained, and compared with a fresh
     /// reference executor.
-    fn stepped_absorbed_trial(spec: &TrialSpec) -> TrialResult {
+    fn stepped_trial(spec: &TrialSpec) -> TrialResult {
         let mut sys = prefilled_system(spec.benchmark);
         while sys.leader().activity().committed < spec.inject_at {
             sys.step();
@@ -601,13 +611,14 @@ mod tests {
             bit: spec.bit,
             reg: spec.reg,
         };
-        let injected = sys.inject_directed(fault, spec.ecc);
-        assert_eq!(
-            injected,
-            DirectedOutcome::CorrectedByEcc,
-            "{}",
-            spec.label()
-        );
+        let mut injected = sys.inject_directed(fault, spec.ecc);
+        while injected == DirectedOutcome::NoTarget
+            && sys.leader().activity().committed < spec.instructions
+        {
+            sys.step();
+            injected = sys.inject_directed(fault, spec.ecc);
+        }
+        assert_ne!(injected, DirectedOutcome::NoTarget, "{}", spec.label());
         let inject_cycle = sys.total_cycles();
         let mut detect_cycle = None;
         while sys.leader().activity().committed < spec.instructions {
@@ -626,7 +637,13 @@ mod tests {
         let states_clean = sys.leader().regfile() == oracle.regfile()
             && sys.trailer().regfile() == oracle.regfile()
             && sys.leader_matches_golden();
-        let fate = TrialFate::CorrectedByEcc;
+        let fate = if injected == DirectedOutcome::CorrectedByEcc {
+            TrialFate::CorrectedByEcc
+        } else if sys.stats().detected > 0 {
+            TrialFate::DetectedRecovered
+        } else {
+            TrialFate::MaskedHarmless
+        };
         TrialResult {
             fate,
             violation: classify(spec, fate, sys.stats().unrecoverable > 0, states_clean),
@@ -639,28 +656,43 @@ mod tests {
 
     /// Runs every trial of `grid` from one shared warm start per
     /// benchmark and requires each result to equal a fresh
-    /// [`run_trial`], and each absorbed strike's to equal
-    /// [`stepped_absorbed_trial`]; returns the results.
+    /// [`run_trial`], and each absorbed or BOQ strike's to equal
+    /// [`stepped_trial`]; returns the results.
     fn assert_warm_matches_fresh(grid: &CampaignSpec) -> Vec<TrialResult> {
         let trials = grid.expand();
         let mut results = Vec::new();
         for &b in &grid.benchmarks {
             let mine = || trials.iter().filter(move |t| t.benchmark == b);
             let last = mine().map(|t| t.inject_at).max().unwrap_or(0);
-            let warm = WarmStart::new(b, grid.instructions, last);
+            let mut warm = WarmStart::new(b, grid.instructions, last);
             assert!(warm.checkpoints.len() > 1, "the grid uses the ladder");
-            let mut absorbed = 0;
+            let (mut absorbed, mut boq) = (0, 0);
             for t in mine() {
                 let r = run_trial_from(&warm, t);
                 assert_eq!(r, run_trial(t), "{}", t.label());
-                if t.ecc.corrects(t.site) {
-                    assert_eq!(r, stepped_absorbed_trial(t), "{}", t.label());
-                    absorbed += 1;
+                let on_boq = t.site == FaultSite::BoqOutcome;
+                if t.ecc.corrects(t.site) || on_boq {
+                    assert_eq!(r, stepped_trial(t), "{}", t.label());
                 }
+                absorbed += usize::from(t.ecc.corrects(t.site));
+                boq += usize::from(on_boq);
                 results.push(r);
             }
-            assert!(absorbed > 0, "the grid has absorbed strikes");
-            assert!(warm.fault_free.get().is_some(), "absorbed strikes shortcut");
+            assert!(absorbed > 0 && boq > 0, "the grid has dead strikes");
+
+            // Plant an ending no stepped run reaches: a trial that
+            // returns it took the shortcut.
+            let free = *warm.fault_free.get().expect("dead strikes shortcut");
+            let planted = Ending {
+                committed: free.committed + 1_000,
+                ..free
+            };
+            warm.fault_free = OnceLock::from(planted);
+            let shortcut = mine()
+                .filter(|t| t.site == FaultSite::BoqOutcome)
+                .filter(|t| run_trial_from(&warm, t).committed == planted.committed)
+                .count();
+            assert_eq!(shortcut, boq, "every BOQ strike takes the shortcut");
         }
         results
     }
@@ -731,7 +763,7 @@ mod tests {
             ..ending
         };
         warm.fault_free.set(detecting).expect("unset");
-        assert_eq!(run_trial_from(&warm, &s), stepped_absorbed_trial(&s));
+        assert_eq!(run_trial_from(&warm, &s), stepped_trial(&s));
     }
 
     #[test]

@@ -23,7 +23,7 @@ const SPECS: [[&str; 6]; 3] = [
         "--benchmarks",
         "gzip,mcf",
         "--instructions",
-        "40000",
+        FIRST_JOB_INSTRUCTIONS,
     ],
     [
         "--models",
@@ -42,6 +42,16 @@ const SPECS: [[&str; 6]; 3] = [
         "15000",
     ],
 ];
+
+/// A release build simulates about six times faster than a debug one,
+/// while the two submits queued behind the first job cost the same
+/// process spawns in both. The first job grows with the build's speed
+/// so it still runs well past those submits.
+const FIRST_JOB_INSTRUCTIONS: &str = if cfg!(debug_assertions) {
+    "40000"
+} else {
+    "240000"
+};
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rmt3d-serve-crash-{tag}-{}", std::process::id()));
@@ -103,6 +113,9 @@ fn sigkilled_daemon_finishes_every_acknowledged_job_byte_identical() {
     for sched in &SCHEDULES {
         let work = root.join(sched.name);
         let mut daemon = Daemon::start(&work);
+        // The first job starts running once acknowledged, so the first
+        // kill's delay counts from its submit, as `first_job` does.
+        let started = Instant::now();
         let acked: Vec<String> = SPECS
             .iter()
             .map(|s| submit(&daemon.addr, s, false).trim().to_string())
@@ -111,7 +124,10 @@ fn sigkilled_daemon_finishes_every_acknowledged_job_byte_identical() {
         let mut rng = SplitMix64::new(sched.seed);
         let mut kills = 0u64;
         loop {
-            let delay = sched.delay(&mut rng, kills, first_job);
+            let mut delay = sched.delay(&mut rng, kills, first_job);
+            if kills == 0 {
+                delay = delay.saturating_sub(started.elapsed());
+            }
             assert!(
                 kill_after(&mut daemon.child, delay).is_none(),
                 "[{}] daemon exited on its own",
