@@ -19,7 +19,7 @@
 //! times in nanoseconds — so CI can diff runs machine-readably.
 
 use rmt3d_obs::durable::AppendLog;
-use rmt3d_telemetry::json::write_json_string;
+use rmt3d_telemetry::json::json_str;
 use std::path::Path;
 use std::time::Instant;
 
@@ -67,13 +67,6 @@ pub fn record_stat(name: &str, value: f64) {
             eprintln!("warning: cannot append stat record to {path}: {e}");
         }
     }
-}
-
-/// `s` as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::new();
-    write_json_string(&mut out, s);
-    out
 }
 
 fn append_stat_record(path: &str, name: &str, value: f64) -> std::io::Result<()> {

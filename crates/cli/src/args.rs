@@ -1,7 +1,21 @@
 //! Strict argument consumer shared by every `rmt3d` subcommand.
 //!
 //! Commands pull out the flags they know, and [`Args::finish`] rejects
-//! anything left over instead of silently ignoring it.
+//! anything left over instead of silently ignoring it. Every flag rule
+//! that more than one command shares (a default, a range, an error
+//! message) is one typed helper here.
+
+use rmt3d::ProcessorModel;
+use rmt3d_workload::Benchmark;
+use std::path::PathBuf;
+use std::time::Duration;
+
+/// Default runs root, relative to the working directory.
+pub const DEFAULT_RUNS_ROOT: &str = "target/runs";
+
+/// Default result cache, shared by `sweep` and `serve` so one-shot and
+/// service runs hit the same entries.
+pub const DEFAULT_CACHE_DIR: &str = "target/sweep-cache";
 
 pub struct Args {
     args: Vec<String>,
@@ -54,6 +68,58 @@ impl Args {
         }
     }
 
+    /// Consumes `--flag value`, falling back to `default`.
+    pub fn opt_or(&mut self, name: &str, default: &str) -> Result<String, String> {
+        Ok(self.opt(name)?.unwrap_or_else(|| default.into()))
+    }
+
+    /// Consumes a `--flag value` that must be present.
+    pub fn required(&mut self, name: &str) -> Result<String, String> {
+        self.opt(name)?.ok_or_else(|| format!("{name} is required"))
+    }
+
+    /// Consumes the required `--model`.
+    pub fn model(&mut self) -> Result<ProcessorModel, String> {
+        let m = self.required("--model")?;
+        m.parse().map_err(|_| format!("unknown model: {m}"))
+    }
+
+    /// Consumes the required `--benchmark`.
+    pub fn benchmark(&mut self) -> Result<Benchmark, String> {
+        let b = self.required("--benchmark")?;
+        b.parse().map_err(|_| format!("unknown benchmark: {b}"))
+    }
+
+    /// Consumes `--jobs N`; `None` means one worker per available core.
+    pub fn jobs(&mut self) -> Result<Option<usize>, String> {
+        match self.parsed("--jobs")? {
+            Some(0) => Err("--jobs must be at least 1".into()),
+            n => Ok(n),
+        }
+    }
+
+    /// Consumes the redraw flag `requires` (`--follow`, `--watch`) and
+    /// the `--interval MS` only it accepts. `None` means one frame;
+    /// otherwise the redraw period (`default_ms` unless given).
+    pub fn interval_ms(
+        &mut self,
+        requires: &str,
+        default_ms: u64,
+    ) -> Result<Option<Duration>, String> {
+        let redraw = self.flag(requires);
+        match self.parsed::<u64>("--interval")? {
+            Some(0) => Err("--interval must be at least 1 millisecond".into()),
+            Some(_) if !redraw => Err(format!("--interval requires {requires}")),
+            ms => Ok(redraw.then(|| Duration::from_millis(ms.unwrap_or(default_ms)))),
+        }
+    }
+
+    /// Consumes `--runs-root DIR` (default [`DEFAULT_RUNS_ROOT`]).
+    pub fn runs_root(&mut self) -> Result<PathBuf, String> {
+        self.opt_or("--runs-root", DEFAULT_RUNS_ROOT)
+            .map(PathBuf::from)
+    }
+
     /// Consumes the next unused positional (non-flag) argument.
     pub fn positional(&mut self) -> Option<String> {
         for (i, a) in self.args.iter().enumerate() {
@@ -80,6 +146,22 @@ impl Args {
         } else {
             Err(format!("unrecognized arguments: {}", leftover.join(" ")))
         }
+    }
+}
+
+/// The one range rule of the float flags (`--stall-factor`,
+/// `--checker-watts`, `--tolerance`): a given value must be finite and
+/// pass `in_range`, else `"{name} must be {rule}"`. Commands call it
+/// after [`Args::finish`], so a leftover argument is reported first.
+pub fn check_range(
+    name: &str,
+    value: Option<f64>,
+    in_range: impl Fn(f64) -> bool,
+    rule: &str,
+) -> Result<(), String> {
+    match value {
+        Some(v) if !v.is_finite() || !in_range(v) => Err(format!("{name} must be {rule}")),
+        _ => Ok(()),
     }
 }
 

@@ -48,14 +48,16 @@
 //! `resilience`, `dtm`, `shared-cache`, `leakage`.
 //!
 //! Unknown flags are errors; every argument must be consumed by the
-//! selected command.
+//! selected command. Every subcommand is one entry of [`COMMANDS`] and
+//! returns `Result`; [`main`] is the single place that turns an `Err`
+//! into `error: …` plus the usage text.
 
 mod args;
 mod profile;
 mod runctl;
 mod servecmd;
 
-use args::Args;
+use args::{check_range, Args, DEFAULT_CACHE_DIR};
 use rmt3d::experiments::{
     dfs_ablation, dtm, fig4, fig5, fig6, fig7, hard_error, heterogeneous, interconnect, interrupts,
     iso_thermal, leakage_feedback, margins, resilience, rmt_summary, shared_cache, tables,
@@ -65,7 +67,7 @@ use rmt3d::power::CheckerPowerModel;
 use rmt3d::telemetry::{write_samples_csv, CollectorSink, Event, JsonlSink, Sink};
 use rmt3d::thermal::{solve, ThermalConfig};
 use rmt3d::{
-    build_power_map, override_checker_power, simulate, simulate_traced, PowerMapConfig,
+    build_power_map, override_checker_power, simulate, simulate_traced, PerfResult, PowerMapConfig,
     ProcessorModel, RunScale, SerialSimulator, SimConfig, Simulator,
 };
 use rmt3d_cache::NucaPolicy;
@@ -84,9 +86,7 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: rmt3d <command>\n\
+const USAGE: &str = "usage: rmt3d <command>\n\
          \n\
          commands:\n\
            list                               benchmarks and models\n\
@@ -164,8 +164,10 @@ fn usage() -> ExitCode {
          validation errors:\n\
            --jobs must be at least 1\n\
            --resume and --no-cache are mutually exclusive\n\
-           --resume requires an existing --out-dir cache directory"
-    );
+           --resume requires an existing --out-dir cache directory";
+
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
 
@@ -174,9 +176,34 @@ fn fail(msg: &str) -> ExitCode {
     usage()
 }
 
-fn parse_model(s: &str) -> Option<ProcessorModel> {
-    s.parse().ok()
-}
+/// A subcommand: consumes its arguments and runs. `Err` is a usage or
+/// I/O error, reported by [`main`] as `error: …` plus the usage text;
+/// an outcome that is not an error (sweep failures, campaign
+/// violations) is `Ok(ExitCode::FAILURE)`.
+type Command = fn(Args) -> Result<ExitCode, String>;
+
+/// Every subcommand, in usage order.
+const COMMANDS: &[(&str, Command)] = &[
+    ("list", run_list_command),
+    ("simulate", run_simulate_command),
+    ("thermal", run_thermal_command),
+    ("experiment", run_experiment_command),
+    ("sweep", run_sweep_command),
+    ("campaign", run_campaign_command),
+    ("profile", profile::run_profile_command),
+    ("trace-report", profile::run_trace_report_command),
+    ("bench-gate", profile::run_bench_gate_command),
+    ("status", runctl::run_status_command),
+    ("report", runctl::run_report_command),
+    ("serve", servecmd::run_serve_command),
+    ("submit", servecmd::run_submit_command),
+    ("jobs", servecmd::run_jobs_command),
+    ("cancel", servecmd::run_cancel_command),
+    ("watch", servecmd::run_watch_command),
+    ("stats", servecmd::run_stats_command),
+    ("top", servecmd::run_top_command),
+    ("shutdown", servecmd::run_shutdown_command),
+];
 
 /// Parses a comma-separated `--models`/`--benchmarks` list, where the
 /// keyword `all` (also the default) selects the whole axis.
@@ -203,6 +230,54 @@ fn parse_list<T: Copy>(
                 .collect()
         }
     }
+}
+
+/// `a,b,c` of an axis, for a run's ledger config.
+fn joined<T: Copy>(items: &[T], name: fn(T) -> &'static str) -> String {
+    items.iter().map(|&t| name(t)).collect::<Vec<_>>().join(",")
+}
+
+/// One result line of `sweep`; `submit --wait` prints the same bytes.
+pub fn sweep_line(label: &str, r: &PerfResult) -> String {
+    format!(
+        "{label:28} IPC {:.3}  L2 {:5.2} misses/10K  checker {:.2} f",
+        r.ipc(),
+        r.l2_misses_per_10k(),
+        r.mean_checker_fraction,
+    )
+}
+
+/// The `--trace-out` JSONL writer of `simulate`, `sweep` and
+/// `campaign` (discarding when no path is given).
+fn trace_sink(path: Option<&str>) -> Result<JsonlSink<Box<dyn Write>>, String> {
+    let writer: Box<dyn Write> = match path {
+        Some(path) => Box::new(io::BufWriter::new(
+            File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
+        )),
+        None => Box::new(io::sink()),
+    };
+    Ok(JsonlSink::new(writer))
+}
+
+/// Flushes a [`trace_sink`], reporting the first write error.
+fn finish_trace(mut jsonl: JsonlSink<Box<dyn Write>>) -> Result<(), String> {
+    jsonl
+        .finish()
+        .map_err(|e| format!("trace write failed: {e}"))
+}
+
+/// The `--stall-factor F` heartbeat watchdog of `sweep` and `campaign`.
+fn stall_watchdog(stall_factor: Option<f64>) -> Result<Option<WatchdogConfig>, String> {
+    check_range(
+        "--stall-factor",
+        stall_factor,
+        |f| f > 1.0,
+        "greater than 1",
+    )?;
+    Ok(stall_factor.map(|multiplier| WatchdogConfig {
+        multiplier,
+        ..WatchdogConfig::default()
+    }))
 }
 
 /// Streams sweep progress to stderr as the engine emits job events.
@@ -242,6 +317,22 @@ impl Sink for ProgressSink {
     }
 }
 
+/// The sink stack of `sweep` and `campaign`: stderr progress, the
+/// `--trace-out` JSONL and the run ledger's status observer.
+fn pool_sink<'a>(
+    quiet: bool,
+    jsonl: &JsonlSink<Box<dyn Write>>,
+    tracker: &'a mut Option<runctl::RunTracker>,
+) -> impl Sink + 'a {
+    (
+        ProgressSink { quiet },
+        (
+            jsonl.clone(),
+            runctl::ObserverSink(tracker.as_mut().map(|t| &mut t.observer)),
+        ),
+    )
+}
+
 /// Telemetry-related `simulate` flags.
 struct TelemetryOpts {
     trace_out: Option<String>,
@@ -274,14 +365,8 @@ fn run_traced(
     cfg: &SimConfig,
     bench: Benchmark,
     opts: &TelemetryOpts,
-) -> Result<rmt3d::PerfResult, String> {
-    let writer: Box<dyn Write> = match &opts.trace_out {
-        Some(path) => Box::new(io::BufWriter::new(
-            File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-        )),
-        None => Box::new(io::sink()),
-    };
-    let jsonl = JsonlSink::new(writer);
+) -> Result<PerfResult, String> {
+    let jsonl = trace_sink(opts.trace_out.as_deref())?;
     let collector = CollectorSink::new();
     let result = simulate_traced(
         cfg,
@@ -292,9 +377,7 @@ fn run_traced(
     let snapshot = collector.snapshot();
     let mut jsonl = jsonl;
     jsonl.write_summary(&snapshot.registry);
-    jsonl
-        .finish()
-        .map_err(|e| format!("trace write failed: {e}"))?;
+    finish_trace(jsonl)?;
     if let Some(path) = &opts.csv_out {
         let mut f = io::BufWriter::new(
             File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
@@ -320,73 +403,254 @@ fn run_traced(
     Ok(result)
 }
 
+/// `rmt3d list`: the processor models and benchmarks.
+fn run_list_command(a: Args) -> Result<ExitCode, String> {
+    a.finish()?;
+    println!("models:");
+    for m in ProcessorModel::ALL {
+        println!(
+            "  {:11} {} MB L2, checker: {}",
+            m.name(),
+            m.nuca_layout().bank_count(),
+            if m.has_checker() { "yes" } else { "no" }
+        );
+    }
+    println!("benchmarks:");
+    for b in Benchmark::ALL {
+        println!("  {:8} ({})", b.name(), b.suite());
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `rmt3d simulate --model M --benchmark B`: one run, optionally with
+/// the telemetry exporters attached.
+fn run_simulate_command(mut a: Args) -> Result<ExitCode, String> {
+    let model = a.model()?;
+    let bench = a.benchmark()?;
+    let instructions = a.parsed("--instructions")?.unwrap_or(500_000);
+    let ways = a.flag("--ways");
+    let quiet = a.flag("--quiet");
+    let telemetry = TelemetryOpts::from_args(&mut a)?;
+    a.finish()?;
+    let mut cfg = SimConfig::nominal(
+        model,
+        RunScale {
+            warmup_instructions: instructions / 10,
+            instructions,
+            thermal_grid: 50,
+        },
+    );
+    if ways {
+        cfg.policy = NucaPolicy::DistributedWays;
+    }
+    let r = if telemetry.enabled() {
+        run_traced(&cfg, bench, &telemetry)?
+    } else {
+        simulate(&cfg, bench)
+    };
+    if !quiet {
+        println!(
+            "model {} benchmark {} ({} instructions)",
+            model, bench, instructions
+        );
+        println!("IPC: {:.3}", r.ipc());
+        println!(
+            "L2: {:.1}-cycle mean hit, {:.2} misses/10K",
+            r.l2.mean_hit_cycles(),
+            r.l2_misses_per_10k()
+        );
+        if model.has_checker() {
+            println!("checker mean frequency: {:.2} f", r.mean_checker_fraction);
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `rmt3d thermal --model M --benchmark B [--checker-watts W]`: a
+/// steady-state thermal solve of one run's power map.
+fn run_thermal_command(mut a: Args) -> Result<ExitCode, String> {
+    let model = a.model()?;
+    let bench = a.benchmark()?;
+    let watts = a.parsed("--checker-watts")?.unwrap_or(7.0);
+    let quiet = a.flag("--quiet");
+    a.finish()?;
+    check_range(
+        "--checker-watts",
+        Some(watts),
+        |w| w >= 0.0,
+        "a finite, non-negative wattage",
+    )?;
+    let perf = simulate(
+        &SimConfig::nominal(
+            model,
+            RunScale {
+                warmup_instructions: 50_000,
+                instructions: 300_000,
+                thermal_grid: 50,
+            },
+        ),
+        bench,
+    );
+    let mut chip = build_power_map(
+        &perf,
+        &PowerMapConfig::with_checker(CheckerPowerModel::with_peak(Watts(watts))),
+    );
+    if model.has_checker() {
+        override_checker_power(&mut chip, Watts(watts));
+    }
+    let r = solve(&model.floorplan(), &chip.map, &ThermalConfig::paper()).expect("thermal solve");
+    if !quiet {
+        println!("model {} benchmark {} checker {} W", model, bench, watts);
+        println!("chip power: {:.1} W", chip.total().0);
+        println!("peak temperature: {}", r.peak());
+        for (d, _) in model.floorplan().dies.iter().enumerate() {
+            println!("  die {d}: {}", r.die_peak(d));
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `rmt3d experiment <name> [--paper] [--jobs N]`: regenerate one of
+/// the paper's tables or figures.
+fn run_experiment_command(mut a: Args) -> Result<ExitCode, String> {
+    let name = a.positional().ok_or("experiment requires a name")?;
+    let paper = a.flag("--paper");
+    let sim: Box<dyn Simulator> = match a.jobs()? {
+        None | Some(1) => Box::new(SerialSimulator),
+        Some(n) => Box::new(ParallelSimulator::new(n)),
+    };
+    a.finish()?;
+    let (benchmarks, scale): (Vec<Benchmark>, RunScale) = if paper {
+        (Benchmark::ALL.to_vec(), RunScale::paper())
+    } else {
+        (
+            vec![Benchmark::Gzip, Benchmark::Mcf, Benchmark::Swim],
+            RunScale {
+                warmup_instructions: 50_000,
+                instructions: 250_000,
+                thermal_grid: 50,
+            },
+        )
+    };
+    match name.as_str() {
+        "tables" => {
+            print!("{}", tables::table4_text());
+            print!("{}", tables::table5_text());
+            print!("{}", tables::table6_text());
+            print!("{}", tables::table7_text());
+            print!("{}", tables::table8_text());
+        }
+        "fig4" => print!(
+            "{}",
+            fig4::run_with(sim.as_ref(), &benchmarks, scale)
+                .expect("fig4")
+                .to_table()
+        ),
+        "fig5" => print!(
+            "{}",
+            fig5::run_with(sim.as_ref(), &benchmarks, scale)
+                .expect("fig5")
+                .to_table()
+        ),
+        "fig6" => print!("{}", fig6::run(&benchmarks, scale).to_table()),
+        "fig7" => print!("{}", fig7::run(&benchmarks, scale).to_table()),
+        "iso-thermal" => {
+            for w in [7.0, 15.0] {
+                let p = iso_thermal::run_with(sim.as_ref(), w, &benchmarks, scale)
+                    .expect("iso-thermal");
+                println!(
+                    "{:4.0} W checker: {:.2} GHz, perf loss {:.1}%",
+                    w,
+                    p.matched_frequency.value(),
+                    100.0 * p.performance_loss
+                );
+            }
+        }
+        "interconnect" => print!("{}", interconnect::run().to_table()),
+        "heterogeneous" => print!(
+            "{}",
+            heterogeneous::run(&benchmarks, scale)
+                .expect("heterogeneous")
+                .to_table()
+        ),
+        "margins" => {
+            let f7 = fig7::run(&benchmarks, scale);
+            print!("{}", margins::run(&f7, TechNode::N65, 12).to_table());
+        }
+        "dfs-ablation" => print!("{}", dfs_ablation::run(&benchmarks, scale).to_table()),
+        "hard-error" => print!("{}", hard_error::run(&benchmarks, scale).to_table()),
+        "summary" => print!("{}", rmt_summary::run(&benchmarks, scale).to_table()),
+        "tmr" => print!(
+            "{}",
+            tmr_study::run(Benchmark::Twolf, if paper { 20 } else { 6 }, 2e-3, 30_000).to_table()
+        ),
+        "interrupts" => print!("{}", interrupts::run(&benchmarks, 10_000, scale).to_table()),
+        "resilience" => print!("{}", resilience::run(&benchmarks, scale).to_table()),
+        "dtm" => print!(
+            "{}",
+            dtm::run(rmt3d_units::Celsius(82.0), &benchmarks, scale)
+                .expect("dtm study")
+                .to_table()
+        ),
+        "shared-cache" => print!(
+            "{}",
+            shared_cache::run(if paper { 400_000 } else { 80_000 }).to_table()
+        ),
+        "leakage" => {
+            let r = leakage_feedback::run(Benchmark::Gzip, scale).expect("coupled solve");
+            println!(
+                "leakage-temperature coupling: open-loop peak {:.2} C, \
+                 closed-loop {:.2} C (shift {:+.3} C in {} iterations) — negligible, \
+                 as the paper reports",
+                r.open_loop_peak.0,
+                r.closed_loop_peak.0,
+                r.peak_shift(),
+                r.iterations
+            );
+        }
+        other => return Err(format!("unknown experiment: {other}")),
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
 /// The `rmt3d sweep` subcommand: expand a declarative spec and run it
 /// on the parallel engine with the on-disk result cache.
-fn run_sweep_command(mut a: Args) -> ExitCode {
-    let models = match a
-        .opt("--models")
-        .and_then(|spec| parse_list(spec, &ProcessorModel::ALL, parse_model, "model"))
-    {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    let benchmarks = match a
-        .opt("--benchmarks")
-        .and_then(|spec| parse_list(spec, &Benchmark::ALL, |s| s.parse().ok(), "benchmark"))
-    {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let instructions = match a.parsed("--instructions") {
-        Ok(n) => n.unwrap_or(250_000),
-        Err(e) => return fail(&e),
-    };
-    let jobs = match a.parsed::<usize>("--jobs") {
-        Ok(Some(0)) => return fail("--jobs must be at least 1"),
-        Ok(Some(n)) => n,
-        Ok(None) => 0, // auto: one worker per available core
-        Err(e) => return fail(&e),
-    };
+fn run_sweep_command(mut a: Args) -> Result<ExitCode, String> {
+    let models = parse_list(
+        a.opt("--models")?,
+        &ProcessorModel::ALL,
+        |s| s.parse().ok(),
+        "model",
+    )?;
+    let benchmarks = parse_list(
+        a.opt("--benchmarks")?,
+        &Benchmark::ALL,
+        |s| s.parse().ok(),
+        "benchmark",
+    )?;
+    let instructions = a.parsed("--instructions")?.unwrap_or(250_000);
+    let jobs = a.jobs()?.unwrap_or(0); // 0: the pool's automatic size
     let resume = a.flag("--resume");
     let no_cache = a.flag("--no-cache");
-    let out_dir = match a.opt("--out-dir") {
-        Ok(d) => PathBuf::from(d.unwrap_or_else(|| "target/sweep-cache".into())),
-        Err(e) => return fail(&e),
-    };
-    let cache_max_bytes = match a.parsed::<u64>("--cache-max-bytes") {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+    let out_dir = PathBuf::from(a.opt_or("--out-dir", DEFAULT_CACHE_DIR)?);
+    let cache_max_bytes = a.parsed::<u64>("--cache-max-bytes")?;
     let quiet = a.flag("--quiet");
-    let trace_out = match a.opt("--trace-out") {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let stall_factor = match a.parsed::<f64>("--stall-factor") {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let ledger_opts = match runctl::LedgerOpts::from_args(&mut a) {
-        Ok(l) => l,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
+    let trace_out = a.opt("--trace-out")?;
+    let stall_factor = a.parsed::<f64>("--stall-factor")?;
+    let ledger_opts = runctl::LedgerOpts::from_args(&mut a)?;
+    a.finish()?;
     if resume && no_cache {
-        return fail("--resume and --no-cache are mutually exclusive");
+        return Err("--resume and --no-cache are mutually exclusive".into());
     }
     if cache_max_bytes.is_some() && no_cache {
-        return fail("--cache-max-bytes has no effect with --no-cache");
+        return Err("--cache-max-bytes has no effect with --no-cache".into());
     }
-    if stall_factor.is_some_and(|f| f.is_nan() || f <= 1.0) {
-        return fail("--stall-factor must be greater than 1");
-    }
+    let watchdog = stall_watchdog(stall_factor)?;
     let cache = if no_cache {
         CacheMode::Disabled
     } else {
         if resume && !out_dir.is_dir() {
-            return fail(&format!(
+            return Err(format!(
                 "--resume requires an existing cache directory, but {} does not exist",
                 out_dir.display()
             ));
@@ -403,10 +667,7 @@ fn run_sweep_command(mut a: Args) -> ExitCode {
     let opts = SweepOptions {
         jobs,
         cache,
-        watchdog: stall_factor.map(|multiplier| WatchdogConfig {
-            multiplier,
-            ..WatchdogConfig::default()
-        }),
+        watchdog,
         cancel: None,
     };
     if !quiet {
@@ -423,21 +684,10 @@ fn run_sweep_command(mut a: Args) -> ExitCode {
     let sweep_jobs = spec.expand();
     let canonicals: Vec<String> = sweep_jobs.iter().map(|j| j.canonical()).collect();
     let config = vec![
-        (
-            "models".to_string(),
-            models
-                .iter()
-                .map(|m| m.name())
-                .collect::<Vec<_>>()
-                .join(","),
-        ),
+        ("models".to_string(), joined(&models, ProcessorModel::name)),
         (
             "benchmarks".to_string(),
-            benchmarks
-                .iter()
-                .map(|b| b.name())
-                .collect::<Vec<_>>()
-                .join(","),
+            joined(&benchmarks, Benchmark::name),
         ),
         ("instructions".to_string(), instructions.to_string()),
         ("workers".to_string(), opts.worker_count().to_string()),
@@ -458,30 +708,11 @@ fn run_sweep_command(mut a: Args) -> ExitCode {
         quiet,
     );
 
-    let writer: Box<dyn Write> = match &trace_out {
-        Some(path) => match File::create(path) {
-            Ok(f) => Box::new(io::BufWriter::new(f)),
-            Err(e) => return fail(&format!("cannot create {path}: {e}")),
-        },
-        None => Box::new(io::sink()),
-    };
-    let jsonl = JsonlSink::new(writer);
-    let mut sink = (
-        ProgressSink { quiet },
-        (
-            jsonl.clone(),
-            runctl::ObserverSink(tracker.as_mut().map(|t| &mut t.observer)),
-        ),
-    );
-    let report = match run_sweep(sweep_jobs, &opts, &mut sink) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
+    let jsonl = trace_sink(trace_out.as_deref())?;
+    let mut sink = pool_sink(quiet, &jsonl, &mut tracker);
+    let report = run_sweep(sweep_jobs, &opts, &mut sink)?;
     drop(sink);
-    let mut jsonl = jsonl;
-    if let Err(e) = jsonl.finish() {
-        return fail(&format!("trace write failed: {e}"));
-    }
+    finish_trace(jsonl)?;
     if let Some(tracker) = tracker {
         tracker.finish(if report.failures > 0 { "failed" } else { "ok" }, None);
     }
@@ -500,101 +731,53 @@ fn run_sweep_command(mut a: Args) -> ExitCode {
     }
 
     for record in &report.records {
+        let label = record.job.label();
         match &record.outcome {
-            Ok(r) => println!(
-                "{:28} IPC {:.3}  L2 {:5.2} misses/10K  checker {:.2} f",
-                record.job.label(),
-                r.ipc(),
-                r.l2_misses_per_10k(),
-                r.mean_checker_fraction,
-            ),
-            Err(e) => println!("{:28} FAILED: {e}", record.job.label()),
+            Ok(r) => println!("{}", sweep_line(&label, r)),
+            Err(e) => println!("{label:28} FAILED: {e}"),
         }
     }
     println!("{}", report.summary());
-    if report.failures > 0 {
+    Ok(if report.failures > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// The `rmt3d campaign` subcommand: expand a fault-injection grid, run
 /// it on the parallel engine, write the JSONL coverage report, and — on
 /// a violation — minimize the first one into a regression fixture.
-fn run_campaign_command(mut a: Args) -> ExitCode {
-    let sites = match a.opt("--sites").and_then(|spec| {
-        parse_list(
-            spec,
-            &FaultSite::ALL,
-            |s| FaultSite::parse(s).ok(),
-            "fault site",
-        )
-    }) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let benchmarks = match a.opt("--benchmarks") {
+fn run_campaign_command(mut a: Args) -> Result<ExitCode, String> {
+    let sites = parse_list(
+        a.opt("--sites")?,
+        &FaultSite::ALL,
+        |s| FaultSite::parse(s).ok(),
+        "fault site",
+    )?;
+    let benchmarks = match a.opt("--benchmarks")? {
         // The curated default slice differs from `all`: five profiles
         // spanning branchy and memory-bound behaviour.
-        Ok(None) => DEFAULT_BENCHMARKS.to_vec(),
-        Ok(spec) => match parse_list(spec, &Benchmark::ALL, |s| s.parse().ok(), "benchmark") {
-            Ok(b) => b,
-            Err(e) => return fail(&e),
-        },
-        Err(e) => return fail(&e),
+        None => DEFAULT_BENCHMARKS.to_vec(),
+        spec => parse_list(spec, &Benchmark::ALL, |s| s.parse().ok(), "benchmark")?,
     };
-    let faults_per_cell = match a.parsed::<usize>("--faults-per-site") {
-        Ok(n) => n.unwrap_or(40),
-        Err(e) => return fail(&e),
-    };
-    let seed = match a.parsed::<u64>("--seed") {
-        Ok(n) => n.unwrap_or(42),
-        Err(e) => return fail(&e),
-    };
-    let instructions = match a.parsed::<u64>("--instructions") {
-        Ok(n) => n.unwrap_or(20_000),
-        Err(e) => return fail(&e),
-    };
-    let jobs = match a.parsed::<usize>("--jobs") {
-        Ok(Some(0)) => return fail("--jobs must be at least 1"),
-        Ok(Some(n)) => n,
-        Ok(None) => 0, // auto: one worker per available core
-        Err(e) => return fail(&e),
-    };
-    let out_dir = match a.opt("--out-dir") {
-        Ok(d) => PathBuf::from(d.unwrap_or_else(|| "target/campaign".into())),
-        Err(e) => return fail(&e),
-    };
-    let sabotage = match a.opt("--sabotage") {
-        Ok(None) => None,
-        Ok(Some(s)) => match FaultSite::parse(&s) {
-            Ok(site) => Some(site),
-            Err(e) => return fail(&e),
-        },
-        Err(e) => return fail(&e),
-    };
+    let faults_per_cell = a.parsed::<usize>("--faults-per-site")?.unwrap_or(40);
+    let seed = a.parsed::<u64>("--seed")?.unwrap_or(42);
+    let instructions = a.parsed::<u64>("--instructions")?.unwrap_or(20_000);
+    let jobs = a.jobs()?.unwrap_or(0); // 0: the pool's automatic size
+    let out_dir = PathBuf::from(a.opt_or("--out-dir", "target/campaign")?);
+    let sabotage = a
+        .opt("--sabotage")?
+        .map(|s| FaultSite::parse(&s))
+        .transpose()?;
     let journal = a.flag("--journal");
     let resume = a.flag("--resume");
     let quiet = a.flag("--quiet");
-    let trace_out = match a.opt("--trace-out") {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let stall_factor = match a.parsed::<f64>("--stall-factor") {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let ledger_opts = match runctl::LedgerOpts::from_args(&mut a) {
-        Ok(l) => l,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
-    if stall_factor.is_some_and(|f| f.is_nan() || f <= 1.0) {
-        return fail("--stall-factor must be greater than 1");
-    }
+    let trace_out = a.opt("--trace-out")?;
+    let stall_factor = a.parsed::<f64>("--stall-factor")?;
+    let ledger_opts = runctl::LedgerOpts::from_args(&mut a)?;
+    a.finish()?;
+    let watchdog = stall_watchdog(stall_factor)?;
 
     let mut spec = CampaignSpec {
         sites,
@@ -605,14 +788,9 @@ fn run_campaign_command(mut a: Args) -> ExitCode {
         ecc: EccConfig::paper(),
     };
     if let Some(site) = sabotage {
-        spec = match spec.sabotage(site) {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        };
+        spec = spec.sabotage(site)?;
     }
-    if let Err(e) = spec.validate() {
-        return fail(&e);
-    }
+    spec.validate()?;
     if !quiet {
         eprintln!(
             "campaign: {} trials ({} sites x {} benchmarks x {} faults, \
@@ -633,21 +811,10 @@ fn run_campaign_command(mut a: Args) -> ExitCode {
 
     let campaign_canonical = spec.canonical();
     let config = vec![
-        (
-            "sites".to_string(),
-            spec.sites
-                .iter()
-                .map(|s| s.name())
-                .collect::<Vec<_>>()
-                .join(","),
-        ),
+        ("sites".to_string(), joined(&spec.sites, FaultSite::name)),
         (
             "benchmarks".to_string(),
-            spec.benchmarks
-                .iter()
-                .map(|b| b.name())
-                .collect::<Vec<_>>()
-                .join(","),
+            joined(&spec.benchmarks, Benchmark::name),
         ),
         (
             "faults_per_site".to_string(),
@@ -665,35 +832,15 @@ fn run_campaign_command(mut a: Args) -> ExitCode {
         quiet,
     );
 
-    let writer: Box<dyn Write> = match &trace_out {
-        Some(path) => match File::create(path) {
-            Ok(f) => Box::new(io::BufWriter::new(f)),
-            Err(e) => return fail(&format!("cannot create {path}: {e}")),
-        },
-        None => Box::new(io::sink()),
-    };
-    let jsonl = JsonlSink::new(writer);
-    let mut sink = (
-        ProgressSink { quiet },
-        (
-            jsonl.clone(),
-            runctl::ObserverSink(tracker.as_mut().map(|t| &mut t.observer)),
-        ),
-    );
-    let watchdog = stall_factor.map(|multiplier| WatchdogConfig {
-        multiplier,
-        ..WatchdogConfig::default()
-    });
+    let jsonl = trace_sink(trace_out.as_deref())?;
+    let mut sink = pool_sink(quiet, &jsonl, &mut tracker);
     let opts = CampaignOptions {
         jobs,
         watchdog,
         journal: (journal || resume).then(|| out_dir.join(JOURNAL_FILE)),
         resume,
     };
-    let run = match run_campaign_with(&spec, &opts, &mut sink) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
+    let run = run_campaign_with(&spec, &opts, &mut sink)?;
     if !quiet {
         if let Some(reason) = &run.journal_discarded {
             eprintln!("campaign: journal discarded ({reason}); starting fresh");
@@ -707,10 +854,7 @@ fn run_campaign_command(mut a: Args) -> ExitCode {
     }
     let report = run.report;
     drop(sink);
-    let mut jsonl = jsonl;
-    if let Err(e) = jsonl.finish() {
-        return fail(&format!("trace write failed: {e}"));
-    }
+    finish_trace(jsonl)?;
     if let Some(tracker) = tracker {
         tracker.finish(
             if report.violations().is_empty() {
@@ -723,9 +867,8 @@ fn run_campaign_command(mut a: Args) -> ExitCode {
     }
 
     let report_path = out_dir.join("campaign.jsonl");
-    if let Err(e) = write_atomic(&report_path, &report.to_jsonl()) {
-        return fail(&format!("cannot write {}: {e}", report_path.display()));
-    }
+    write_atomic(&report_path, &report.to_jsonl())
+        .map_err(|e| format!("cannot write {}: {e}", report_path.display()))?;
 
     for s in report.site_summaries() {
         println!(
@@ -768,11 +911,11 @@ fn run_campaign_command(mut a: Args) -> ExitCode {
             }
         }
     }
-    if violations.is_empty() {
+    Ok(if violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 fn main() -> ExitCode {
@@ -780,272 +923,25 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    let mut a = Args::new(&args[1..]);
-    match cmd.as_str() {
-        "list" => {
-            if let Err(e) = a.finish() {
-                return fail(&e);
-            }
-            println!("models:");
-            for m in ProcessorModel::ALL {
-                println!(
-                    "  {:11} {} MB L2, checker: {}",
-                    m.name(),
-                    m.nuca_layout().bank_count(),
-                    if m.has_checker() { "yes" } else { "no" }
-                );
-            }
-            println!("benchmarks:");
-            for b in Benchmark::ALL {
-                println!("  {:8} ({})", b.name(), b.suite());
-            }
-            ExitCode::SUCCESS
-        }
-        "simulate" => {
-            let model = match a.opt("--model") {
-                Ok(Some(m)) => match parse_model(&m) {
-                    Some(m) => m,
-                    None => return fail(&format!("unknown model: {m}")),
-                },
-                Ok(None) => return fail("--model is required"),
-                Err(e) => return fail(&e),
-            };
-            let bench: Benchmark = match a.opt("--benchmark") {
-                Ok(Some(b)) => match b.parse() {
-                    Ok(b) => b,
-                    Err(_) => return fail(&format!("unknown benchmark: {b}")),
-                },
-                Ok(None) => return fail("--benchmark is required"),
-                Err(e) => return fail(&e),
-            };
-            let instructions = match a.parsed("--instructions") {
-                Ok(n) => n.unwrap_or(500_000),
-                Err(e) => return fail(&e),
-            };
-            let ways = a.flag("--ways");
-            let quiet = a.flag("--quiet");
-            let telemetry = match TelemetryOpts::from_args(&mut a) {
-                Ok(t) => t,
-                Err(e) => return fail(&e),
-            };
-            if let Err(e) = a.finish() {
-                return fail(&e);
-            }
-            let mut cfg = SimConfig::nominal(
-                model,
-                RunScale {
-                    warmup_instructions: instructions / 10,
-                    instructions,
-                    thermal_grid: 50,
-                },
+    let Some((_, run)) = COMMANDS.iter().find(|(name, _)| name == cmd) else {
+        return fail(&format!("unknown command: {cmd}"));
+    };
+    run(Args::new(&args[1..])).unwrap_or_else(|e| fail(&e))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_command_is_listed_in_the_usage_text() {
+        for (name, _) in COMMANDS {
+            assert!(
+                USAGE
+                    .lines()
+                    .any(|line| line.split_whitespace().next() == Some(name)),
+                "{name} missing from the usage text"
             );
-            if ways {
-                cfg.policy = NucaPolicy::DistributedWays;
-            }
-            let r = if telemetry.enabled() {
-                match run_traced(&cfg, bench, &telemetry) {
-                    Ok(r) => r,
-                    Err(e) => return fail(&e),
-                }
-            } else {
-                simulate(&cfg, bench)
-            };
-            if !quiet {
-                println!(
-                    "model {} benchmark {} ({} instructions)",
-                    model, bench, instructions
-                );
-                println!("IPC: {:.3}", r.ipc());
-                println!(
-                    "L2: {:.1}-cycle mean hit, {:.2} misses/10K",
-                    r.l2.mean_hit_cycles(),
-                    r.l2_misses_per_10k()
-                );
-                if model.has_checker() {
-                    println!("checker mean frequency: {:.2} f", r.mean_checker_fraction);
-                }
-            }
-            ExitCode::SUCCESS
         }
-        "thermal" => {
-            let model = match a.opt("--model") {
-                Ok(Some(m)) => match parse_model(&m) {
-                    Some(m) => m,
-                    None => return fail(&format!("unknown model: {m}")),
-                },
-                Ok(None) => return fail("--model is required"),
-                Err(e) => return fail(&e),
-            };
-            let bench: Benchmark = match a.opt("--benchmark") {
-                Ok(Some(b)) => match b.parse() {
-                    Ok(b) => b,
-                    Err(_) => return fail(&format!("unknown benchmark: {b}")),
-                },
-                Ok(None) => return fail("--benchmark is required"),
-                Err(e) => return fail(&e),
-            };
-            let watts = match a.parsed("--checker-watts") {
-                Ok(w) => w.unwrap_or(7.0),
-                Err(e) => return fail(&e),
-            };
-            let quiet = a.flag("--quiet");
-            if let Err(e) = a.finish() {
-                return fail(&e);
-            }
-            let perf = simulate(
-                &SimConfig::nominal(
-                    model,
-                    RunScale {
-                        warmup_instructions: 50_000,
-                        instructions: 300_000,
-                        thermal_grid: 50,
-                    },
-                ),
-                bench,
-            );
-            let mut chip = build_power_map(
-                &perf,
-                &PowerMapConfig::with_checker(CheckerPowerModel::with_peak(Watts(watts))),
-            );
-            if model.has_checker() {
-                override_checker_power(&mut chip, Watts(watts));
-            }
-            let r = solve(&model.floorplan(), &chip.map, &ThermalConfig::paper())
-                .expect("thermal solve");
-            if !quiet {
-                println!("model {} benchmark {} checker {} W", model, bench, watts);
-                println!("chip power: {:.1} W", chip.total().0);
-                println!("peak temperature: {}", r.peak());
-                for (d, _) in model.floorplan().dies.iter().enumerate() {
-                    println!("  die {d}: {}", r.die_peak(d));
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        "experiment" => {
-            let Some(name) = a.positional() else {
-                return fail("experiment requires a name");
-            };
-            let paper = a.flag("--paper");
-            let sim: Box<dyn Simulator> = match a.parsed::<usize>("--jobs") {
-                Ok(Some(0)) => return fail("--jobs must be at least 1"),
-                Ok(Some(1)) | Ok(None) => Box::new(SerialSimulator),
-                Ok(Some(n)) => Box::new(ParallelSimulator::new(n)),
-                Err(e) => return fail(&e),
-            };
-            if let Err(e) = a.finish() {
-                return fail(&e);
-            }
-            let (benchmarks, scale): (Vec<Benchmark>, RunScale) = if paper {
-                (Benchmark::ALL.to_vec(), RunScale::paper())
-            } else {
-                (
-                    vec![Benchmark::Gzip, Benchmark::Mcf, Benchmark::Swim],
-                    RunScale {
-                        warmup_instructions: 50_000,
-                        instructions: 250_000,
-                        thermal_grid: 50,
-                    },
-                )
-            };
-            match name.as_str() {
-                "tables" => {
-                    print!("{}", tables::table4_text());
-                    print!("{}", tables::table5_text());
-                    print!("{}", tables::table6_text());
-                    print!("{}", tables::table7_text());
-                    print!("{}", tables::table8_text());
-                }
-                "fig4" => print!(
-                    "{}",
-                    fig4::run_with(sim.as_ref(), &benchmarks, scale)
-                        .expect("fig4")
-                        .to_table()
-                ),
-                "fig5" => print!(
-                    "{}",
-                    fig5::run_with(sim.as_ref(), &benchmarks, scale)
-                        .expect("fig5")
-                        .to_table()
-                ),
-                "fig6" => print!("{}", fig6::run(&benchmarks, scale).to_table()),
-                "fig7" => print!("{}", fig7::run(&benchmarks, scale).to_table()),
-                "iso-thermal" => {
-                    for w in [7.0, 15.0] {
-                        let p = iso_thermal::run_with(sim.as_ref(), w, &benchmarks, scale)
-                            .expect("iso-thermal");
-                        println!(
-                            "{:4.0} W checker: {:.2} GHz, perf loss {:.1}%",
-                            w,
-                            p.matched_frequency.value(),
-                            100.0 * p.performance_loss
-                        );
-                    }
-                }
-                "interconnect" => print!("{}", interconnect::run().to_table()),
-                "heterogeneous" => print!(
-                    "{}",
-                    heterogeneous::run(&benchmarks, scale)
-                        .expect("heterogeneous")
-                        .to_table()
-                ),
-                "margins" => {
-                    let f7 = fig7::run(&benchmarks, scale);
-                    print!("{}", margins::run(&f7, TechNode::N65, 12).to_table());
-                }
-                "dfs-ablation" => print!("{}", dfs_ablation::run(&benchmarks, scale).to_table()),
-                "hard-error" => print!("{}", hard_error::run(&benchmarks, scale).to_table()),
-                "summary" => print!("{}", rmt_summary::run(&benchmarks, scale).to_table()),
-                "tmr" => print!(
-                    "{}",
-                    tmr_study::run(Benchmark::Twolf, if paper { 20 } else { 6 }, 2e-3, 30_000)
-                        .to_table()
-                ),
-                "interrupts" => {
-                    print!("{}", interrupts::run(&benchmarks, 10_000, scale).to_table())
-                }
-                "resilience" => print!("{}", resilience::run(&benchmarks, scale).to_table()),
-                "dtm" => print!(
-                    "{}",
-                    dtm::run(rmt3d_units::Celsius(82.0), &benchmarks, scale)
-                        .expect("dtm study")
-                        .to_table()
-                ),
-                "shared-cache" => print!(
-                    "{}",
-                    shared_cache::run(if paper { 400_000 } else { 80_000 }).to_table()
-                ),
-                "leakage" => {
-                    let r = leakage_feedback::run(Benchmark::Gzip, scale).expect("coupled solve");
-                    println!(
-                        "leakage-temperature coupling: open-loop peak {:.2} C, \
-                         closed-loop {:.2} C (shift {:+.3} C in {} iterations) — negligible, \
-                         as the paper reports",
-                        r.open_loop_peak.0,
-                        r.closed_loop_peak.0,
-                        r.peak_shift(),
-                        r.iterations
-                    );
-                }
-                other => return fail(&format!("unknown experiment: {other}")),
-            }
-            ExitCode::SUCCESS
-        }
-        "sweep" => run_sweep_command(a),
-        "campaign" => run_campaign_command(a),
-        "profile" => profile::run_profile_command(a),
-        "trace-report" => profile::run_trace_report_command(a),
-        "bench-gate" => profile::run_bench_gate_command(a),
-        "status" => runctl::run_status_command(a),
-        "report" => runctl::run_report_command(a),
-        "serve" => servecmd::run_serve_command(a),
-        "submit" => servecmd::run_submit_command(a),
-        "jobs" => servecmd::run_jobs_command(a),
-        "cancel" => servecmd::run_cancel_command(a),
-        "watch" => servecmd::run_watch_command(a),
-        "stats" => servecmd::run_stats_command(a),
-        "top" => servecmd::run_top_command(a),
-        "shutdown" => servecmd::run_shutdown_command(a),
-        other => fail(&format!("unknown command: {other}")),
     }
 }

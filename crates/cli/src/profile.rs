@@ -13,15 +13,13 @@
 //!   wall-clock regressions beyond a tolerance or on any drift in a
 //!   deterministic stat.
 
-use crate::args::Args;
+use crate::args::{check_range, Args};
 use crate::runctl;
-use crate::{fail, parse_model};
 use rmt3d::telemetry::json::{parse, JsonObject, JsonValue};
 use rmt3d::telemetry::{
     CollectorSink, CpiComponent, CpiStack, Event, MetricsRegistry, Sink, TraceEventSink,
 };
 use rmt3d::{simulate_traced, RunScale, SimConfig};
-use rmt3d_workload::Benchmark;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
@@ -30,52 +28,23 @@ use std::process::ExitCode;
 /// `rmt3d profile --model M --benchmark B`: run with the profiler
 /// sinks attached, print the CPI stacks and histograms, and export a
 /// Perfetto trace.
-pub fn run_profile_command(mut a: Args) -> ExitCode {
-    let model = match a.opt("--model") {
-        Ok(Some(m)) => match parse_model(&m) {
-            Some(m) => m,
-            None => return fail(&format!("unknown model: {m}")),
-        },
-        Ok(None) => return fail("--model is required"),
-        Err(e) => return fail(&e),
-    };
-    let bench: Benchmark = match a.opt("--benchmark") {
-        Ok(Some(b)) => match b.parse() {
-            Ok(b) => b,
-            Err(_) => return fail(&format!("unknown benchmark: {b}")),
-        },
-        Ok(None) => return fail("--benchmark is required"),
-        Err(e) => return fail(&e),
-    };
-    let instructions = match a.parsed("--instructions") {
-        Ok(n) => n.unwrap_or(200_000),
-        Err(e) => return fail(&e),
-    };
-    let sample_interval = match a.parsed("--sample-interval") {
-        Ok(n) => n.unwrap_or(1_000),
-        Err(e) => return fail(&e),
-    };
-    let out_dir = match a.opt("--out-dir") {
-        Ok(d) => PathBuf::from(d.unwrap_or_else(|| "target/profile".into())),
-        Err(e) => return fail(&e),
-    };
+pub fn run_profile_command(mut a: Args) -> Result<ExitCode, String> {
+    let model = a.model()?;
+    let bench = a.benchmark()?;
+    let instructions = a.parsed("--instructions")?.unwrap_or(200_000);
+    let sample_interval = a.parsed("--sample-interval")?.unwrap_or(1_000);
+    let out_dir = PathBuf::from(a.opt_or("--out-dir", "target/profile")?);
     let quiet = a.flag("--quiet");
-    let ledger_opts = match runctl::LedgerOpts::from_args(&mut a) {
-        Ok(l) => l,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
+    let ledger_opts = runctl::LedgerOpts::from_args(&mut a)?;
+    a.finish()?;
 
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        return fail(&format!("cannot create {}: {e}", out_dir.display()));
-    }
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
     let trace_path = out_dir.join(format!("{model}-{bench}.trace.json"));
-    let writer = match File::create(&trace_path) {
-        Ok(f) => BufWriter::new(f),
-        Err(e) => return fail(&format!("cannot create {}: {e}", trace_path.display())),
-    };
+    let writer = BufWriter::new(
+        File::create(&trace_path)
+            .map_err(|e| format!("cannot create {}: {e}", trace_path.display()))?,
+    );
 
     let cfg = SimConfig::nominal(
         model,
@@ -122,9 +91,9 @@ pub fn run_profile_command(mut a: Args) -> ExitCode {
         (collector.clone(), trace.clone()),
     );
     let wall_nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    if let Err(e) = trace.finish() {
-        return fail(&format!("trace write failed: {e}"));
-    }
+    trace
+        .finish()
+        .map_err(|e| format!("trace write failed: {e}"))?;
     let snapshot = collector.snapshot();
     if let Some(t) = tracker.as_mut() {
         t.observer.record(&rmt3d::telemetry::Event::JobFinished {
@@ -178,7 +147,7 @@ pub fn run_profile_command(mut a: Args) -> ExitCode {
              `rmt3d trace-report` from a simulate --trace-out JSONL"
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Maps an exported counter-series name back to its CPI component and
@@ -201,28 +170,15 @@ fn cpi_series(name: &str) -> Option<(bool, CpiComponent)> {
 /// `TraceEventSink` that `profile` uses live, so the `.trace.json` is
 /// byte-identical to a live one — the offline path for the daemon's
 /// `daemon.trace.jsonl`, whose job spans become async timeline events.
-pub fn run_trace_report_command(mut a: Args) -> ExitCode {
-    let path = match a.opt("--in") {
-        Ok(Some(p)) => p,
-        Ok(None) => return fail("--in is required"),
-        Err(e) => return fail(&e),
-    };
-    let chrome_out = match a.opt("--chrome-out") {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
+pub fn run_trace_report_command(mut a: Args) -> Result<ExitCode, String> {
+    let path = a.required("--in")?;
+    let chrome_out = a.opt("--chrome-out")?;
+    a.finish()?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut chrome = match &chrome_out {
-        Some(out) => match File::create(out) {
-            Ok(f) => Some(TraceEventSink::new(BufWriter::new(f))),
-            Err(e) => return fail(&format!("cannot create {out}: {e}")),
-        },
+        Some(out) => Some(TraceEventSink::new(BufWriter::new(
+            File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?,
+        ))),
         None => None,
     };
 
@@ -235,10 +191,8 @@ pub fn run_trace_report_command(mut a: Args) -> ExitCode {
         if line.is_empty() {
             continue;
         }
-        let event = match Event::from_json_line(line) {
-            Ok(e) => e,
-            Err(e) => return fail(&format!("{path}:{}: {e}", lineno + 1)),
-        };
+        let event =
+            Event::from_json_line(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
         events += 1;
         // The trailing metrics-summary line is counted but has no event
         // form.
@@ -278,9 +232,9 @@ pub fn run_trace_report_command(mut a: Args) -> ExitCode {
     }
 
     if let Some(mut chrome) = chrome {
-        if let Err(e) = chrome.finish() {
-            return fail(&format!("chrome trace write failed: {e}"));
-        }
+        chrome
+            .finish()
+            .map_err(|e| format!("chrome trace write failed: {e}"))?;
         if let Some(out) = &chrome_out {
             println!("chrome trace: {out}");
         }
@@ -303,7 +257,7 @@ pub fn run_trace_report_command(mut a: Args) -> ExitCode {
         println!("-- histograms --");
         print!("{}", registry.format_histograms());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One record from an `RMT3D_BENCH_JSON` file: either a timed target
@@ -360,38 +314,22 @@ fn stat_of(records: &[(String, BenchRecord)], target: &str, stat: &str) -> Optio
 /// [--json]`: compare two bench JSONL files; exit non-zero on
 /// regression. `--json` replaces the human table with one strict-JSON
 /// result line for CI consumption.
-pub fn run_bench_gate_command(mut a: Args) -> ExitCode {
-    let baseline_path = match a.opt("--baseline") {
-        Ok(Some(p)) => p,
-        Ok(None) => return fail("--baseline is required"),
-        Err(e) => return fail(&e),
-    };
-    let current_path = match a.opt("--current") {
-        Ok(Some(p)) => p,
-        Ok(None) => return fail("--current is required"),
-        Err(e) => return fail(&e),
-    };
-    let tolerance = match a.parsed::<f64>("--tolerance") {
-        Ok(t) => t.unwrap_or(10.0),
-        Err(e) => return fail(&e),
-    };
+pub fn run_bench_gate_command(mut a: Args) -> Result<ExitCode, String> {
+    let baseline_path = a.required("--baseline")?;
+    let current_path = a.required("--current")?;
+    let tolerance = a.parsed::<f64>("--tolerance")?.unwrap_or(10.0);
     let json = a.flag("--json");
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
-    if !(0.0..1000.0).contains(&tolerance) {
-        return fail("--tolerance must be a percentage in [0, 1000)");
-    }
-    let baseline = match read_bench_file(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let current = match read_bench_file(&current_path) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
+    a.finish()?;
+    check_range(
+        "--tolerance",
+        Some(tolerance),
+        |t| (0.0..1000.0).contains(&t),
+        "a percentage in [0, 1000)",
+    )?;
+    let baseline = read_bench_file(&baseline_path)?;
+    let current = read_bench_file(&current_path)?;
     if baseline.is_empty() {
-        return fail(&format!("{baseline_path} contains no records"));
+        return Err(format!("{baseline_path} contains no records"));
     }
 
     let mut violations = 0u32;
@@ -497,11 +435,11 @@ pub fn run_bench_gate_command(mut a: Args) -> ExitCode {
     } else {
         println!("bench gate: clean");
     }
-    if violations > 0 {
+    Ok(if violations > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 // The subcommands above are exercised end-to-end by the CLI

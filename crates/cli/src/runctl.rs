@@ -13,7 +13,6 @@
 //! warnings: observability must never fail the run it observes.
 
 use crate::args::Args;
-use crate::fail;
 use rmt3d_obs::durable::write_atomic;
 use rmt3d_obs::ledger::{format_unix_ms, RunLedger, METRICS_FILE, REPORT_FILE, STATUS_FILE};
 use rmt3d_obs::metricsio::{metrics_to_json, parse_metrics};
@@ -21,10 +20,6 @@ use rmt3d_obs::{render_html_with, DaemonSeries, Manifest, ReportOptions, RunObse
 use rmt3d_telemetry::{Event, MetricsRegistry, Sink};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
-
-/// Default runs root, relative to the working directory.
-pub const DEFAULT_RUNS_ROOT: &str = "target/runs";
 
 /// Shared `--runs-root` / `--no-ledger` flags.
 pub struct LedgerOpts {
@@ -37,11 +32,9 @@ pub struct LedgerOpts {
 impl LedgerOpts {
     /// Consumes the ledger flags from an argument list.
     pub fn from_args(a: &mut Args) -> Result<LedgerOpts, String> {
-        let root = a.opt("--runs-root")?;
-        let enabled = !a.flag("--no-ledger");
         Ok(LedgerOpts {
-            root: PathBuf::from(root.unwrap_or_else(|| DEFAULT_RUNS_ROOT.into())),
-            enabled,
+            root: a.runs_root()?,
+            enabled: !a.flag("--no-ledger"),
         })
     }
 }
@@ -134,8 +127,7 @@ impl Sink for ObserverSink<'_> {
 }
 
 fn open_resolved(a: &mut Args) -> Result<(RunLedger, String), String> {
-    let root = a.opt("--runs-root")?;
-    let root = PathBuf::from(root.unwrap_or_else(|| DEFAULT_RUNS_ROOT.into()));
+    let root = a.runs_root()?;
     let run = a.opt("--run")?;
     let ledger =
         RunLedger::open(&root).map_err(|e| format!("cannot open {}: {e}", root.display()))?;
@@ -189,37 +181,24 @@ fn print_status(manifest: &Manifest, status: Option<&RunStatus>) {
 /// when the scheduler starts it, so "submit, then watch the latest
 /// run" would otherwise race the daemon. Without `--follow` a missing
 /// run is still an immediate error.
-pub fn run_status_command(mut a: Args) -> ExitCode {
-    let follow = a.flag("--follow");
-    let interval = match a.parsed::<u64>("--interval") {
-        Ok(Some(0)) => return fail("--interval must be at least 1 millisecond"),
-        Ok(Some(_)) if !follow => return fail("--interval requires --follow"),
-        Ok(Some(ms)) => Duration::from_millis(ms),
-        Ok(None) => Duration::from_millis(500),
-        Err(e) => return fail(&e),
-    };
-    let root = match a.opt("--runs-root") {
-        Ok(r) => PathBuf::from(r.unwrap_or_else(|| DEFAULT_RUNS_ROOT.into())),
-        Err(e) => return fail(&e),
-    };
-    let run = match a.opt("--run") {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
+pub fn run_status_command(mut a: Args) -> Result<ExitCode, String> {
+    let follow = a.interval_ms("--follow", 500)?;
+    let root = a.runs_root()?;
+    let run = a.opt("--run")?;
+    a.finish()?;
     let mut announced = false;
-    let mut wait = |e: String| -> Option<String> {
-        if !follow {
-            return Some(e);
-        }
+    // Under --follow a missing run or manifest is waited for; else it
+    // is the command's error.
+    let mut wait = |e: String| -> Result<(), String> {
+        let Some(interval) = follow else {
+            return Err(e);
+        };
         if !announced {
             eprintln!("status: waiting for the run to appear ({e})");
             announced = true;
         }
         std::thread::sleep(interval);
-        None
+        Ok(())
     };
     let (ledger, run_id) = loop {
         let resolved = RunLedger::open(&root)
@@ -231,26 +210,19 @@ pub fn run_status_command(mut a: Args) -> ExitCode {
             });
         match resolved {
             Ok(ok) => break ok,
-            Err(e) => {
-                if let Some(e) = wait(e) {
-                    return fail(&e);
-                }
-            }
+            Err(e) => wait(e)?,
         }
     };
     loop {
         let manifest = match load_manifest(&ledger, &run_id) {
             Ok(m) => m,
-            Err(e) => match wait(e) {
-                Some(e) => return fail(&e),
-                None => continue,
-            },
+            Err(e) => {
+                wait(e)?;
+                continue;
+            }
         };
-        let status = match load_status(&ledger, &run_id) {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        };
-        if follow {
+        let status = load_status(&ledger, &run_id)?;
+        if follow.is_some() {
             // Clear the screen between frames, watch(1)-style.
             print!("\x1b[2J\x1b[H");
         }
@@ -258,10 +230,10 @@ pub fn run_status_command(mut a: Args) -> ExitCode {
         let running = status
             .as_ref()
             .map_or(manifest.outcome == "running", |s| s.state == "running");
-        if !follow || !running {
-            return ExitCode::SUCCESS;
+        match follow {
+            Some(interval) if running => std::thread::sleep(interval),
+            _ => return Ok(ExitCode::SUCCESS),
         }
-        std::thread::sleep(interval);
     }
 }
 
@@ -272,59 +244,38 @@ pub fn run_status_command(mut a: Args) -> ExitCode {
 /// `--daemon-metrics` adds the daemon fleet panel from a
 /// `daemon.metrics.jsonl` time-series ring; `--refresh` embeds a meta
 /// refresh tag so a report regenerated in place reloads itself.
-pub fn run_report_command(mut a: Args) -> ExitCode {
+pub fn run_report_command(mut a: Args) -> Result<ExitCode, String> {
     let html = a.flag("--html");
-    let out = match a.opt("--out") {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    let daemon_metrics = match a.opt("--daemon-metrics") {
-        Ok(d) => d.map(PathBuf::from),
-        Err(e) => return fail(&e),
-    };
-    let refresh_secs = match a.parsed::<u64>("--refresh") {
-        Ok(Some(0)) => return fail("--refresh must be at least 1 second"),
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
-    let (ledger, run_id) = match open_resolved(&mut a) {
-        Ok(ok) => ok,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = a.finish() {
-        return fail(&e);
+    let out = a.opt("--out")?;
+    let daemon_metrics = a.opt("--daemon-metrics")?.map(PathBuf::from);
+    let refresh_secs = a.parsed::<u64>("--refresh")?;
+    if refresh_secs == Some(0) {
+        return Err("--refresh must be at least 1 second".into());
     }
+    let (ledger, run_id) = open_resolved(&mut a)?;
+    a.finish()?;
     if !html {
-        return fail("report currently supports only --html");
+        return Err("report currently supports only --html".into());
     }
-    let manifest = match load_manifest(&ledger, &run_id) {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    let status = match load_status(&ledger, &run_id) {
-        Ok(Some(s)) => s,
-        Ok(None) => {
-            // A run registered but killed before its first status write
-            // still gets a (sparse) report.
-            RunStatus::new(&manifest.run_id, &manifest.kind, manifest.total_jobs)
-        }
-        Err(e) => return fail(&e),
-    };
+    let manifest = load_manifest(&ledger, &run_id)?;
+    // A run registered but killed before its first status write still
+    // gets a (sparse) report.
+    let status = load_status(&ledger, &run_id)?
+        .unwrap_or_else(|| RunStatus::new(&manifest.run_id, &manifest.kind, manifest.total_jobs));
     let metrics_path = ledger.run_dir(&run_id).join(METRICS_FILE);
     let metrics = match std::fs::read_to_string(&metrics_path) {
-        Ok(text) => match parse_metrics(&text) {
-            Ok(m) => Some(m),
-            Err(e) => return fail(&format!("{}: {e}", metrics_path.display())),
-        },
+        Ok(text) => {
+            Some(parse_metrics(&text).map_err(|e| format!("{}: {e}", metrics_path.display()))?)
+        }
         Err(_) => None,
     };
     // An explicitly named ring that cannot be read is an error; an
     // empty or torn one still renders (the parser skips bad lines).
     let daemon = match &daemon_metrics {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => Some(DaemonSeries::parse(&text)),
-            Err(e) => return fail(&format!("cannot read {}: {e}", path.display())),
-        },
+        Some(path) => Some(DaemonSeries::parse(
+            &std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?,
+        )),
         None => None,
     };
     let rendered = render_html_with(
@@ -339,9 +290,8 @@ pub fn run_report_command(mut a: Args) -> ExitCode {
     let out_path = out
         .map(PathBuf::from)
         .unwrap_or_else(|| ledger.run_dir(&run_id).join(REPORT_FILE));
-    if let Err(e) = write_atomic(&out_path, &rendered) {
-        return fail(&format!("cannot write {}: {e}", out_path.display()));
-    }
+    write_atomic(&out_path, &rendered)
+        .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
     println!("report: {}", out_path.display());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -12,62 +12,48 @@
 //! job id (or, with `--wait`, the same result lines `rmt3d sweep`
 //! prints — byte-identical across cold and warm runs); `jobs`,
 //! `cancel`, and `shutdown` print the server's raw JSON response line;
-//! `watch` prints the raw event stream. Human chatter goes to stderr.
+//! `watch` prints the daemon's event lines exactly as received. Human
+//! chatter goes to stderr.
 
-use crate::args::Args;
-use crate::fail;
-use crate::runctl::DEFAULT_RUNS_ROOT;
+use crate::args::{Args, DEFAULT_CACHE_DIR};
+use crate::sweep_line;
 use rmt3d_serve::client::{self, DEFAULT_ADDR};
 use rmt3d_serve::{serve, ServeOptions};
 use rmt3d_sweep::codec;
-use rmt3d_telemetry::json::JsonValue;
+use rmt3d_telemetry::json::{write_json_string, JsonObject, JsonValue};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn addr_opt(a: &mut Args) -> Result<String, String> {
-    Ok(a.opt("--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()))
+    a.opt_or("--addr", DEFAULT_ADDR)
+}
+
+/// The `error` of an `{"ok":false,…}` server line, if it is one.
+fn server_error(v: &JsonValue) -> Option<String> {
+    (v.get("ok").and_then(JsonValue::as_bool) == Some(false)).then(|| {
+        v.get("error")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("server reported an error")
+            .to_string()
+    })
 }
 
 /// `rmt3d serve [--listen ADDR] [--state-dir DIR] [--out-dir DIR]
 /// [--jobs N] [--cache-max-bytes N] [--runs-root DIR] [--no-ledger]
 /// [--quiet]`: run the job daemon until a shutdown request drains it.
-pub fn run_serve_command(mut a: Args) -> ExitCode {
-    let listen = match a.opt("--listen") {
-        Ok(l) => l.unwrap_or_else(|| DEFAULT_ADDR.into()),
-        Err(e) => return fail(&e),
-    };
-    let state_dir = match a.opt("--state-dir") {
-        Ok(d) => PathBuf::from(d.unwrap_or_else(|| "target/serve".into())),
-        Err(e) => return fail(&e),
-    };
-    let cache_dir = match a.opt("--out-dir") {
-        Ok(d) => PathBuf::from(d.unwrap_or_else(|| "target/sweep-cache".into())),
-        Err(e) => return fail(&e),
-    };
-    let workers = match a.parsed::<usize>("--jobs") {
-        Ok(Some(0)) => return fail("--jobs must be at least 1"),
-        Ok(Some(n)) => n,
-        Ok(None) => 0, // auto: one worker per available core
-        Err(e) => return fail(&e),
-    };
-    let cache_max_bytes = match a.parsed::<u64>("--cache-max-bytes") {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let runs_root = match a.opt("--runs-root") {
-        Ok(r) => PathBuf::from(r.unwrap_or_else(|| DEFAULT_RUNS_ROOT.into())),
-        Err(e) => return fail(&e),
-    };
+pub fn run_serve_command(mut a: Args) -> Result<ExitCode, String> {
+    let listen = a.opt_or("--listen", DEFAULT_ADDR)?;
+    let state_dir = PathBuf::from(a.opt_or("--state-dir", "target/serve")?);
+    let cache_dir = PathBuf::from(a.opt_or("--out-dir", DEFAULT_CACHE_DIR)?);
+    let workers = a.jobs()?.unwrap_or(0); // 0: the pool's automatic size
+    let cache_max_bytes = a.parsed::<u64>("--cache-max-bytes")?;
+    let runs_root = a.runs_root()?;
     let no_ledger = a.flag("--no-ledger");
     let quiet = a.flag("--quiet");
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
-    let listener = match TcpListener::bind(&listen) {
-        Ok(l) => l,
-        Err(e) => return fail(&format!("cannot listen on {listen}: {e}")),
-    };
+    a.finish()?;
+    let listener =
+        TcpListener::bind(&listen).map_err(|e| format!("cannot listen on {listen}: {e}"))?;
     let opts = ServeOptions {
         state_dir,
         cache_dir,
@@ -76,94 +62,65 @@ pub fn run_serve_command(mut a: Args) -> ExitCode {
         runs_root: (!no_ledger).then_some(runs_root),
         quiet,
     };
-    match serve(listener, opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
+    serve(listener, opts)?;
+    Ok(ExitCode::SUCCESS)
 }
 
+/// Builds a `submit` spec object from `--spec` or the kind's axis and
+/// count flags (consumed in this order); every name is escaped.
 fn spec_from_flags(a: &mut Args, kind: &str) -> Result<String, String> {
     if let Some(spec) = a.opt("--spec")? {
         return Ok(spec);
     }
-    fn names(out: &mut String, key: &str, list: &str) {
-        out.push_str(&format!("\"{key}\":"));
-        if list == "all" {
-            out.push_str("\"all\"");
-            return;
-        }
-        out.push('[');
-        for (i, name) in list.split(',').enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", name.trim()));
-        }
-        out.push(']');
-    }
-    let mut fields: Vec<String> = Vec::new();
-    let axis = |key: &str, list: Option<String>| {
-        list.map(|list| {
-            let mut s = String::new();
-            names(&mut s, key, &list);
-            s
-        })
+    let (axes, counts): ([&str; 2], &[&str]) = match kind {
+        "sweep" => (["models", "benchmarks"], &["instructions"]),
+        _ => (
+            ["sites", "benchmarks"],
+            &["faults_per_site", "seed", "instructions"],
+        ),
     };
-    match kind {
-        "sweep" => {
-            fields.extend(axis("models", a.opt("--models")?));
-            fields.extend(axis("benchmarks", a.opt("--benchmarks")?));
-            if let Some(n) = a.parsed::<u64>("--instructions")? {
-                fields.push(format!("\"instructions\":{n}"));
+    let flag = |key: &str| format!("--{}", key.replace('_', "-"));
+    let mut spec = JsonObject::new();
+    for key in axes {
+        let Some(list) = a.opt(&flag(key))? else {
+            continue;
+        };
+        let mut names = String::new();
+        if list == "all" {
+            write_json_string(&mut names, "all");
+        } else {
+            names.push('[');
+            for (i, name) in list.split(',').enumerate() {
+                if i > 0 {
+                    names.push(',');
+                }
+                write_json_string(&mut names, name.trim());
             }
+            names.push(']');
         }
-        _ => {
-            fields.extend(axis("sites", a.opt("--sites")?));
-            fields.extend(axis("benchmarks", a.opt("--benchmarks")?));
-            if let Some(n) = a.parsed::<u64>("--faults-per-site")? {
-                fields.push(format!("\"faults_per_site\":{n}"));
-            }
-            if let Some(n) = a.parsed::<u64>("--seed")? {
-                fields.push(format!("\"seed\":{n}"));
-            }
-            if let Some(n) = a.parsed::<u64>("--instructions")? {
-                fields.push(format!("\"instructions\":{n}"));
-            }
+        spec.raw(key, &names);
+    }
+    for &key in counts {
+        if let Some(n) = a.parsed::<u64>(&flag(key))? {
+            spec.u64(key, n);
         }
     }
-    Ok(format!("{{{}}}", fields.join(",")))
+    Ok(spec.finish())
 }
 
 /// `rmt3d submit [--addr A] [--kind sweep|campaign] [--priority N]
 /// [--spec JSON | axis flags] [--wait] [--quiet]`: enqueue a job on a
 /// running daemon. Prints the job id; with `--wait`, streams progress
 /// to stderr and prints the job's results to stdout when it finishes.
-pub fn run_submit_command(mut a: Args) -> ExitCode {
-    let addr = match addr_opt(&mut a) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let kind = match a.opt("--kind") {
-        Ok(k) => k.unwrap_or_else(|| "sweep".into()),
-        Err(e) => return fail(&e),
-    };
-    let priority = match a.parsed::<u64>("--priority") {
-        Ok(p) => p.unwrap_or(0),
-        Err(e) => return fail(&e),
-    };
-    let spec = match spec_from_flags(&mut a, &kind) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+pub fn run_submit_command(mut a: Args) -> Result<ExitCode, String> {
+    let addr = addr_opt(&mut a)?;
+    let kind = a.opt_or("--kind", "sweep")?;
+    let priority = a.parsed::<u64>("--priority")?.unwrap_or(0);
+    let spec = spec_from_flags(&mut a, &kind)?;
     let wait = a.flag("--wait");
     let quiet = a.flag("--quiet");
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
-    let resp = match client::request(&addr, &client::submit_line(&kind, &spec, priority)) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
+    a.finish()?;
+    let resp = client::request(&addr, &client::submit_line(&kind, &spec, priority))?;
     let job = resp
         .get("job")
         .and_then(JsonValue::as_str)
@@ -188,21 +145,18 @@ pub fn run_submit_command(mut a: Args) -> ExitCode {
     }
     if !wait {
         println!("{job}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let final_state = match wait_for(&addr, &job, quiet) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+    let final_state = wait_for(&addr, &job, quiet)?;
     match final_state.as_str() {
         "done" | "failed" => {}
-        other => return fail(&format!("job {job} ended {other} before completing")),
+        other => return Err(format!("job {job} ended {other} before completing")),
     }
-    let code = print_results(&addr, &job);
+    let code = print_results(&addr, &job)?;
     if final_state == "failed" {
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    code
+    Ok(code)
 }
 
 /// Streams the job's watch events to stderr until the terminal
@@ -211,12 +165,8 @@ fn wait_for(addr: &str, job: &str, quiet: bool) -> Result<String, String> {
     let stream = client::watch(addr, job)?;
     for event in stream {
         let v = event?;
-        if v.get("ok").and_then(JsonValue::as_bool) == Some(false) {
-            return Err(v
-                .get("error")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("server reported an error")
-                .to_string());
+        if let Some(e) = server_error(&v) {
+            return Err(e);
         }
         let kind = v.get("event").and_then(JsonValue::as_str).unwrap_or("");
         if kind == "job_done" {
@@ -259,17 +209,14 @@ fn render_line(v: &JsonValue) -> String {
 
 /// Fetches and prints a finished job's results in `rmt3d sweep`'s
 /// stdout format (or a campaign's JSONL report verbatim).
-fn print_results(addr: &str, job: &str) -> ExitCode {
-    let resp = match client::request(addr, &client::job_line("result", job)) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
+fn print_results(addr: &str, job: &str) -> Result<ExitCode, String> {
+    let resp = client::request(addr, &client::job_line("result", job))?;
     if let Some(report) = resp.get("report").and_then(JsonValue::as_str) {
         print!("{report}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let Some(JsonValue::Arr(results)) = resp.get("results") else {
-        return fail("malformed result response");
+        return Err("malformed result response".into());
     };
     let mut missing = 0usize;
     for item in results {
@@ -279,12 +226,7 @@ fn print_results(addr: &str, job: &str) -> ExitCode {
             .and_then(JsonValue::as_str)
             .unwrap_or("");
         match codec::decode(encoded) {
-            Ok(r) => println!(
-                "{label:28} IPC {:.3}  L2 {:5.2} misses/10K  checker {:.2} f",
-                r.ipc(),
-                r.l2_misses_per_10k(),
-                r.mean_checker_fraction,
-            ),
+            Ok(r) => println!("{}", sweep_line(label, &r)),
             Err(_) => {
                 missing += 1;
                 println!("{label:28} NO CACHED RESULT");
@@ -293,72 +235,53 @@ fn print_results(addr: &str, job: &str) -> ExitCode {
     }
     if missing > 0 {
         eprintln!("submit: {missing} job(s) had no cached result");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `rmt3d jobs [--addr A]`: print the daemon's job listing as one JSON
 /// line (strict JSON; pipe through a formatter to pretty-print).
-pub fn run_jobs_command(mut a: Args) -> ExitCode {
-    one_shot(a.opt("--addr"), a, |addr| {
-        client::request_raw(addr, "{\"op\":\"jobs\"}")
-    })
+pub fn run_jobs_command(mut a: Args) -> Result<ExitCode, String> {
+    let addr = addr_opt(&mut a)?;
+    one_shot(&addr, a, "{\"op\":\"jobs\"}")
 }
 
 /// `rmt3d cancel JOB [--addr A]`: cancel a queued or in-flight job.
-pub fn run_cancel_command(mut a: Args) -> ExitCode {
-    let addr = a.opt("--addr");
-    let Some(job) = a.positional() else {
-        return fail("cancel requires a job id");
-    };
-    one_shot(addr, a, move |addr| {
-        client::request_raw(addr, &client::job_line("cancel", &job))
-    })
+pub fn run_cancel_command(mut a: Args) -> Result<ExitCode, String> {
+    // `--addr` is consumed before the positional so its value is never
+    // taken for the job id, but a missing job id is reported first.
+    let addr = addr_opt(&mut a);
+    let job = a.positional().ok_or("cancel requires a job id")?;
+    one_shot(&addr?, a, &client::job_line("cancel", &job))
 }
 
 /// `rmt3d stats [--addr A]`: print the daemon's live metrics snapshot
 /// as one JSON line (strict JSON; pipe through a formatter to
 /// pretty-print).
-pub fn run_stats_command(mut a: Args) -> ExitCode {
-    one_shot(a.opt("--addr"), a, |addr| {
-        client::request_raw(addr, "{\"op\":\"stats\"}")
-    })
+pub fn run_stats_command(mut a: Args) -> Result<ExitCode, String> {
+    let addr = addr_opt(&mut a)?;
+    one_shot(&addr, a, "{\"op\":\"stats\"}")
 }
 
 /// `rmt3d top [--watch] [--interval MS] [--addr A]`: a one-screen
 /// human view of the daemon's `stats` snapshot; `--watch` redraws at
 /// the polling interval (default 1000 ms) until interrupted.
-pub fn run_top_command(mut a: Args) -> ExitCode {
-    let addr = match addr_opt(&mut a) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let watch = a.flag("--watch");
-    let interval_ms = match a.parsed::<u64>("--interval") {
-        Ok(Some(0)) => return fail("--interval must be at least 1 millisecond"),
-        Ok(Some(_)) if !watch => return fail("--interval requires --watch"),
-        Ok(Some(ms)) => ms,
-        Ok(None) => 1000,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
+pub fn run_top_command(mut a: Args) -> Result<ExitCode, String> {
+    let addr = addr_opt(&mut a)?;
+    let watch = a.interval_ms("--watch", 1000)?;
+    a.finish()?;
     loop {
-        let resp = match client::request(&addr, "{\"op\":\"stats\"}") {
-            Ok(r) => r,
-            Err(e) => return fail(&e),
-        };
-        if watch {
+        let resp = client::request(&addr, "{\"op\":\"stats\"}")?;
+        if watch.is_some() {
             // Clear the screen between frames, watch(1)-style.
             print!("\x1b[2J\x1b[H");
         }
         print_top(&addr, &resp);
-        if !watch {
-            return ExitCode::SUCCESS;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
+        let Some(interval) = watch else {
+            return Ok(ExitCode::SUCCESS);
+        };
+        std::thread::sleep(interval);
     }
 }
 
@@ -432,130 +355,69 @@ fn print_top(addr: &str, v: &JsonValue) {
 }
 
 /// `rmt3d shutdown [--addr A]`: ask the daemon to drain and exit.
-pub fn run_shutdown_command(mut a: Args) -> ExitCode {
-    one_shot(a.opt("--addr"), a, |addr| {
-        client::request_raw(addr, "{\"op\":\"shutdown\"}")
-    })
+pub fn run_shutdown_command(mut a: Args) -> Result<ExitCode, String> {
+    let addr = addr_opt(&mut a)?;
+    one_shot(&addr, a, "{\"op\":\"shutdown\"}")
 }
 
-fn one_shot(
-    addr: Result<Option<String>, String>,
-    a: Args,
-    req: impl FnOnce(&str) -> Result<String, String>,
-) -> ExitCode {
-    let addr = match addr {
-        Ok(a) => a.unwrap_or_else(|| DEFAULT_ADDR.into()),
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = a.finish() {
-        return fail(&e);
-    }
-    let line = match req(&addr) {
-        Ok(l) => l,
-        Err(e) => return fail(&e),
-    };
-    println!("{line}");
-    let ok = rmt3d_telemetry::json::parse(&line)
+/// Sends one request line and prints the raw response line; the exit
+/// code is the response's `ok`.
+fn one_shot(addr: &str, a: Args, line: &str) -> Result<ExitCode, String> {
+    a.finish()?;
+    let resp = client::request_raw(addr, line)?;
+    println!("{resp}");
+    let ok = rmt3d_telemetry::json::parse(&resp)
         .ok()
         .and_then(|v| v.get("ok").and_then(JsonValue::as_bool))
         == Some(true);
-    if ok {
+    Ok(if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-/// `rmt3d watch JOB [--addr A]`: stream a job's raw event lines to
-/// stdout until it reaches a terminal state. Exit code reflects the
-/// final state.
-pub fn run_watch_command(mut a: Args) -> ExitCode {
-    let addr = match addr_opt(&mut a) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let Some(job) = a.positional() else {
-        return fail("watch requires a job id");
-    };
-    if let Err(e) = a.finish() {
-        return fail(&e);
+/// `rmt3d watch JOB [--addr A]`: print a job's event lines to stdout
+/// exactly as the daemon sent them, until it reaches a terminal state.
+/// Exit code reflects the final state.
+pub fn run_watch_command(mut a: Args) -> Result<ExitCode, String> {
+    let addr = addr_opt(&mut a)?;
+    let job = a.positional().ok_or("watch requires a job id")?;
+    a.finish()?;
+    for event in client::watch(&addr, &job)? {
+        let event = event?;
+        if let Some(e) = server_error(&event) {
+            return Err(e);
+        }
+        println!("{}", event.line);
+        if event.get("event").and_then(JsonValue::as_str) == Some("job_done") {
+            match event.get("state").and_then(JsonValue::as_str) {
+                Some("done") => return Ok(ExitCode::SUCCESS),
+                Some(_) => return Ok(ExitCode::FAILURE),
+                None => break,
+            }
+        }
     }
-    let stream = match client::watch(&addr, &job) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let mut final_state: Option<String> = None;
-    for event in stream {
-        let v = match event {
-            Ok(v) => v,
-            Err(e) => return fail(&e),
+    Err(format!("watch stream for {job} ended unexpectedly"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn submit_spec_escapes_names() {
+        let args: Vec<String> = ["--models", "a\"b,all", "--instructions", "7"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let spec = spec_from_flags(&mut Args::new(&args), "sweep").unwrap();
+        let v = rmt3d_telemetry::json::parse(&spec).expect("spec is strict JSON");
+        let Some(JsonValue::Arr(models)) = v.get("models") else {
+            panic!("models array in {spec}");
         };
-        if v.get("ok").and_then(JsonValue::as_bool) == Some(false) {
-            return fail(
-                v.get("error")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("server reported an error"),
-            );
-        }
-        println!("{}", raw_line(&v));
-        if v.get("event").and_then(JsonValue::as_str) == Some("job_done") {
-            final_state = v
-                .get("state")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string);
-            break;
-        }
+        let names: Vec<_> = models.iter().filter_map(JsonValue::as_str).collect();
+        assert_eq!(names, ["a\"b", "all"]);
+        assert_eq!(v.get("instructions").and_then(JsonValue::as_u64), Some(7));
     }
-    match final_state.as_deref() {
-        Some("done") => ExitCode::SUCCESS,
-        Some(_) => ExitCode::FAILURE,
-        None => fail(&format!("watch stream for {job} ended unexpectedly")),
-    }
-}
-
-/// Re-renders a parsed event compactly. The daemon's lines are already
-/// compact JSON, but the client parses them for error detection, so it
-/// re-renders rather than buffering both forms.
-fn raw_line(v: &JsonValue) -> String {
-    fn render(v: &JsonValue, out: &mut String) {
-        match v {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            JsonValue::Str(s) => {
-                out.push_str(&rmt3d_serve::proto::json_str(s));
-            }
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render(item, out);
-                }
-                out.push(']');
-            }
-            JsonValue::Obj(map) => {
-                out.push('{');
-                for (i, (k, val)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&rmt3d_serve::proto::json_str(k));
-                    out.push(':');
-                    render(val, out);
-                }
-                out.push('}');
-            }
-        }
-    }
-    let mut out = String::new();
-    render(v, &mut out);
-    out
 }

@@ -1,8 +1,9 @@
 //! End-to-end service flow through the real binary: a `serve` daemon
 //! child accepts `submit --wait` jobs (cold run executes, identical
 //! warm run is served from cache byte-identically), `jobs` prints
-//! strict JSON, `status --follow` waits for the server-registered run
-//! instead of failing, and `shutdown` drains the daemon cleanly.
+//! strict JSON, `watch` prints the daemon's lines verbatim, `status
+//! --follow` waits for the server-registered run instead of failing,
+//! and `shutdown` drains the daemon cleanly.
 
 mod daemon;
 
@@ -82,6 +83,19 @@ fn cold_and_warm_submits_are_byte_identical_and_jobs_is_strict_json() {
     let second = by_id("job-000002");
     assert_eq!(field(&second, "executed"), 0);
     assert_eq!(field(&second, "cache_hits"), 2);
+
+    // `watch` prints the daemon's lines verbatim, so a finished job's
+    // terminal line leads with its string id, not a re-rendered map.
+    let watch = rmt3d(&["watch", "job-000001", "--addr", &daemon.addr]);
+    assert!(watch.status.success(), "watch failed: {watch:?}");
+    let watched = stdout(&watch);
+    assert!(
+        watched
+            .lines()
+            .last()
+            .is_some_and(|l| l.starts_with(r#"{"job":"job-000001","event":"job_done""#)),
+        "watch output: {watched}"
+    );
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&root);

@@ -2,15 +2,15 @@
 //!
 //! One-shot operations ([`request`]) open a connection, send one
 //! request line, read one response line, and close. [`watch`] keeps
-//! the connection open and yields one parsed event object per line
-//! until the server ends the stream. Both ends share the protocol
-//! helpers in [`crate::proto`], so the client cannot emit a line the
-//! daemon would reject on framing grounds.
+//! the connection open and yields each event line, as received and
+//! parsed, until the server ends the stream. Both ends share the
+//! protocol helpers in [`crate::proto`], so the client cannot emit a
+//! line the daemon would reject on framing grounds.
 
-use crate::proto::json_str;
-use rmt3d_telemetry::json::{parse, JsonValue};
+use rmt3d_telemetry::json::{json_str, parse, JsonValue};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
+use std::ops::Deref;
 
 /// Default listen address of `rmt3d serve`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7733";
@@ -85,31 +85,57 @@ pub fn job_line(op: &str, job: &str) -> String {
     format!("{{\"op\":{},\"job\":{}}}", json_str(op), json_str(job))
 }
 
-/// A live `watch` stream: one parsed event object per line.
+/// One `watch` event: the line exactly as the daemon sent it, and its
+/// parse. Derefs to the parsed object, so field lookups read as on a
+/// [`JsonValue`].
+#[derive(Debug)]
+pub struct WatchEvent {
+    /// The received line, without its line terminator.
+    pub line: String,
+    /// `line`, parsed.
+    pub value: JsonValue,
+}
+
+impl Deref for WatchEvent {
+    type Target = JsonValue;
+
+    fn deref(&self) -> &JsonValue {
+        &self.value
+    }
+}
+
+/// A live `watch` stream: one event per line.
 pub struct WatchStream {
     reader: BufReader<TcpStream>,
 }
 
 impl Iterator for WatchStream {
-    type Item = Result<JsonValue, String>;
+    type Item = Result<WatchEvent, String>;
 
     fn next(&mut self) -> Option<Self::Item> {
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => None,
             Ok(_) => {
-                let trimmed = line.trim_end();
-                if trimmed.is_empty() {
+                let line = line.trim_end();
+                if line.is_empty() {
                     return self.next();
                 }
-                Some(parse(trimmed).map_err(|e| format!("malformed event line: {e}")))
+                Some(
+                    parse(line)
+                        .map(|value| WatchEvent {
+                            line: line.to_string(),
+                            value,
+                        })
+                        .map_err(|e| format!("malformed event line: {e}")),
+                )
             }
             Err(e) => Some(Err(format!("watch stream failed: {e}"))),
         }
     }
 }
 
-/// Opens a `watch` stream for `job`. The first yielded object is
+/// Opens a `watch` stream for `job`. The first yielded event is
 /// either a `job_state` acknowledgement, a terminal `job_done` line
 /// (job already finished), or an `{"ok":false,…}` error object —
 /// callers should check for `error`.

@@ -30,7 +30,7 @@ use crate::metrics::{
 };
 use crate::payload::JobPayload;
 use crate::proto::{
-    error_line, json_str, parse_request, read_request_line, Request, RequestLine, MAX_REQUEST_LINE,
+    error_line, parse_request, read_request_line, Request, RequestLine, MAX_REQUEST_LINE,
 };
 use crate::queue::{Cancelled, JobEntry, JobOutcome, JobQueue, JobState};
 use rmt3d_campaign::run_campaign_watched;
@@ -38,7 +38,7 @@ use rmt3d_obs::durable::{write_atomic, AppendLog};
 use rmt3d_obs::ledger::{unix_now_ms, RunHandle, RunLedger};
 use rmt3d_obs::{metrics_to_json, RunObserver};
 use rmt3d_sweep::{codec, run_sweep, CacheMode, ResultStore, SweepOptions};
-use rmt3d_telemetry::json::JsonObject;
+use rmt3d_telemetry::json::{json_str, JsonObject};
 use rmt3d_telemetry::{Event, Sink};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write as _};

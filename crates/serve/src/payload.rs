@@ -10,12 +10,11 @@
 //! registered, and a warm client submission dedups against the cache
 //! the CLI populated.
 
-use crate::proto::{json_str, write_json_str};
 use rmt3d::{ProcessorModel, RunScale};
 use rmt3d_campaign::{CampaignSpec, DEFAULT_BENCHMARKS};
 use rmt3d_rmt::{EccConfig, FaultSite};
 use rmt3d_sweep::SweepSpec;
-use rmt3d_telemetry::json::JsonValue;
+use rmt3d_telemetry::json::{json_str, write_json_string, JsonValue};
 use rmt3d_workload::Benchmark;
 
 /// A validated, normalized job payload.
@@ -166,7 +165,7 @@ impl JobPayload {
                 if i > 0 {
                     out.push(',');
                 }
-                write_json_str(out, name);
+                write_json_string(out, name);
             }
             out.push(']');
         }

@@ -180,20 +180,8 @@ fn line_text(mut buf: Vec<u8>) -> String {
 /// Renders a structured error response line (no trailing newline).
 pub fn error_line(msg: &str) -> String {
     let mut out = String::from("{\"ok\":false,\"error\":");
-    write_json_str(&mut out, msg);
+    write_json_string(&mut out, msg);
     out.push('}');
-    out
-}
-
-/// Appends a JSON string literal (with escapes) to `buf`.
-pub fn write_json_str(buf: &mut String, s: &str) {
-    write_json_string(buf, s);
-}
-
-/// A JSON string literal of `s`, escaped.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::new();
-    write_json_str(&mut out, s);
     out
 }
 

@@ -20,10 +20,9 @@
 //! client gets an all-cache-hit re-run.
 
 use crate::payload::JobPayload;
-use crate::proto::json_str;
 use rmt3d_obs::durable::AppendLog;
 use rmt3d_obs::ledger::unix_now_ms;
-use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
+use rmt3d_telemetry::json::{json_str, parse, JsonObject, JsonValue};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;

@@ -184,6 +184,13 @@ pub fn write_json_string(buf: &mut String, s: &str) {
     buf.push('"');
 }
 
+/// `s` as a JSON string literal, escaped by [`write_json_string`].
+pub fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    write_json_string(&mut out, s);
+    out
+}
+
 /// Parses one JSON document. Returns an error message with a byte
 /// offset on malformed input or trailing garbage.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
