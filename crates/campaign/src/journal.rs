@@ -419,6 +419,34 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_skipped_and_later_records_replay() {
+        let spec = spec();
+        let path = tmp("deep");
+        let mut j = Journal::create(&path, &spec).unwrap();
+        j.trial_done(0, &Ok(result())).unwrap();
+        drop(j);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&"[".repeat(100_000));
+        text.push('\n');
+        std::fs::write(&path, text).unwrap();
+        let mut j = Journal::open_append(&path).unwrap();
+        j.trial_done(1, &Ok(result())).unwrap();
+        j.trial_done(2, &Err("boom".to_string())).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        // Replayed on a thread with the default 2 MiB stack, as a
+        // daemon's worker would.
+        let r = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || replay(&text, &spec))
+            .unwrap()
+            .join()
+            .expect("replay survives the line");
+        assert!(r.discarded.is_none(), "{:?}", r.discarded);
+        assert_eq!(r.completed.keys().copied().collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(r.skipped_lines, 1);
+    }
+
+    #[test]
     fn out_of_range_and_ill_typed_lines_are_skipped_not_fatal() {
         let spec = spec();
         let path = tmp("skip");

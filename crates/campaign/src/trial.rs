@@ -4,9 +4,9 @@
 //! a differential oracle.
 
 use rmt3d_cache::{CacheHierarchy, NucaLayout, NucaPolicy};
-use rmt3d_cpu::{CoreConfig, OooCore, ReferenceExecutor};
+use rmt3d_cpu::{CoreConfig, OooCore, ReferenceExecutor, FETCH_RUN_AHEAD};
 use rmt3d_rmt::{DirectedOutcome, DrawnFault, EccConfig, FaultSite, RmtConfig, RmtSystem};
-use rmt3d_workload::{Benchmark, TraceGenerator};
+use rmt3d_workload::{Benchmark, Trace};
 use std::sync::OnceLock;
 
 /// A fully-determined single-fault experiment. Two runs of the same
@@ -255,6 +255,10 @@ impl TrialResult {
 /// strike flips a bit nothing reads, so such a trial runs the
 /// fault-free trajectory to its end; the warm start runs that end
 /// once, on first demand, and every such trial reads it.
+///
+/// The instruction stream is generated once, as one [`Trace`] of the
+/// run's length shared by the prefilled system, every checkpoint, every
+/// trial and the oracle.
 #[derive(Debug)]
 pub(crate) struct WarmStart {
     benchmark: Benchmark,
@@ -346,11 +350,12 @@ fn checkpoint_spacing(instructions: u64) -> u64 {
     (instructions / 8).max(1)
 }
 
-/// The trial system of `benchmark` at cycle 0, caches prefilled.
-fn prefilled_system(benchmark: Benchmark) -> RmtSystem {
+/// The trial system at cycle 0 fetching from `trace`, caches
+/// prefilled.
+fn prefilled_system(trace: Trace) -> RmtSystem {
     let leader = OooCore::new(
         CoreConfig::leading_ev7_like(),
-        TraceGenerator::new(benchmark.profile()),
+        trace,
         CacheHierarchy::new(NucaLayout::three_d_2a(), NucaPolicy::DistributedSets),
     );
     let mut sys = RmtSystem::new(leader, RmtConfig::paper());
@@ -364,7 +369,11 @@ impl WarmStart {
     /// `last_inject`, and runs the reference executor to
     /// `instructions`.
     pub(crate) fn new(benchmark: Benchmark, instructions: u64, last_inject: u64) -> WarmStart {
-        let mut sys = prefilled_system(benchmark);
+        let trace = Trace::new(
+            benchmark.profile(),
+            (instructions + FETCH_RUN_AHEAD) as usize,
+        );
+        let mut sys = prefilled_system(trace.clone());
         let spacing = checkpoint_spacing(instructions);
         let mut checkpoints = vec![(0, sys.clone())];
         let mut target = spacing;
@@ -375,7 +384,7 @@ impl WarmStart {
             checkpoints.push((target, sys.clone()));
             target += spacing;
         }
-        let mut oracle = ReferenceExecutor::new(TraceGenerator::new(benchmark.profile()));
+        let mut oracle = ReferenceExecutor::new(trace);
         oracle.run_to(instructions);
         WarmStart {
             benchmark,
@@ -412,7 +421,8 @@ impl WarmStart {
 /// that ECC absorbs, or a BOQ-outcome strike once it lands, leaves the
 /// system on its fault-free trajectory, so unless the fault-free run
 /// itself detects something, such a trial takes the fault-free run's
-/// ending instead of stepping to it.
+/// ending instead of stepping to it (a lone BOQ trial steps on: the
+/// ending would cost it a second run from cycle 0).
 ///
 /// # Panics
 ///
@@ -477,9 +487,13 @@ pub(crate) fn run_trial_from(warm: &WarmStart, spec: &TrialSpec) -> TrialResult 
         };
     }
     let inject_cycle = sys.total_cycles();
-    if spec.site == FaultSite::BoqOutcome && warm.fault_free().detections == 0 {
-        // The flipped outcome bit is a hint nothing downstream reads:
-        // the system is still on the fault-free trajectory.
+    // The flipped outcome bit is a hint nothing downstream reads: the
+    // system is still on the fault-free trajectory. Its ending pays off
+    // once built or when it serves a campaign (checkpoints past cycle
+    // 0); a lone trial would step a second system from cycle 0 to build
+    // it, so it steps on from the strike instead.
+    let shared_ending = warm.fault_free.get().is_some() || warm.checkpoints.len() > 1;
+    if spec.site == FaultSite::BoqOutcome && shared_ending && warm.fault_free().detections == 0 {
         return warm
             .fault_free()
             .result(spec, TrialFate::MaskedHarmless, inject_cycle);
@@ -578,6 +592,20 @@ mod tests {
         assert!(r.ok());
     }
 
+    /// A lone BOQ trial has no fault-free ending to share: it steps on
+    /// from the strike, to the stepped result, and leaves none built.
+    #[test]
+    fn a_lone_boq_trial_steps_on_from_the_strike() {
+        let s = spec(FaultSite::BoqOutcome);
+        let warm = WarmStart::new(s.benchmark, s.instructions, 0);
+        assert_eq!(run_trial_from(&warm, &s), stepped_trial(&s));
+        assert!(
+            warm.fault_free.get().is_none(),
+            "no second run from cycle 0"
+        );
+        assert_eq!(run_trial(&s), stepped_trial(&s));
+    }
+
     #[test]
     fn lvq_without_ecc_is_still_detected() {
         let mut s = spec(FaultSite::LvqValue);
@@ -602,7 +630,7 @@ mod tests {
     /// stepped to `instructions`, drained, and compared with a fresh
     /// reference executor.
     fn stepped_trial(spec: &TrialSpec) -> TrialResult {
-        let mut sys = prefilled_system(spec.benchmark);
+        let mut sys = prefilled_system(Trace::new(spec.benchmark.profile(), 0));
         while sys.leader().activity().committed < spec.inject_at {
             sys.step();
         }
@@ -632,7 +660,7 @@ mod tests {
             detect_cycle = Some(sys.total_cycles());
         }
         let committed = sys.leader().activity().committed;
-        let mut oracle = ReferenceExecutor::new(TraceGenerator::new(spec.benchmark.profile()));
+        let mut oracle = ReferenceExecutor::new(Trace::new(spec.benchmark.profile(), 0));
         oracle.run_to(committed);
         let states_clean = sys.leader().regfile() == oracle.regfile()
             && sys.trailer().regfile() == oracle.regfile()

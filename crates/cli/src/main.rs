@@ -86,85 +86,88 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: rmt3d <command>\n\
-         \n\
-         commands:\n\
-           list                               benchmarks and models\n\
-           simulate   --model M --benchmark B [--instructions N] [--ways]\n\
-                      [--trace-out FILE.jsonl] [--csv-out FILE.csv]\n\
-                      [--sample-interval N] [--metrics] [--quiet]\n\
-           thermal    --model M --benchmark B [--checker-watts W]\n\
-           experiment <name> [--paper] [--jobs N]   regenerate a paper result\n\
-           sweep      [--models M1,M2|all] [--benchmarks B1,B2|all]\n\
-                      [--instructions N] [--jobs N] [--out-dir DIR]\n\
-                      [--cache-max-bytes N] [--resume] [--no-cache]\n\
-                      [--quiet] [--trace-out FILE.jsonl]\n\
-           campaign   [--sites S1,S2|all] [--benchmarks B1,B2|all]\n\
-                      [--faults-per-site N] [--seed N] [--instructions N]\n\
-                      [--jobs N] [--out-dir DIR] [--sabotage SITE]\n\
-                      [--journal] [--resume] [--quiet]\n\
-                      [--trace-out FILE.jsonl]\n\
-           profile    --model M --benchmark B [--instructions N]\n\
-                      [--sample-interval N] [--out-dir DIR] [--quiet]\n\
-                      CPI stacks, histograms, Perfetto .trace.json\n\
-           trace-report --in FILE.jsonl [--chrome-out FILE]\n\
-                      rebuild the report offline; --chrome-out renders\n\
-                      the events as a Perfetto-loadable .trace.json\n\
-           bench-gate --baseline FILE --current FILE [--tolerance PCT]\n\
-                      [--json]   fail on wall-clock or deterministic-\n\
-                      stat regression; --json prints one result line\n\
-           status     [--run ID] [--follow] [--interval MS]\n\
-                      [--runs-root DIR]\n\
-                      live progress of a ledgered run (default: latest)\n\
-           report     --html [--run ID] [--out FILE] [--runs-root DIR]\n\
-                      [--daemon-metrics FILE] [--refresh SECS]\n\
-                      self-contained HTML dashboard for a ledgered run;\n\
-                      --daemon-metrics adds the daemon fleet panel,\n\
-                      --refresh embeds a browser auto-reload tag\n\
-           serve      [--listen ADDR] [--state-dir DIR] [--out-dir DIR]\n\
-                      [--jobs N] [--cache-max-bytes N] [--runs-root DIR]\n\
-                      [--no-ledger] [--quiet]\n\
-                      job daemon: persistent priority queue over the\n\
-                      shared result cache (default 127.0.0.1:7733)\n\
-           submit     [--addr ADDR] [--kind sweep|campaign] [--priority N]\n\
-                      [--spec JSON | --models/--benchmarks/--sites/...]\n\
-                      [--wait] [--quiet]   enqueue a job on the daemon;\n\
-                      --wait streams progress and prints the results\n\
-           jobs       [--addr ADDR]        one-line JSON job listing\n\
-           cancel     JOB [--addr ADDR]    cancel a queued/running job\n\
-           watch      JOB [--addr ADDR]    stream a job's event lines\n\
-           stats      [--addr ADDR]        one-line JSON daemon metrics\n\
-           top        [--watch] [--interval MS] [--addr ADDR]\n\
-                      human daemon health view; --watch redraws\n\
-           shutdown   [--addr ADDR]        drain the daemon and exit it\n\
-         \n\
-         models: 2d-a, 2d-2a, 3d-2a, 3d-checker\n\
-         experiments: tables fig4 fig5 fig6 fig7 iso-thermal interconnect\n\
-                      heterogeneous margins dfs-ablation hard-error summary\n\
-                      tmr interrupts resilience shared-cache leakage dtm\n\
-         \n\
-         fault sites: leader_result, rvq_operand, lvq_value, boq_outcome,\n\
-                      trailer_regfile\n\
-         \n\
-         sweep caches each job's result under --out-dir (default\n\
-         target/sweep-cache) and skips cached jobs on re-runs;\n\
-         --cache-max-bytes N evicts least-recently-used entries after\n\
-         the run to keep the cache under N bytes.\n\
-         sweep, campaign, and profile register every invocation in the\n\
-         run ledger (default target/runs; --runs-root DIR overrides,\n\
-         --no-ledger disables) with a live status.json; --stall-factor F\n\
-         (sweep/campaign) flags jobs running F x the median duration.\n\
-         campaign writes a JSONL coverage report (and, on violations, a\n\
-         minimized regression fixture) under --out-dir (default\n\
-         target/campaign) and exits non-zero unless coverage is 100%.\n\
-         campaign --journal appends a crash-safe write-ahead journal\n\
-         (campaign.journal.jsonl, fsynced per trial) under --out-dir;\n\
-         campaign --resume replays it, skips completed trials, and\n\
-         produces a report byte-identical to an uninterrupted run.\n\
-         validation errors:\n\
-           --jobs must be at least 1\n\
-           --resume and --no-cache are mutually exclusive\n\
-           --resume requires an existing --out-dir cache directory";
+// Literal newlines, not `\n\` continuations: a continuation would
+// also strip the next line's indentation.
+const USAGE: &str = "\
+usage: rmt3d <command>
+
+commands:
+  list                               benchmarks and models
+  simulate   --model M --benchmark B [--instructions N] [--ways]
+             [--trace-out FILE.jsonl] [--csv-out FILE.csv]
+             [--sample-interval N] [--metrics] [--quiet]
+  thermal    --model M --benchmark B [--checker-watts W]
+  experiment <name> [--paper] [--jobs N]   regenerate a paper result
+  sweep      [--models M1,M2|all] [--benchmarks B1,B2|all]
+             [--instructions N] [--jobs N] [--out-dir DIR]
+             [--cache-max-bytes N] [--resume] [--no-cache]
+             [--quiet] [--trace-out FILE.jsonl]
+  campaign   [--sites S1,S2|all] [--benchmarks B1,B2|all]
+             [--faults-per-site N] [--seed N] [--instructions N]
+             [--jobs N] [--out-dir DIR] [--sabotage SITE]
+             [--journal] [--resume] [--quiet]
+             [--trace-out FILE.jsonl]
+  profile    --model M --benchmark B [--instructions N]
+             [--sample-interval N] [--out-dir DIR] [--quiet]
+             CPI stacks, histograms, Perfetto .trace.json
+  trace-report --in FILE.jsonl [--chrome-out FILE]
+             rebuild the report offline; --chrome-out renders
+             the events as a Perfetto-loadable .trace.json
+  bench-gate --baseline FILE --current FILE [--tolerance PCT]
+             [--json]   fail on wall-clock or deterministic-
+             stat regression; --json prints one result line
+  status     [--run ID] [--follow] [--interval MS]
+             [--runs-root DIR]
+             live progress of a ledgered run (default: latest)
+  report     --html [--run ID] [--out FILE] [--runs-root DIR]
+             [--daemon-metrics FILE] [--refresh SECS]
+             self-contained HTML dashboard for a ledgered run;
+             --daemon-metrics adds the daemon fleet panel,
+             --refresh embeds a browser auto-reload tag
+  serve      [--listen ADDR] [--state-dir DIR] [--out-dir DIR]
+             [--jobs N] [--cache-max-bytes N] [--runs-root DIR]
+             [--no-ledger] [--quiet]
+             job daemon: persistent priority queue over the
+             shared result cache (default 127.0.0.1:7733)
+  submit     [--addr ADDR] [--kind sweep|campaign] [--priority N]
+             [--spec JSON | --models/--benchmarks/--sites/...]
+             [--wait] [--quiet]   enqueue a job on the daemon;
+             --wait streams progress and prints the results
+  jobs       [--addr ADDR]        one-line JSON job listing
+  cancel     JOB [--addr ADDR]    cancel a queued/running job
+  watch      JOB [--addr ADDR]    stream a job's event lines
+  stats      [--addr ADDR]        one-line JSON daemon metrics
+  top        [--watch] [--interval MS] [--addr ADDR]
+             human daemon health view; --watch redraws
+  shutdown   [--addr ADDR]        drain the daemon and exit it
+
+models: 2d-a, 2d-2a, 3d-2a, 3d-checker
+experiments: tables fig4 fig5 fig6 fig7 iso-thermal interconnect
+             heterogeneous margins dfs-ablation hard-error summary
+             tmr interrupts resilience shared-cache leakage dtm
+
+fault sites: leader_result, rvq_operand, lvq_value, boq_outcome,
+             trailer_regfile
+
+sweep caches each job's result under --out-dir (default
+target/sweep-cache) and skips cached jobs on re-runs;
+--cache-max-bytes N evicts least-recently-used entries after
+the run to keep the cache under N bytes.
+sweep, campaign, and profile register every invocation in the
+run ledger (default target/runs; --runs-root DIR overrides,
+--no-ledger disables) with a live status.json; --stall-factor F
+(sweep/campaign) flags jobs running F x the median duration.
+campaign writes a JSONL coverage report (and, on violations, a
+minimized regression fixture) under --out-dir (default
+target/campaign) and exits non-zero unless coverage is 100%.
+campaign --journal appends a crash-safe write-ahead journal
+(campaign.journal.jsonl, fsynced per trial) under --out-dir;
+campaign --resume replays it, skips completed trials, and
+produces a report byte-identical to an uninterrupted run.
+validation errors:
+  --jobs must be at least 1
+  --resume and --no-cache are mutually exclusive
+  --resume requires an existing --out-dir cache directory";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -513,9 +516,12 @@ fn run_thermal_command(mut a: Args) -> Result<ExitCode, String> {
 /// `rmt3d experiment <name> [--paper] [--jobs N]`: regenerate one of
 /// the paper's tables or figures.
 fn run_experiment_command(mut a: Args) -> Result<ExitCode, String> {
-    let name = a.positional().ok_or("experiment requires a name")?;
+    // The flags are consumed before the positional so a flag's value is
+    // never taken for the name, but a missing name is reported first.
     let paper = a.flag("--paper");
-    let sim: Box<dyn Simulator> = match a.jobs()? {
+    let jobs = a.jobs();
+    let name = a.positional().ok_or("experiment requires a name")?;
+    let sim: Box<dyn Simulator> = match jobs? {
         None | Some(1) => Box::new(SerialSimulator),
         Some(n) => Box::new(ParallelSimulator::new(n)),
     };
@@ -932,6 +938,23 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_usage_text_keeps_its_indentation() {
+        let lines: Vec<&str> = USAGE.lines().collect();
+        for (name, _) in COMMANDS {
+            assert!(
+                lines.iter().any(|l| l.starts_with(&format!("  {name} "))),
+                "{name} is not indented under `commands:`"
+            );
+        }
+        // Continuation lines sit under the flags, not the command names.
+        let i = lines
+            .iter()
+            .position(|l| l.starts_with("  simulate "))
+            .unwrap();
+        assert!(lines[i + 1].starts_with("             [--trace-out FILE.jsonl]"));
+    }
 
     #[test]
     fn every_command_is_listed_in_the_usage_text() {

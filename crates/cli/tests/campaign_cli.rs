@@ -131,6 +131,15 @@ const PINNED: &[(&[&str], &str)] = &[
         &["experiment", "tables", "--typo"],
         "error: unrecognized arguments: --typo",
     ),
+    // Flags before the name: `2` is --jobs's value, not the name.
+    (
+        &["experiment", "--jobs", "2", "bogus"],
+        "error: unknown experiment: bogus",
+    ),
+    (
+        &["experiment", "--jobs", "0"],
+        "error: experiment requires a name",
+    ),
     (
         &["sweep", "--jobs", "0"],
         "error: --jobs must be at least 1",
@@ -367,4 +376,19 @@ fn every_subcommand_pins_its_error_surface() {
     }
     let _ = std::fs::remove_dir_all(&runs);
     assert!(wrong.is_empty(), "\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn experiment_flags_may_precede_its_name() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_rmt3d"))
+            .args(args)
+            .output()
+            .expect("rmt3d runs");
+        assert!(out.status.success(), "rmt3d {}", args.join(" "));
+        out.stdout
+    };
+    let flags_first = run(&["experiment", "--jobs", "2", "tables"]);
+    assert!(!flags_first.is_empty());
+    assert_eq!(flags_first, run(&["experiment", "tables", "--jobs", "2"]));
 }

@@ -31,7 +31,9 @@ mod simulate;
 
 pub use model::{L2Policy, ParseModelError, ProcessorModel, RunScale};
 pub use powermap::{build_power_map, override_checker_power, ChipPower, PowerMapConfig};
-pub use simulate::{simulate, simulate_traced, PerfResult, SerialSimulator, SimConfig, Simulator};
+pub use simulate::{
+    simulate, simulate_on, simulate_traced, PerfResult, SerialSimulator, SimConfig, Simulator,
+};
 
 pub use rmt3d_telemetry as telemetry;
 

@@ -134,6 +134,14 @@ impl RunScale {
             thermal_grid: 25,
         }
     }
+
+    /// Ops a run at this scale fetches, at most: the warm-up and
+    /// measured instructions plus the leader's fetch run-ahead. Runs of
+    /// one benchmark at this scale can share one trace this long (see
+    /// [`crate::simulate_on`]).
+    pub fn trace_len(&self) -> usize {
+        (self.warmup_instructions + self.instructions + rmt3d_cpu::FETCH_RUN_AHEAD) as usize
+    }
 }
 
 /// NUCA policy re-export for configuration convenience.

@@ -8,7 +8,7 @@ use rmt3d_telemetry::{
     emit, CpiComponent, CpiStack, Event, IntervalSample, NullSink, Sink, SpanTimer,
 };
 use rmt3d_units::Gigahertz;
-use rmt3d_workload::{Benchmark, TraceGenerator};
+use rmt3d_workload::{Benchmark, Trace};
 
 /// Everything a performance run produces — the raw material for the
 /// Fig. 4-7 and §3.3/§4 analyses.
@@ -108,6 +108,15 @@ pub fn simulate(cfg: &SimConfig, benchmark: Benchmark) -> PerfResult {
     simulate_traced(cfg, benchmark, 0, NullSink)
 }
 
+/// [`simulate`] fetching from `trace`, which must be `benchmark`'s.
+/// The stream, and so the result, is the same whatever the trace's
+/// length; runs that share one trace of
+/// [`RunScale::trace_len`](crate::RunScale::trace_len) ops generate it
+/// once between them.
+pub fn simulate_on(cfg: &SimConfig, benchmark: Benchmark, trace: Trace) -> PerfResult {
+    run(cfg, benchmark, trace, 0, NullSink)
+}
+
 /// Strategy for producing [`PerfResult`]s.
 ///
 /// Experiment drivers (`fig4`, `fig5`, `iso_thermal`, …) route every
@@ -199,6 +208,22 @@ pub fn simulate_traced<S: Sink + Clone>(
     cfg: &SimConfig,
     benchmark: Benchmark,
     sample_interval: u64,
+    sink: S,
+) -> PerfResult {
+    run(
+        cfg,
+        benchmark,
+        Trace::new(benchmark.profile(), 0),
+        sample_interval,
+        sink,
+    )
+}
+
+fn run<S: Sink + Clone>(
+    cfg: &SimConfig,
+    benchmark: Benchmark,
+    trace: Trace,
+    sample_interval: u64,
     mut sink: S,
 ) -> PerfResult {
     let layout = cfg
@@ -209,7 +234,7 @@ pub fn simulate_traced<S: Sink + Clone>(
     hierarchy.set_memory_cycles(memory_cycles(cfg.frequency));
     let leader = OooCore::with_sink(
         CoreConfig::leading_ev7_like(),
-        TraceGenerator::new(benchmark.profile()),
+        trace,
         hierarchy,
         sink.clone(),
     );
@@ -400,6 +425,24 @@ mod tests {
                 assert!(r.trailer_cpi.get(CpiComponent::DfsThrottled) > 0);
             } else {
                 assert!(r.trailer_cpi.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_trace_of_any_length_gives_the_same_result() {
+        let scale = RunScale {
+            warmup_instructions: 2_000,
+            instructions: 10_000,
+            thermal_grid: 10,
+        };
+        for model in [ProcessorModel::TwoDA, ProcessorModel::ThreeD2A] {
+            let cfg = SimConfig::nominal(model, scale);
+            let plain = format!("{:?}", simulate(&cfg, Benchmark::Mcf));
+            for len in [0, 5_000, scale.trace_len()] {
+                let trace = Trace::new(Benchmark::Mcf.profile(), len);
+                let shared = simulate_on(&cfg, Benchmark::Mcf, trace);
+                assert_eq!(format!("{shared:?}"), plain, "{model:?}, trace of {len}");
             }
         }
     }

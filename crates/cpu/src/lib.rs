@@ -38,5 +38,5 @@ pub use bpred::CombinedPredictor;
 pub use commit::CommittedOp;
 pub use config::{CoreConfig, TrailerConfig};
 pub use inorder::{CheckOutcome, InOrderCore, Verification};
-pub use ooo::{load_memory_value, OooCore};
+pub use ooo::{load_memory_value, OooCore, FETCH_RUN_AHEAD};
 pub use refexec::ReferenceExecutor;

@@ -1,6 +1,6 @@
 //! Cycle-level out-of-order leading core (paper Table 1 configuration).
 //!
-//! Trace-driven: micro-ops stream in from a [`TraceGenerator`] and flow
+//! Trace-driven: micro-ops stream in from a [`Trace`] and flow
 //! through fetch → dispatch → issue → execute → commit, constrained by
 //! the ROB, issue queues, LSQ, functional units, the branch predictor and
 //! the cache hierarchy. Branch mispredictions block fetch until the
@@ -13,13 +13,19 @@ use crate::commit::CommittedOp;
 use crate::config::CoreConfig;
 use rmt3d_cache::CacheHierarchy;
 use rmt3d_telemetry::{emit, CpiComponent, CpiStack, Event, NullSink, Sink};
-use rmt3d_workload::{MicroOp, OpClass, TraceGenerator};
+use rmt3d_workload::{MicroOp, OpClass, Trace};
 
 /// Completion-time ring capacity. Must exceed `rob_size + ifq_size +
 /// max dependence distance (63)`; validated in [`OooCore::new`].
 const RING: usize = 256;
 /// Sentinel: result not yet available.
 const PENDING: u64 = u64::MAX;
+
+/// Bound on the ops the leader holds fetched but not yet committed: the
+/// ROB plus the fetch queue, which [`OooCore::new`] keeps below the op
+/// ring by more than a commit group. A [`Trace`] that covers a run's
+/// commits plus this many ops is never read past its end.
+pub const FETCH_RUN_AHEAD: u64 = RING as u64;
 
 /// Per-cycle functional-unit issue budget.
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +107,7 @@ struct Waiting {
 #[derive(Debug, Clone)]
 pub struct OooCore<S: Sink = NullSink> {
     cfg: CoreConfig,
-    trace: TraceGenerator,
+    trace: Trace,
     caches: CacheHierarchy,
     bpred: CombinedPredictor,
     cycle: u64,
@@ -141,14 +147,14 @@ pub struct OooCore<S: Sink = NullSink> {
 }
 
 impl OooCore {
-    /// Creates a core over a trace and cache hierarchy, with telemetry
-    /// disabled ([`NullSink`]).
+    /// Creates a core over a trace (or a generator, a trace of length
+    /// 0) and cache hierarchy, with telemetry disabled ([`NullSink`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails validation (the dependence ring
     /// requires `rob + ifq + 63 < 256`).
-    pub fn new(cfg: CoreConfig, trace: TraceGenerator, caches: CacheHierarchy) -> OooCore {
+    pub fn new(cfg: CoreConfig, trace: impl Into<Trace>, caches: CacheHierarchy) -> OooCore {
         OooCore::with_sink(cfg, trace, caches, NullSink)
     }
 }
@@ -163,7 +169,7 @@ impl<S: Sink> OooCore<S> {
     /// requires `rob + ifq + 63 < 256`).
     pub fn with_sink(
         cfg: CoreConfig,
-        trace: TraceGenerator,
+        trace: impl Into<Trace>,
         caches: CacheHierarchy,
         sink: S,
     ) -> OooCore<S> {
@@ -174,7 +180,7 @@ impl<S: Sink> OooCore<S> {
         );
         OooCore {
             cfg,
-            trace,
+            trace: trace.into(),
             caches,
             bpred: CombinedPredictor::table1(),
             cycle: 0,
@@ -687,7 +693,7 @@ pub fn load_memory_value(addr: u64) -> u64 {
 mod tests {
     use super::*;
     use rmt3d_cache::{NucaLayout, NucaPolicy};
-    use rmt3d_workload::Benchmark;
+    use rmt3d_workload::{Benchmark, TraceGenerator};
 
     fn core(b: Benchmark) -> OooCore {
         OooCore::new(

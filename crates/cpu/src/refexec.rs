@@ -12,28 +12,28 @@
 //! coverage violation.
 
 use crate::ooo::load_memory_value;
-use rmt3d_workload::{OpClass, TraceGenerator};
+use rmt3d_workload::{OpClass, Trace};
 
-/// A sequential architectural interpreter over a [`TraceGenerator`]
-/// stream.
+/// A sequential architectural interpreter over a [`Trace`].
 ///
 /// The leader commits trace ops in sequence order (wrong-path work is
 /// squashed, never committed), so replaying the first `n` ops of a
-/// fresh generator with the same profile reproduces the architectural
+/// fresh trace with the same profile reproduces the architectural
 /// state after `n` leader commits.
 #[derive(Debug, Clone)]
 pub struct ReferenceExecutor {
-    trace: TraceGenerator,
+    trace: Trace,
     regfile: [u64; 64],
     executed: u64,
 }
 
 impl ReferenceExecutor {
-    /// Creates an executor over a fresh trace. Pass a generator built
-    /// with the same profile as the core under test.
-    pub fn new(trace: TraceGenerator) -> ReferenceExecutor {
+    /// Creates an executor over a fresh trace (or generator) with the
+    /// same profile as the core under test; sharing the core's trace
+    /// generates the stream once.
+    pub fn new(trace: impl Into<Trace>) -> ReferenceExecutor {
         ReferenceExecutor {
-            trace,
+            trace: trace.into(),
             regfile: [0; 64],
             executed: 0,
         }
@@ -83,7 +83,7 @@ mod tests {
     use crate::config::CoreConfig;
     use crate::ooo::OooCore;
     use rmt3d_cache::{CacheHierarchy, NucaLayout, NucaPolicy};
-    use rmt3d_workload::Benchmark;
+    use rmt3d_workload::{Benchmark, TraceGenerator};
 
     #[test]
     fn reference_matches_ooo_leader_exactly() {

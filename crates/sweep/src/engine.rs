@@ -9,16 +9,22 @@
 //! aggregates records in **spec order**, so parallel output is
 //! bit-identical to a 1-thread run. A panicking job is caught,
 //! reported as failed, and the sweep completes.
+//!
+//! Jobs of one benchmark at one run length share one [`Trace`]: the
+//! first worker that needs it generates it, and the key's last job
+//! drops it. The pool is handed the jobs grouped by that key, so only
+//! the traces of the jobs running at once are live.
 
 use crate::pool::{run_pool, PoolEvent};
 use crate::spec::JobSpec;
 use crate::store::ResultStore;
-use rmt3d::{simulate, PerfResult};
+use rmt3d::{simulate, simulate_on, PerfResult};
 use rmt3d_obs::WatchdogConfig;
 use rmt3d_telemetry::{emit, Event, Sink};
+use rmt3d_workload::{Benchmark, Trace};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -132,6 +138,85 @@ impl SweepReport {
     }
 }
 
+/// The traces of one sweep, one per (benchmark, trace length) key:
+/// built by the first job that needs it, dropped after the key's last
+/// job.
+struct SharedTraces {
+    /// The keys, in order of first appearance.
+    keys: Vec<(Benchmark, usize)>,
+    /// Each job's position in `keys`, by spec index.
+    key_of: Vec<usize>,
+    /// Per key: the trace once built, and the jobs not yet done.
+    slots: Vec<Mutex<(Option<Trace>, usize)>>,
+}
+
+impl SharedTraces {
+    fn new(jobs: &[JobSpec]) -> SharedTraces {
+        let mut keys: Vec<(Benchmark, usize)> = Vec::new();
+        let key_of: Vec<usize> = jobs
+            .iter()
+            .map(|job| {
+                let key = (job.benchmark, job.cfg.scale.trace_len());
+                keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                })
+            })
+            .collect();
+        let mut left = vec![0; keys.len()];
+        for &k in &key_of {
+            left[k] += 1;
+        }
+        SharedTraces {
+            keys,
+            key_of,
+            slots: left.into_iter().map(|n| Mutex::new((None, n))).collect(),
+        }
+    }
+
+    /// Spec indices grouped by key, stably, keys in order of first
+    /// appearance: the order the pool is handed the jobs.
+    fn pool_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.key_of.len()).collect();
+        order.sort_by_key(|&i| self.key_of[i]);
+        order
+    }
+
+    fn slot(&self, index: usize) -> MutexGuard<'_, (Option<Trace>, usize)> {
+        self.slots[self.key_of[index]]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The trace of job `index`, generated on first demand. Other jobs
+    /// of the key wait for it rather than generate it again.
+    fn get(&self, index: usize) -> Trace {
+        let (benchmark, len) = self.keys[self.key_of[index]];
+        self.slot(index)
+            .0
+            .get_or_insert_with(|| Trace::new(benchmark.profile(), len))
+            .clone()
+    }
+
+    /// Counts job `index` done; the key's last job drops the trace.
+    fn done(&self, index: usize) {
+        let mut slot = self.slot(index);
+        slot.1 -= 1;
+        if slot.1 == 0 {
+            slot.0 = None;
+        }
+    }
+}
+
+/// Counts a job done when its run ends, panic or not.
+struct Done<'a>(&'a SharedTraces, usize);
+
+impl Drop for Done<'_> {
+    fn drop(&mut self) {
+        self.0.done(self.1);
+    }
+}
+
 /// Runs every job and aggregates the records in spec order.
 ///
 /// Events emitted to `sink`: [`Event::JobStarted`] when a worker begins
@@ -163,11 +248,22 @@ pub fn run_sweep<S: Sink>(
     let total = jobs.len();
     let t0 = Instant::now();
     let store = store.as_ref();
+    let traces = SharedTraces::new(&jobs);
+    // The pool sees positions in `order`; everything it reports is
+    // mapped back to spec indices.
+    let order = traces.pool_order();
     let pool_records = run_pool(
-        &jobs,
+        &order,
         opts.worker_count(),
-        |job: &JobSpec| store.and_then(|s| s.load(job)),
-        |job: &JobSpec| {
+        |&i: &usize| {
+            let hit = store.and_then(|s| s.load(&jobs[i]));
+            if hit.is_some() {
+                traces.done(i);
+            }
+            hit
+        },
+        |&i: &usize| {
+            let _done = Done(&traces, i);
             // Cancellation rides the pool's existing panic channel: the
             // worker's catch_unwind turns this into a failed record
             // with message "cancelled", and the sweep still drains.
@@ -176,27 +272,28 @@ pub fn run_sweep<S: Sink>(
                     panic!("cancelled");
                 }
             }
-            simulate(&job.cfg, job.benchmark)
+            let job = &jobs[i];
+            simulate_on(&job.cfg, job.benchmark, traces.get(i))
         },
-        |job: &JobSpec, result: &PerfResult| {
+        |&i: &usize, result: &PerfResult| {
             // Cache writes are best-effort: a full disk must not fail
             // the sweep, only cost the resume.
             if let Some(store) = store {
-                let _ = store.save(job, result);
+                let _ = store.save(&jobs[i], result);
             }
         },
         opts.watchdog,
         |_, _, _| {},
         |ev| match ev {
             PoolEvent::Started { index } => emit(sink, || Event::JobStarted {
-                job: index as u64,
+                job: order[index] as u64,
                 total: total as u64,
-                label: jobs[index].label(),
+                label: jobs[order[index]].label(),
             }),
             PoolEvent::CacheHit { index } => emit(sink, || Event::JobCacheHit {
-                job: index as u64,
+                job: order[index] as u64,
                 total: total as u64,
-                label: jobs[index].label(),
+                label: jobs[order[index]].label(),
             }),
             PoolEvent::Finished {
                 index,
@@ -204,7 +301,7 @@ pub fn run_sweep<S: Sink>(
                 wall_nanos,
                 eta_nanos,
             } => emit(sink, || Event::JobFinished {
-                job: index as u64,
+                job: order[index] as u64,
                 total: total as u64,
                 ok,
                 wall_nanos,
@@ -215,9 +312,9 @@ pub fn run_sweep<S: Sink>(
                 elapsed_nanos,
                 median_nanos,
             } => emit(sink, || Event::JobStalled {
-                job: index as u64,
+                job: order[index] as u64,
                 total: total as u64,
-                label: jobs[index].label(),
+                label: jobs[order[index]].label(),
                 elapsed_nanos,
                 median_nanos,
             }),
@@ -248,12 +345,14 @@ pub fn run_sweep<S: Sink>(
         });
     }
 
+    let mut by_spec: Vec<_> = order.iter().zip(pool_records).collect();
+    by_spec.sort_by_key(|(&i, _)| i);
     let mut executed = 0usize;
     let mut cache_hits = 0usize;
     let mut failures = 0usize;
     let records: Vec<JobRecord> = jobs
         .iter()
-        .zip(pool_records)
+        .zip(by_spec.into_iter().map(|(_, r)| r))
         .map(|(job, r)| {
             if r.cached {
                 cache_hits += 1;
@@ -385,6 +484,26 @@ mod tests {
         assert!(report.records[1].outcome.is_ok());
         assert!(report.results().is_err());
         assert!(report.summary().contains("failed 1"));
+    }
+
+    #[test]
+    fn traces_are_grouped_shared_and_dropped_after_their_last_job() {
+        let jobs = SweepSpec::new(
+            &[ProcessorModel::TwoDA, ProcessorModel::ThreeD2A],
+            &[Benchmark::Gzip, Benchmark::Mcf, Benchmark::Swim],
+            tiny(),
+        )
+        .expand();
+        let traces = SharedTraces::new(&jobs);
+        assert_eq!(traces.pool_order(), [0, 3, 1, 4, 2, 5]);
+        let live = |i: usize| traces.slot(i).0.is_some();
+        let _ = traces.get(0);
+        traces.done(0);
+        assert!(live(3), "the key's other job still needs it");
+        let _ = traces.get(3);
+        traces.done(3);
+        assert!(!live(0) && !live(3), "dropped after the key's last job");
+        assert!(!live(1), "built on demand only");
     }
 
     #[test]

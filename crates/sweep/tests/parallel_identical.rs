@@ -1,8 +1,10 @@
 //! Integration proof of the engine's two core guarantees: a 2-thread
 //! sweep aggregates byte-identical results to the 1-thread run, and a
-//! second run over the same cache directory is 100% cache hits.
+//! second run over the same cache directory is 100% cache hits. Jobs
+//! that share a trace, run grouped by benchmark, keep the records and
+//! events of jobs run one by one.
 
-use rmt3d::{ProcessorModel, RunScale};
+use rmt3d::{simulate, ProcessorModel, RunScale};
 use rmt3d_sweep::{codec, run_sweep, CacheMode, SweepOptions, SweepReport, SweepSpec};
 use rmt3d_telemetry::{Event, NullSink, RecordingSink};
 use rmt3d_workload::Benchmark;
@@ -161,4 +163,67 @@ fn executed_sweep_emits_started_and_finished_pairs_with_eta() {
     assert!(finished.iter().all(|(ok, _)| *ok));
     // The last job to finish has nothing left: its ETA is zero.
     assert_eq!(finished.last().unwrap().1, 0);
+}
+
+/// One record as bytes: spec index, label, cache flag and result.
+fn record_bytes(report: &SweepReport) -> Vec<String> {
+    report
+        .records
+        .iter()
+        .map(|r| {
+            let outcome = r.outcome.as_ref().expect("job succeeded");
+            format!(
+                "{} {} {} {}",
+                r.job.index,
+                r.job.label(),
+                r.cached,
+                codec::encode(outcome)
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn model_major_jobs_share_traces_and_keep_their_records_and_events() {
+    // Model-major: each benchmark's jobs are `benchmarks` apart, and the
+    // pool runs them together on one trace.
+    let jobs = spec().expand();
+    assert_ne!(jobs[0].benchmark, jobs[1].benchmark, "model-major order");
+    let alone: Vec<String> = jobs
+        .iter()
+        .map(|j| {
+            format!(
+                "{} {} false {}",
+                j.index,
+                j.label(),
+                codec::encode(&simulate(&j.cfg, j.benchmark))
+            )
+        })
+        .collect();
+    for workers in [1, 2] {
+        let sink = RecordingSink::new();
+        let report = run_sweep(
+            jobs.clone(),
+            &SweepOptions {
+                jobs: workers,
+                ..SweepOptions::default()
+            },
+            &mut sink.clone(),
+        )
+        .unwrap();
+        assert_eq!(record_bytes(&report), alone, "{workers} workers");
+        let mut started = Vec::new();
+        for e in sink.events().iter() {
+            if let Event::JobStarted { job, label, .. } = e {
+                assert_eq!(
+                    *label,
+                    jobs[*job as usize].label(),
+                    "events keep spec indices"
+                );
+                started.push(*job);
+            }
+        }
+        started.sort_unstable();
+        assert_eq!(started, (0..jobs.len() as u64).collect::<Vec<_>>());
+    }
 }

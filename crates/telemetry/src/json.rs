@@ -191,12 +191,19 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Nothing the system
+/// writes nests more than a few levels; the cap keeps a hostile or
+/// corrupt line from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document. Returns an error message with a byte
-/// offset on malformed input or trailing garbage.
+/// offset on malformed input, trailing garbage, or nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -210,6 +217,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -238,8 +247,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -247,6 +260,16 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -426,6 +449,23 @@ mod tests {
         assert!(parse("[1,2,]").is_err());
         assert!(parse("123 456").is_err());
         assert!(parse("tru").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_exhausting_the_stack() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&format!("{{\"a\":{}}}", nested(MAX_DEPTH))).is_err());
+        // 100 000 open brackets on a thread with the default 2 MiB stack
+        // (a daemon connection handler's) come back as an error.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse(&"[".repeat(100_000)).map(|_| ()))
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert!(deep.unwrap_err().contains("nesting deeper than"));
     }
 
     #[test]
