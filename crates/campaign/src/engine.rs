@@ -63,8 +63,9 @@ impl JournalState {
     }
 }
 
-/// Runs every trial of `spec` on `jobs` worker threads (0 = available
-/// parallelism) and aggregates the records in grid order.
+/// Runs every trial of `spec` on `opts.jobs` worker threads (0 =
+/// available parallelism) and aggregates the records in grid order,
+/// with an optional watchdog, write-ahead journal and crash resume.
 ///
 /// Lifecycle events stream to `sink` while workers run
 /// ([`Event::JobStarted`] / [`Event::JobFinished`], in completion
@@ -73,42 +74,6 @@ impl JournalState {
 /// then one [`Event::CampaignTrial`] per trial in grid order, so a
 /// deterministic sink sees the same trial stream regardless of worker
 /// count.
-///
-/// # Errors
-///
-/// Returns an error when the spec fails [`CampaignSpec::validate`].
-/// Trial panics are *not* errors — they surface as failed
-/// [`TrialRecord`]s.
-pub fn run_campaign<S: Sink>(
-    spec: &CampaignSpec,
-    jobs: usize,
-    sink: &mut S,
-) -> Result<CampaignReport, String> {
-    run_campaign_watched(spec, jobs, None, sink)
-}
-
-/// [`run_campaign`] with an optional heartbeat watchdog flagging silent
-/// trials as [`Event::JobStalled`].
-///
-/// # Errors
-///
-/// Returns an error when the spec fails [`CampaignSpec::validate`].
-pub fn run_campaign_watched<S: Sink>(
-    spec: &CampaignSpec,
-    jobs: usize,
-    watchdog: Option<rmt3d_obs::WatchdogConfig>,
-    sink: &mut S,
-) -> Result<CampaignReport, String> {
-    let opts = CampaignOptions {
-        jobs,
-        watchdog,
-        ..CampaignOptions::default()
-    };
-    run_campaign_with(spec, &opts, sink).map(|run| run.report)
-}
-
-/// [`run_campaign`] with the full option set: watchdog, write-ahead
-/// journaling, and crash resume.
 ///
 /// With `opts.journal` set, every completion is appended (and fsynced)
 /// to the journal *before* it is acknowledged, so a SIGKILL at any
@@ -322,10 +287,23 @@ mod tests {
     use crate::journal::JOURNAL_FILE;
     use rmt3d_telemetry::{NullSink, RecordingSink};
 
+    /// An unjournaled campaign on `jobs` workers.
+    fn run<S: Sink>(
+        spec: &CampaignSpec,
+        jobs: usize,
+        sink: &mut S,
+    ) -> Result<CampaignReport, String> {
+        let opts = CampaignOptions {
+            jobs,
+            ..CampaignOptions::default()
+        };
+        run_campaign_with(spec, &opts, sink).map(|run| run.report)
+    }
+
     #[test]
     fn smoke_campaign_has_full_coverage() {
         let spec = CampaignSpec::smoke(11);
-        let report = run_campaign(&spec, 0, &mut NullSink).expect("campaign runs");
+        let report = run(&spec, 0, &mut NullSink).expect("campaign runs");
         assert_eq!(report.records.len(), spec.total_trials());
         assert!(
             report.full_coverage(),
@@ -342,7 +320,7 @@ mod tests {
     fn campaign_trial_events_arrive_in_grid_order() {
         let spec = CampaignSpec::smoke(3);
         let mut sink = RecordingSink::new();
-        run_campaign(&spec, 2, &mut sink).expect("campaign runs");
+        run(&spec, 2, &mut sink).expect("campaign runs");
         let trial_ids: Vec<u64> = sink
             .events()
             .iter()
@@ -359,7 +337,7 @@ mod tests {
     fn invalid_spec_is_an_error_not_a_panic() {
         let mut spec = CampaignSpec::smoke(1);
         spec.benchmarks.clear();
-        assert!(run_campaign(&spec, 1, &mut NullSink).is_err());
+        assert!(run(&spec, 1, &mut NullSink).is_err());
     }
 
     #[test]

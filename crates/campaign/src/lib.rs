@@ -20,7 +20,7 @@
 //!    [`ReferenceExecutor`](rmt3d_cpu::ReferenceExecutor) replay of the
 //!    same trace that cross-checks leader, checker, and golden-shadow
 //!    state against pipeline-free ground truth.
-//! 3. **Campaigns** ([`run_campaign`]): trials fan out on the
+//! 3. **Campaigns** ([`run_campaign_with`]): trials fan out on the
 //!    `rmt3d-sweep` work-stealing pool with per-trial panic isolation;
 //!    records aggregate in grid order, so the JSONL coverage report
 //!    ([`CampaignReport::to_jsonl`], with per-site detection-latency
@@ -52,10 +52,13 @@
 //!    regression test.
 //!
 //! ```no_run
-//! use rmt3d_campaign::{run_campaign, CampaignSpec};
+//! use rmt3d_campaign::{run_campaign_with, CampaignOptions, CampaignSpec};
 //!
 //! let spec = CampaignSpec::default_grid(42);
-//! let report = run_campaign(&spec, 0, &mut rmt3d_telemetry::NullSink).unwrap();
+//! let opts = CampaignOptions::default(); // all cores, no journal
+//! let report = run_campaign_with(&spec, &opts, &mut rmt3d_telemetry::NullSink)
+//!     .unwrap()
+//!     .report;
 //! assert!(report.full_coverage(), "{}", report.summary());
 //! print!("{}", report.to_jsonl());
 //! ```
@@ -68,9 +71,7 @@ mod report;
 mod shrink;
 mod trial;
 
-pub use engine::{
-    run_campaign, run_campaign_watched, run_campaign_with, CampaignOptions, CampaignRun,
-};
+pub use engine::{run_campaign_with, CampaignOptions, CampaignRun};
 pub use fixture::{
     fixture_file_name, fixture_json, parse_fixture, replay_fixture, write_fixture, FIXTURE_KIND,
     FIXTURE_VERSION,

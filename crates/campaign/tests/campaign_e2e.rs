@@ -3,10 +3,22 @@
 //! regression fixture.
 
 use rmt3d_campaign::{
-    parse_fixture, replay_fixture, run_campaign, shrink, write_fixture, CampaignSpec,
+    parse_fixture, replay_fixture, run_campaign_with, shrink, write_fixture, CampaignOptions,
+    CampaignReport, CampaignSpec,
 };
 use rmt3d_rmt::FaultSite;
 use rmt3d_telemetry::NullSink;
+
+/// An unjournaled campaign on `jobs` workers (0 = all cores).
+fn run(spec: &CampaignSpec, jobs: usize) -> CampaignReport {
+    let opts = CampaignOptions {
+        jobs,
+        ..CampaignOptions::default()
+    };
+    run_campaign_with(spec, &opts, &mut NullSink)
+        .expect("campaign runs")
+        .report
+}
 
 /// The paper's coverage claim holds on the smoke grid, and the JSONL
 /// report is byte-identical between a serial and a parallel run — the
@@ -15,10 +27,10 @@ use rmt3d_telemetry::NullSink;
 #[test]
 fn serial_and_parallel_reports_are_byte_identical() {
     let spec = CampaignSpec::smoke(7);
-    let serial = run_campaign(&spec, 1, &mut NullSink).expect("serial runs");
+    let serial = run(&spec, 1);
     assert!(serial.full_coverage(), "{}", serial.summary());
     for jobs in [2, 4] {
-        let parallel = run_campaign(&spec, jobs, &mut NullSink).expect("parallel runs");
+        let parallel = run(&spec, jobs);
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl(), "jobs {jobs}");
         assert_eq!(serial.summary(), parallel.summary(), "jobs {jobs}");
     }
@@ -34,7 +46,7 @@ fn sabotaged_campaign_shrinks_violation_to_replayable_fixture() {
         .expect("trailer regfile carries ECC");
     spec.sites = vec![FaultSite::TrailerRegfile];
     spec.faults_per_cell = 12;
-    let report = run_campaign(&spec, 0, &mut NullSink).expect("campaign runs");
+    let report = run(&spec, 0);
     let violations = report.violations();
     assert!(
         !violations.is_empty(),

@@ -3,9 +3,13 @@
 //! Commands pull out the flags they know, and [`Args::finish`] rejects
 //! anything left over instead of silently ignoring it. Every flag rule
 //! that more than one command shares (a default, a range, an error
-//! message) is one typed helper here.
+//! message) is one typed helper here, and a sweep or campaign job is
+//! read from its flags once, into the [`JobPayload`] the daemon uses
+//! too.
 
 use rmt3d::ProcessorModel;
+use rmt3d_rmt::FaultSite;
+use rmt3d_serve::JobPayload;
 use rmt3d_workload::Benchmark;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -120,6 +124,54 @@ impl Args {
             .map(PathBuf::from)
     }
 
+    /// Consumes `--runs-root DIR` and `--no-ledger`: the run ledger's
+    /// root, `None` when registration is switched off.
+    pub fn ledger_root(&mut self) -> Result<Option<PathBuf>, String> {
+        let root = self.runs_root()?;
+        Ok((!self.flag("--no-ledger")).then_some(root))
+    }
+
+    /// Consumes a sweep's `--models`, `--benchmarks` and
+    /// `--instructions`.
+    pub fn sweep_job(&mut self) -> Result<JobPayload, String> {
+        Ok(JobPayload::sweep(
+            parse_list(
+                self.opt("--models")?,
+                &ProcessorModel::ALL,
+                |s| s.parse().ok(),
+                "model",
+            )?,
+            self.benchmarks()?,
+            self.parsed("--instructions")?,
+        ))
+    }
+
+    /// Consumes a campaign's `--sites`, `--benchmarks`,
+    /// `--faults-per-site`, `--seed` and `--instructions`.
+    pub fn campaign_job(&mut self) -> Result<JobPayload, String> {
+        Ok(JobPayload::campaign(
+            parse_list(
+                self.opt("--sites")?,
+                &FaultSite::ALL,
+                |s| FaultSite::parse(s).ok(),
+                "fault site",
+            )?,
+            self.benchmarks()?,
+            self.parsed("--faults-per-site")?,
+            self.parsed("--seed")?,
+            self.parsed("--instructions")?,
+        ))
+    }
+
+    fn benchmarks(&mut self) -> Result<Option<Vec<Benchmark>>, String> {
+        parse_list(
+            self.opt("--benchmarks")?,
+            &Benchmark::ALL,
+            |s| s.parse().ok(),
+            "benchmark",
+        )
+    }
+
     /// Consumes the next unused positional (non-flag) argument.
     pub fn positional(&mut self) -> Option<String> {
         for (i, a) in self.args.iter().enumerate() {
@@ -145,6 +197,36 @@ impl Args {
             Ok(())
         } else {
             Err(format!("unrecognized arguments: {}", leftover.join(" ")))
+        }
+    }
+}
+
+/// Parses a comma-separated `--models`/`--benchmarks`/`--sites` list,
+/// where the keyword `all` selects the whole axis; `None` (flag
+/// absent) leaves the job's default.
+fn parse_list<T: Copy>(
+    spec: Option<String>,
+    all: &[T],
+    parse: impl Fn(&str) -> Option<T>,
+    what: &str,
+) -> Result<Option<Vec<T>>, String> {
+    match spec.as_deref() {
+        None => Ok(None),
+        Some("all") => Ok(Some(all.to_vec())),
+        Some(list) => {
+            let items: Vec<&str> = list
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .collect();
+            if items.is_empty() {
+                return Err(format!("{what} list is empty"));
+            }
+            items
+                .into_iter()
+                .map(|s| parse(s).ok_or_else(|| format!("unknown {what}: {s}")))
+                .collect::<Result<_, _>>()
+                .map(Some)
         }
     }
 }
@@ -194,6 +276,31 @@ mod tests {
     fn option_without_value_is_an_error() {
         let mut a = args(&["--out-dir", "--resume"]);
         assert!(a.opt("--out-dir").is_err());
+    }
+
+    #[test]
+    fn job_flags_build_the_payload_the_daemon_parses() {
+        let sweep = args(&["--models", "2d-a", "--benchmarks", "gzip, mcf"])
+            .sweep_job()
+            .unwrap();
+        let spec = sweep.spec_json();
+        assert_eq!(
+            spec,
+            r#"{"models":["2d-a"],"benchmarks":["gzip","mcf"],"instructions":250000}"#
+        );
+        let parsed = rmt3d_telemetry::json::parse(&spec).unwrap();
+        let back = JobPayload::parse("sweep", &parsed).unwrap();
+        assert_eq!(back.spec_hash(), sweep.spec_hash());
+
+        let campaign = args(&["--seed", "7"]).campaign_job().unwrap();
+        assert_eq!(
+            campaign.campaign_spec(),
+            &rmt3d_campaign::CampaignSpec::default_grid(7)
+        );
+        let err = args(&["--sites", "leader_result,bogus"])
+            .campaign_job()
+            .unwrap_err();
+        assert_eq!(err, "unknown fault site: bogus");
     }
 
     #[test]

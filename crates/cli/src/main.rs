@@ -71,14 +71,12 @@ use rmt3d::{
     ProcessorModel, RunScale, SerialSimulator, SimConfig, Simulator,
 };
 use rmt3d_cache::NucaPolicy;
-use rmt3d_campaign::{
-    run_campaign_with, shrink, write_fixture, CampaignOptions, CampaignSpec, DEFAULT_BENCHMARKS,
-    JOURNAL_FILE,
-};
+use rmt3d_campaign::{run_campaign_with, shrink, write_fixture, CampaignOptions, JOURNAL_FILE};
 use rmt3d_obs::durable::write_atomic;
 use rmt3d_obs::WatchdogConfig;
-use rmt3d_rmt::{EccConfig, FaultSite};
-use rmt3d_sweep::{run_sweep, CacheMode, ParallelSimulator, ResultStore, SweepOptions, SweepSpec};
+use rmt3d_rmt::FaultSite;
+use rmt3d_serve::JobPayload;
+use rmt3d_sweep::{run_sweep, CacheMode, ParallelSimulator, ResultStore, SweepOptions};
 use rmt3d_units::{TechNode, Watts};
 use rmt3d_workload::Benchmark;
 use std::fs::File;
@@ -208,38 +206,6 @@ const COMMANDS: &[(&str, Command)] = &[
     ("shutdown", servecmd::run_shutdown_command),
 ];
 
-/// Parses a comma-separated `--models`/`--benchmarks` list, where the
-/// keyword `all` (also the default) selects the whole axis.
-fn parse_list<T: Copy>(
-    spec: Option<String>,
-    all: &[T],
-    parse: impl Fn(&str) -> Option<T>,
-    what: &str,
-) -> Result<Vec<T>, String> {
-    match spec.as_deref() {
-        None | Some("all") => Ok(all.to_vec()),
-        Some(list) => {
-            let items: Vec<&str> = list
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect();
-            if items.is_empty() {
-                return Err(format!("{what} list is empty"));
-            }
-            items
-                .into_iter()
-                .map(|s| parse(s).ok_or_else(|| format!("unknown {what}: {s}")))
-                .collect()
-        }
-    }
-}
-
-/// `a,b,c` of an axis, for a run's ledger config.
-fn joined<T: Copy>(items: &[T], name: fn(T) -> &'static str) -> String {
-    items.iter().map(|&t| name(t)).collect::<Vec<_>>().join(",")
-}
-
 /// One result line of `sweep`; `submit --wait` prints the same bytes.
 pub fn sweep_line(label: &str, r: &PerfResult) -> String {
     format!(
@@ -318,22 +284,6 @@ impl Sink for ProgressSink {
             _ => {}
         }
     }
-}
-
-/// The sink stack of `sweep` and `campaign`: stderr progress, the
-/// `--trace-out` JSONL and the run ledger's status observer.
-fn pool_sink<'a>(
-    quiet: bool,
-    jsonl: &JsonlSink<Box<dyn Write>>,
-    tracker: &'a mut Option<runctl::RunTracker>,
-) -> impl Sink + 'a {
-    (
-        ProgressSink { quiet },
-        (
-            jsonl.clone(),
-            runctl::ObserverSink(tracker.as_mut().map(|t| &mut t.observer)),
-        ),
-    )
 }
 
 /// Telemetry-related `simulate` flags.
@@ -435,14 +385,7 @@ fn run_simulate_command(mut a: Args) -> Result<ExitCode, String> {
     let quiet = a.flag("--quiet");
     let telemetry = TelemetryOpts::from_args(&mut a)?;
     a.finish()?;
-    let mut cfg = SimConfig::nominal(
-        model,
-        RunScale {
-            warmup_instructions: instructions / 10,
-            instructions,
-            thermal_grid: 50,
-        },
-    );
+    let mut cfg = SimConfig::nominal(model, RunScale::with_instructions(instructions));
     if ways {
         cfg.policy = NucaPolicy::DistributedWays;
     }
@@ -622,19 +565,7 @@ fn run_experiment_command(mut a: Args) -> Result<ExitCode, String> {
 /// The `rmt3d sweep` subcommand: expand a declarative spec and run it
 /// on the parallel engine with the on-disk result cache.
 fn run_sweep_command(mut a: Args) -> Result<ExitCode, String> {
-    let models = parse_list(
-        a.opt("--models")?,
-        &ProcessorModel::ALL,
-        |s| s.parse().ok(),
-        "model",
-    )?;
-    let benchmarks = parse_list(
-        a.opt("--benchmarks")?,
-        &Benchmark::ALL,
-        |s| s.parse().ok(),
-        "benchmark",
-    )?;
-    let instructions = a.parsed("--instructions")?.unwrap_or(250_000);
+    let payload = a.sweep_job()?;
     let jobs = a.jobs()?.unwrap_or(0); // 0: the pool's automatic size
     let resume = a.flag("--resume");
     let no_cache = a.flag("--no-cache");
@@ -643,7 +574,7 @@ fn run_sweep_command(mut a: Args) -> Result<ExitCode, String> {
     let quiet = a.flag("--quiet");
     let trace_out = a.opt("--trace-out")?;
     let stall_factor = a.parsed::<f64>("--stall-factor")?;
-    let ledger_opts = runctl::LedgerOpts::from_args(&mut a)?;
+    let ledger_root = a.ledger_root()?;
     a.finish()?;
     if resume && no_cache {
         return Err("--resume and --no-cache are mutually exclusive".into());
@@ -664,12 +595,7 @@ fn run_sweep_command(mut a: Args) -> Result<ExitCode, String> {
         CacheMode::Dir(out_dir)
     };
 
-    let scale = RunScale {
-        warmup_instructions: instructions / 10,
-        instructions,
-        thermal_grid: 50,
-    };
-    let spec = SweepSpec::new(&models, &benchmarks, scale);
+    let spec = payload.sweep_spec();
     let opts = SweepOptions {
         jobs,
         cache,
@@ -680,48 +606,38 @@ fn run_sweep_command(mut a: Args) -> Result<ExitCode, String> {
         eprintln!(
             "sweep: {} jobs ({} models x {} benchmarks, {} instructions) on {} workers",
             spec.job_count(),
-            models.len(),
-            benchmarks.len(),
-            instructions,
+            spec.models.len(),
+            spec.benchmarks.len(),
+            spec.scale.instructions,
             opts.worker_count(),
         );
     }
 
-    let sweep_jobs = spec.expand();
-    let canonicals: Vec<String> = sweep_jobs.iter().map(|j| j.canonical()).collect();
-    let config = vec![
-        ("models".to_string(), joined(&models, ProcessorModel::name)),
-        (
-            "benchmarks".to_string(),
-            joined(&benchmarks, Benchmark::name),
-        ),
-        ("instructions".to_string(), instructions.to_string()),
-        ("workers".to_string(), opts.worker_count().to_string()),
-        (
-            "cache".to_string(),
-            match &opts.cache {
-                CacheMode::Disabled => "disabled".to_string(),
-                CacheMode::Dir(d) => d.display().to_string(),
-            },
-        ),
-    ];
-    let mut tracker = runctl::RunTracker::start(
-        &ledger_opts,
-        "sweep",
-        rmt3d_obs::spec_hash(canonicals.iter().map(String::as_str)),
-        sweep_jobs.len() as u64,
+    let mut config = payload.config();
+    config.push(("workers".to_string(), opts.worker_count().to_string()));
+    config.push((
+        "cache".to_string(),
+        match &opts.cache {
+            CacheMode::Disabled => "disabled".to_string(),
+            CacheMode::Dir(d) => d.display().to_string(),
+        },
+    ));
+    let tracker = runctl::start_run(
+        ledger_root.as_deref(),
+        payload.kind(),
+        payload.spec_hash(),
+        payload.total_jobs(),
         &config,
         quiet,
     );
 
     let jsonl = trace_sink(trace_out.as_deref())?;
-    let mut sink = pool_sink(quiet, &jsonl, &mut tracker);
-    let report = run_sweep(sweep_jobs, &opts, &mut sink)?;
-    drop(sink);
+    let mut sink = ((ProgressSink { quiet }, jsonl.clone()), tracker);
+    let report = run_sweep(spec.expand(), &opts, &mut sink)?;
+    let (_, tracker) = sink;
     finish_trace(jsonl)?;
-    if let Some(tracker) = tracker {
-        tracker.finish(if report.failures > 0 { "failed" } else { "ok" }, None);
-    }
+    let outcome = if report.failures > 0 { "failed" } else { "ok" };
+    runctl::finish_run(tracker, outcome, None, quiet);
     if let (Some(max), CacheMode::Dir(dir)) = (cache_max_bytes, &opts.cache) {
         match ResultStore::open(dir).and_then(|store| store.evict_to(max)) {
             Ok(ev) if ev.evicted_entries > 0 && !quiet => eprintln!(
@@ -755,21 +671,7 @@ fn run_sweep_command(mut a: Args) -> Result<ExitCode, String> {
 /// it on the parallel engine, write the JSONL coverage report, and — on
 /// a violation — minimize the first one into a regression fixture.
 fn run_campaign_command(mut a: Args) -> Result<ExitCode, String> {
-    let sites = parse_list(
-        a.opt("--sites")?,
-        &FaultSite::ALL,
-        |s| FaultSite::parse(s).ok(),
-        "fault site",
-    )?;
-    let benchmarks = match a.opt("--benchmarks")? {
-        // The curated default slice differs from `all`: five profiles
-        // spanning branchy and memory-bound behaviour.
-        None => DEFAULT_BENCHMARKS.to_vec(),
-        spec => parse_list(spec, &Benchmark::ALL, |s| s.parse().ok(), "benchmark")?,
-    };
-    let faults_per_cell = a.parsed::<usize>("--faults-per-site")?.unwrap_or(40);
-    let seed = a.parsed::<u64>("--seed")?.unwrap_or(42);
-    let instructions = a.parsed::<u64>("--instructions")?.unwrap_or(20_000);
+    let mut payload = a.campaign_job()?;
     let jobs = a.jobs()?.unwrap_or(0); // 0: the pool's automatic size
     let out_dir = PathBuf::from(a.opt_or("--out-dir", "target/campaign")?);
     let sabotage = a
@@ -781,22 +683,15 @@ fn run_campaign_command(mut a: Args) -> Result<ExitCode, String> {
     let quiet = a.flag("--quiet");
     let trace_out = a.opt("--trace-out")?;
     let stall_factor = a.parsed::<f64>("--stall-factor")?;
-    let ledger_opts = runctl::LedgerOpts::from_args(&mut a)?;
+    let ledger_root = a.ledger_root()?;
     a.finish()?;
     let watchdog = stall_watchdog(stall_factor)?;
-
-    let mut spec = CampaignSpec {
-        sites,
-        benchmarks,
-        faults_per_cell,
-        seed,
-        instructions,
-        ecc: EccConfig::paper(),
-    };
+    // A sabotaged grid is another job: its spec hash covers the ECC.
     if let Some(site) = sabotage {
-        spec = spec.sabotage(site)?;
+        payload = JobPayload::Campaign(payload.campaign_spec().clone().sabotage(site)?);
     }
-    spec.validate()?;
+    payload.validate()?;
+    let spec = payload.campaign_spec();
     if !quiet {
         eprintln!(
             "campaign: {} trials ({} sites x {} benchmarks x {} faults, \
@@ -815,38 +710,24 @@ fn run_campaign_command(mut a: Args) -> Result<ExitCode, String> {
         );
     }
 
-    let campaign_canonical = spec.canonical();
-    let config = vec![
-        ("sites".to_string(), joined(&spec.sites, FaultSite::name)),
-        (
-            "benchmarks".to_string(),
-            joined(&spec.benchmarks, Benchmark::name),
-        ),
-        (
-            "faults_per_site".to_string(),
-            spec.faults_per_cell.to_string(),
-        ),
-        ("seed".to_string(), spec.seed.to_string()),
-        ("instructions".to_string(), spec.instructions.to_string()),
-    ];
-    let mut tracker = runctl::RunTracker::start(
-        &ledger_opts,
-        "campaign",
-        rmt3d_obs::spec_hash(std::iter::once(campaign_canonical.as_str())),
-        spec.total_trials() as u64,
-        &config,
+    let tracker = runctl::start_run(
+        ledger_root.as_deref(),
+        payload.kind(),
+        payload.spec_hash(),
+        payload.total_jobs(),
+        &payload.config(),
         quiet,
     );
 
     let jsonl = trace_sink(trace_out.as_deref())?;
-    let mut sink = pool_sink(quiet, &jsonl, &mut tracker);
+    let mut sink = ((ProgressSink { quiet }, jsonl.clone()), tracker);
     let opts = CampaignOptions {
         jobs,
         watchdog,
         journal: (journal || resume).then(|| out_dir.join(JOURNAL_FILE)),
         resume,
     };
-    let run = run_campaign_with(&spec, &opts, &mut sink)?;
+    let run = run_campaign_with(spec, &opts, &mut sink)?;
     if !quiet {
         if let Some(reason) = &run.journal_discarded {
             eprintln!("campaign: journal discarded ({reason}); starting fresh");
@@ -859,18 +740,14 @@ fn run_campaign_command(mut a: Args) -> Result<ExitCode, String> {
         }
     }
     let report = run.report;
-    drop(sink);
+    let (_, tracker) = sink;
     finish_trace(jsonl)?;
-    if let Some(tracker) = tracker {
-        tracker.finish(
-            if report.violations().is_empty() {
-                "ok"
-            } else {
-                "failed"
-            },
-            None,
-        );
-    }
+    let outcome = if report.violations().is_empty() {
+        "ok"
+    } else {
+        "failed"
+    };
+    runctl::finish_run(tracker, outcome, None, quiet);
 
     let report_path = out_dir.join("campaign.jsonl");
     write_atomic(&report_path, &report.to_jsonl())

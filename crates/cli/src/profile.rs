@@ -35,7 +35,7 @@ pub fn run_profile_command(mut a: Args) -> Result<ExitCode, String> {
     let sample_interval = a.parsed("--sample-interval")?.unwrap_or(1_000);
     let out_dir = PathBuf::from(a.opt_or("--out-dir", "target/profile")?);
     let quiet = a.flag("--quiet");
-    let ledger_opts = runctl::LedgerOpts::from_args(&mut a)?;
+    let ledger_root = a.ledger_root()?;
     a.finish()?;
 
     std::fs::create_dir_all(&out_dir)
@@ -46,14 +46,7 @@ pub fn run_profile_command(mut a: Args) -> Result<ExitCode, String> {
             .map_err(|e| format!("cannot create {}: {e}", trace_path.display()))?,
     );
 
-    let cfg = SimConfig::nominal(
-        model,
-        RunScale {
-            warmup_instructions: instructions / 10,
-            instructions,
-            thermal_grid: 50,
-        },
-    );
+    let cfg = SimConfig::nominal(model, RunScale::with_instructions(instructions));
     let label = format!("{model}/{bench}");
     let canonical =
         format!("profile|{label}|instructions={instructions}|sample_interval={sample_interval}");
@@ -63,8 +56,8 @@ pub fn run_profile_command(mut a: Args) -> Result<ExitCode, String> {
         ("instructions".to_string(), instructions.to_string()),
         ("sample_interval".to_string(), sample_interval.to_string()),
     ];
-    let mut tracker = runctl::RunTracker::start(
-        &ledger_opts,
+    let mut tracker = runctl::start_run(
+        ledger_root.as_deref(),
         "profile",
         rmt3d_obs::spec_hash(std::iter::once(canonical.as_str())),
         1,
@@ -73,13 +66,11 @@ pub fn run_profile_command(mut a: Args) -> Result<ExitCode, String> {
     );
     // The profiler has no job pool; drive the run's single job through
     // the observer by hand so status.json reflects the simulation.
-    if let Some(t) = tracker.as_mut() {
-        t.observer.record(&rmt3d::telemetry::Event::JobStarted {
-            job: 0,
-            total: 1,
-            label: label.clone(),
-        });
-    }
+    tracker.record(&Event::JobStarted {
+        job: 0,
+        total: 1,
+        label: label.clone(),
+    });
 
     let collector = CollectorSink::new();
     let mut trace = TraceEventSink::new(writer);
@@ -95,15 +86,13 @@ pub fn run_profile_command(mut a: Args) -> Result<ExitCode, String> {
         .finish()
         .map_err(|e| format!("trace write failed: {e}"))?;
     let snapshot = collector.snapshot();
-    if let Some(t) = tracker.as_mut() {
-        t.observer.record(&rmt3d::telemetry::Event::JobFinished {
-            job: 0,
-            total: 1,
-            ok: true,
-            wall_nanos,
-            eta_nanos: 0,
-        });
-    }
+    tracker.record(&Event::JobFinished {
+        job: 0,
+        total: 1,
+        ok: true,
+        wall_nanos,
+        eta_nanos: 0,
+    });
 
     println!(
         "profile: model {model} benchmark {bench} ({instructions} instructions, \
@@ -136,11 +125,9 @@ pub fn run_profile_command(mut a: Args) -> Result<ExitCode, String> {
     }
     println!();
     println!("trace: {}", trace_path.display());
-    if let Some(tracker) = tracker {
-        // The collector's registry (CPI counters, occupancy histograms)
-        // is the interesting snapshot for a profile run's dashboard.
-        tracker.finish("ok", Some(&snapshot.registry));
-    }
+    // The collector's registry (CPI counters, occupancy histograms) is
+    // the interesting snapshot for a profile run's dashboard.
+    runctl::finish_run(tracker, "ok", Some(&snapshot.registry), quiet);
     if !quiet {
         eprintln!(
             "open the trace in ui.perfetto.dev, or re-derive this report with \

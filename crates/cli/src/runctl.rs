@@ -15,114 +15,55 @@
 use crate::args::Args;
 use rmt3d_obs::durable::write_atomic;
 use rmt3d_obs::ledger::{format_unix_ms, RunLedger, METRICS_FILE, REPORT_FILE, STATUS_FILE};
-use rmt3d_obs::metricsio::{metrics_to_json, parse_metrics};
-use rmt3d_obs::{render_html_with, DaemonSeries, Manifest, ReportOptions, RunObserver, RunStatus};
-use rmt3d_telemetry::{Event, MetricsRegistry, Sink};
-use std::path::PathBuf;
+use rmt3d_obs::metricsio::parse_metrics;
+use rmt3d_obs::{render_html_with, DaemonSeries, Manifest, ReportOptions, RunStatus, RunTracker};
+use rmt3d_telemetry::MetricsRegistry;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Shared `--runs-root` / `--no-ledger` flags.
-pub struct LedgerOpts {
-    /// Runs-root directory.
-    pub root: PathBuf,
-    /// False when `--no-ledger` was passed.
-    pub enabled: bool,
-}
-
-impl LedgerOpts {
-    /// Consumes the ledger flags from an argument list.
-    pub fn from_args(a: &mut Args) -> Result<LedgerOpts, String> {
-        Ok(LedgerOpts {
-            root: a.runs_root()?,
-            enabled: !a.flag("--no-ledger"),
-        })
-    }
-}
-
-/// A live run registration: ledger handle + status observer.
-pub struct RunTracker {
-    handle: rmt3d_obs::ledger::RunHandle,
-    /// The status-folding sink; tee it into the command's sink stack.
-    pub observer: RunObserver,
+/// Registers a run in the ledger at `root` (`None`: `--no-ledger`).
+/// A ledger that cannot be opened is a stderr warning, not an error.
+pub fn start_run(
+    root: Option<&Path>,
+    kind: &str,
+    spec_hash: u64,
+    total_jobs: u64,
+    config: &[(String, String)],
     quiet: bool,
-}
-
-impl RunTracker {
-    /// Registers a run in the ledger. Returns `None` (with a stderr
-    /// warning) when the ledger is disabled or cannot be created.
-    pub fn start(
-        opts: &LedgerOpts,
-        kind: &str,
-        spec_hash: u64,
-        total_jobs: u64,
-        config: &[(String, String)],
-        quiet: bool,
-    ) -> Option<RunTracker> {
-        if !opts.enabled {
-            return None;
-        }
-        let ledger = match RunLedger::open(&opts.root) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!(
-                    "warning: run ledger disabled: cannot open {}: {e}",
-                    opts.root.display()
-                );
-                return None;
+) -> Option<RunTracker> {
+    match RunTracker::start(root?, kind, spec_hash, total_jobs, config) {
+        Ok(tracker) => {
+            if !quiet {
+                eprintln!("run: {} ({})", tracker.run_id(), tracker.dir().display());
             }
-        };
-        let handle = match ledger.create_run(kind, spec_hash, total_jobs, config) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("warning: run ledger disabled: cannot create run: {e}");
-                return None;
-            }
-        };
-        if !quiet {
-            eprintln!("run: {} ({})", handle.run_id(), handle.dir().display());
+            Some(tracker)
         }
-        let observer = RunObserver::new(handle.status_path(), handle.run_id(), kind, total_jobs);
-        Some(RunTracker {
-            handle,
-            observer,
-            quiet,
-        })
-    }
-
-    /// Closes the run: final status write, `metrics.json` snapshot
-    /// (from `metrics` when given, else the observer's own registry),
-    /// and the manifest outcome. All best-effort.
-    pub fn finish(mut self, outcome: &str, metrics: Option<&MetricsRegistry>) {
-        if let Err(e) = self.observer.finalize(outcome) {
-            eprintln!("warning: status write failed: {e}");
-        }
-        let json = metrics_to_json(metrics.unwrap_or_else(|| self.observer.registry()));
-        if let Err(e) = write_atomic(&self.handle.metrics_path(), &json) {
-            eprintln!("warning: metrics write failed: {e}");
-        }
-        if let Err(e) = self.handle.finish(outcome) {
-            eprintln!("warning: manifest write failed: {e}");
-        }
-        if !self.quiet {
-            eprintln!(
-                "run: {} {outcome}; inspect with `rmt3d status --run {}`",
-                self.handle.run_id(),
-                self.handle.run_id()
-            );
+        Err(e) => {
+            eprintln!("warning: run ledger disabled: {e}");
+            None
         }
     }
 }
 
-/// Adapter teeing events into an optional [`RunObserver`] — the ledger
-/// may be disabled, but the command's sink type is fixed at compile
-/// time.
-pub struct ObserverSink<'a>(pub Option<&'a mut RunObserver>);
-
-impl Sink for ObserverSink<'_> {
-    fn record(&mut self, event: &Event) {
-        if let Some(obs) = self.0.as_mut() {
-            obs.record(event);
+/// Closes a run from [`start_run`] (see [`RunTracker::finish`]); its
+/// failures are stderr warnings.
+pub fn finish_run(
+    tracker: Option<RunTracker>,
+    outcome: &str,
+    metrics: Option<&MetricsRegistry>,
+    quiet: bool,
+) {
+    let Some(tracker) = tracker else {
+        return;
+    };
+    let run_id = tracker.run_id().to_string();
+    if let Err(errors) = tracker.finish(outcome, metrics) {
+        for e in errors {
+            eprintln!("warning: {e}");
         }
+    }
+    if !quiet {
+        eprintln!("run: {run_id} {outcome}; inspect with `rmt3d status --run {run_id}`");
     }
 }
 

@@ -20,7 +20,7 @@ use crate::sweep_line;
 use rmt3d_serve::client::{self, DEFAULT_ADDR};
 use rmt3d_serve::{serve, ServeOptions};
 use rmt3d_sweep::codec;
-use rmt3d_telemetry::json::{write_json_string, JsonObject, JsonValue};
+use rmt3d_telemetry::json::JsonValue;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -48,8 +48,7 @@ pub fn run_serve_command(mut a: Args) -> Result<ExitCode, String> {
     let cache_dir = PathBuf::from(a.opt_or("--out-dir", DEFAULT_CACHE_DIR)?);
     let workers = a.jobs()?.unwrap_or(0); // 0: the pool's automatic size
     let cache_max_bytes = a.parsed::<u64>("--cache-max-bytes")?;
-    let runs_root = a.runs_root()?;
-    let no_ledger = a.flag("--no-ledger");
+    let runs_root = a.ledger_root()?;
     let quiet = a.flag("--quiet");
     a.finish()?;
     let listener =
@@ -59,64 +58,37 @@ pub fn run_serve_command(mut a: Args) -> Result<ExitCode, String> {
         cache_dir,
         workers,
         cache_max_bytes,
-        runs_root: (!no_ledger).then_some(runs_root),
+        runs_root,
         quiet,
     };
     serve(listener, opts)?;
     Ok(ExitCode::SUCCESS)
 }
 
-/// Builds a `submit` spec object from `--spec` or the kind's axis and
-/// count flags (consumed in this order); every name is escaped.
-fn spec_from_flags(a: &mut Args, kind: &str) -> Result<String, String> {
-    if let Some(spec) = a.opt("--spec")? {
-        return Ok(spec);
-    }
-    let (axes, counts): ([&str; 2], &[&str]) = match kind {
-        "sweep" => (["models", "benchmarks"], &["instructions"]),
-        _ => (
-            ["sites", "benchmarks"],
-            &["faults_per_site", "seed", "instructions"],
-        ),
-    };
-    let flag = |key: &str| format!("--{}", key.replace('_', "-"));
-    let mut spec = JsonObject::new();
-    for key in axes {
-        let Some(list) = a.opt(&flag(key))? else {
-            continue;
-        };
-        let mut names = String::new();
-        if list == "all" {
-            write_json_string(&mut names, "all");
-        } else {
-            names.push('[');
-            for (i, name) in list.split(',').enumerate() {
-                if i > 0 {
-                    names.push(',');
-                }
-                write_json_string(&mut names, name.trim());
-            }
-            names.push(']');
-        }
-        spec.raw(key, &names);
-    }
-    for &key in counts {
-        if let Some(n) = a.parsed::<u64>(&flag(key))? {
-            spec.u64(key, n);
-        }
-    }
-    Ok(spec.finish())
-}
-
 /// `rmt3d submit [--addr A] [--kind sweep|campaign] [--priority N]
 /// [--spec JSON | axis flags] [--wait] [--quiet]`: enqueue a job on a
 /// running daemon. Prints the job id; with `--wait`, streams progress
 /// to stderr and prints the job's results to stdout when it finishes.
+///
+/// Axis flags build the job exactly as `rmt3d sweep` / `rmt3d campaign`
+/// do, so a bad one fails here; a `--spec` object is sent as given and
+/// the daemon validates it.
 pub fn run_submit_command(mut a: Args) -> Result<ExitCode, String> {
     let addr = addr_opt(&mut a)?;
     let kind = a.opt_or("--kind", "sweep")?;
     let priority = a.parsed::<u64>("--priority")?.unwrap_or(0);
-    let spec = spec_from_flags(&mut a, &kind)?;
+    let spec = match a.opt("--spec")? {
+        Some(spec) => spec,
+        None => {
+            let payload = match kind.as_str() {
+                "sweep" => a.sweep_job()?,
+                "campaign" => a.campaign_job()?,
+                other => return Err(format!("unknown job kind {other:?}")),
+            };
+            payload.validate()?;
+            payload.spec_json()
+        }
+    };
     let wait = a.flag("--wait");
     let quiet = a.flag("--quiet");
     a.finish()?;
@@ -399,25 +371,4 @@ pub fn run_watch_command(mut a: Args) -> Result<ExitCode, String> {
         }
     }
     Err(format!("watch stream for {job} ended unexpectedly"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn submit_spec_escapes_names() {
-        let args: Vec<String> = ["--models", "a\"b,all", "--instructions", "7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let spec = spec_from_flags(&mut Args::new(&args), "sweep").unwrap();
-        let v = rmt3d_telemetry::json::parse(&spec).expect("spec is strict JSON");
-        let Some(JsonValue::Arr(models)) = v.get("models") else {
-            panic!("models array in {spec}");
-        };
-        let names: Vec<_> = models.iter().filter_map(JsonValue::as_str).collect();
-        assert_eq!(names, ["a\"b", "all"]);
-        assert_eq!(v.get("instructions").and_then(JsonValue::as_u64), Some(7));
-    }
 }

@@ -271,6 +271,24 @@ const PINNED: &[(&[&str], &str)] = &[
         &["submit", "--priority", "x"],
         "error: invalid value for --priority: x",
     ),
+    // Axis flags are checked here, not by the daemon: port 1 is never
+    // dialled.
+    (
+        &["submit", "--models", "bogus", "--addr", "127.0.0.1:1"],
+        "error: unknown model: bogus",
+    ),
+    (
+        &[
+            "submit",
+            "--kind",
+            "campaign",
+            "--sites",
+            "bogus",
+            "--addr",
+            "127.0.0.1:1",
+        ],
+        "error: unknown fault site: bogus",
+    ),
     (&["jobs", "--typo"], "error: unrecognized arguments: --typo"),
     (&["cancel"], "error: cancel requires a job id"),
     (&["cancel", "--addr"], "error: cancel requires a job id"),

@@ -126,6 +126,17 @@ impl RunScale {
         }
     }
 
+    /// `instructions` measured after a tenth as many warm-up
+    /// instructions, on the 50-cell thermal grid: the scale of
+    /// `rmt3d simulate`, `sweep` and `profile`.
+    pub fn with_instructions(instructions: u64) -> RunScale {
+        RunScale {
+            warmup_instructions: instructions / 10,
+            instructions,
+            thermal_grid: 50,
+        }
+    }
+
     /// Fast runs for tests.
     pub fn quick() -> RunScale {
         RunScale {

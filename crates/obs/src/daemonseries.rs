@@ -15,7 +15,6 @@
 
 use crate::metricsio::{metrics_from_value, ParsedMetrics};
 use rmt3d_telemetry::json::{parse, JsonValue};
-use std::path::Path;
 
 /// One snapshot line from the ring, flattened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,13 +106,6 @@ impl DaemonSeries {
         out
     }
 
-    /// Reads and parses a ring file; `None` when it cannot be read
-    /// (missing file is normal for a daemon that never started).
-    pub fn load(path: &Path) -> Option<DaemonSeries> {
-        let text = std::fs::read_to_string(path).ok()?;
-        Some(DaemonSeries::parse(&text))
-    }
-
     /// The newest sample.
     pub fn latest(&self) -> Option<&DaemonSample> {
         self.samples.last()
@@ -174,6 +166,6 @@ mod tests {
     #[test]
     fn empty_and_missing_input() {
         assert!(DaemonSeries::parse("").is_empty());
-        assert!(DaemonSeries::load(Path::new("/nonexistent/ring.jsonl")).is_none());
+        assert!(DaemonSeries::parse("\n\n").is_empty());
     }
 }

@@ -26,8 +26,11 @@
 //! `"wall"` object (start/finish clocks).
 
 use crate::durable::{write_atomic, AppendLog};
+use crate::metricsio::metrics_to_json;
+use crate::status::RunObserver;
 use crate::version_string;
 use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
+use rmt3d_telemetry::{Event, MetricsRegistry, Sink};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -382,6 +385,87 @@ impl RunHandle {
             .str("outcome", outcome)
             .u64("unix_ms", self.manifest.finished_unix_ms);
         AppendLog::open(&self.root.join(LEDGER_FILE))?.append(&line.finish())
+    }
+}
+
+/// One registered run: its ledger entry plus the [`RunObserver`] that
+/// folds its events into `status.json`. As a [`Sink`] it feeds the
+/// observer; tee it into the run's sink stack. `rmt3d sweep`,
+/// `campaign`, `profile` and every job `rmt3d serve` executes register
+/// through it.
+#[derive(Debug)]
+pub struct RunTracker {
+    handle: RunHandle,
+    observer: RunObserver,
+}
+
+impl RunTracker {
+    /// Opens the ledger at `root` and registers a run in it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the ledger cannot be opened or the run
+    /// cannot be created.
+    pub fn start(
+        root: &Path,
+        kind: &str,
+        spec_hash: u64,
+        total_jobs: u64,
+        config: &[(String, String)],
+    ) -> Result<RunTracker, String> {
+        let ledger =
+            RunLedger::open(root).map_err(|e| format!("cannot open {}: {e}", root.display()))?;
+        let handle = ledger
+            .create_run(kind, spec_hash, total_jobs, config)
+            .map_err(|e| format!("cannot create run: {e}"))?;
+        let observer = RunObserver::new(handle.status_path(), handle.run_id(), kind, total_jobs);
+        Ok(RunTracker { handle, observer })
+    }
+
+    /// The run's name.
+    pub fn run_id(&self) -> &str {
+        self.handle.run_id()
+    }
+
+    /// The run's directory.
+    pub fn dir(&self) -> &Path {
+        self.handle.dir()
+    }
+
+    /// Closes the run: the final `status.json`, the `metrics.json`
+    /// snapshot (of `metrics` when given, else of the observer's own
+    /// registry) and the manifest outcome. Every step is attempted.
+    ///
+    /// # Errors
+    ///
+    /// Returns one message per step that failed, in step order.
+    pub fn finish(
+        mut self,
+        outcome: &str,
+        metrics: Option<&MetricsRegistry>,
+    ) -> Result<(), Vec<String>> {
+        let mut errors = Vec::new();
+        if let Err(e) = self.observer.finalize(outcome) {
+            errors.push(format!("status write failed: {e}"));
+        }
+        let json = metrics_to_json(metrics.unwrap_or_else(|| self.observer.registry()));
+        if let Err(e) = write_atomic(&self.handle.metrics_path(), &json) {
+            errors.push(format!("metrics write failed: {e}"));
+        }
+        if let Err(e) = self.handle.finish(outcome) {
+            errors.push(format!("manifest write failed: {e}"));
+        }
+        if errors.is_empty() {
+            Ok(())
+        } else {
+            Err(errors)
+        }
+    }
+}
+
+impl Sink for RunTracker {
+    fn record(&mut self, event: &Event) {
+        self.observer.record(event);
     }
 }
 

@@ -13,14 +13,16 @@
 //!    directory of runs. Each run gets `runs/<run_id>/manifest.json`
 //!    (spec hash, version, config, start/end, outcome) plus an
 //!    append-only `runs/ledger.jsonl` index and a `latest` pointer.
+//!    [`RunTracker`] is the one way a run registers, feeds its status
+//!    and closes, for the CLI and the job daemon alike.
 //! 2. **Live status** ([`RunObserver`], [`RunStatus`]): a telemetry
 //!    [`Sink`](rmt3d_telemetry::Sink) that aggregates job lifecycle
 //!    events (including the ETA stream the pool emits) into
 //!    `status.json`, rewritten atomically (temp file + rename) at a
 //!    bounded interval so concurrent readers always see a parseable
 //!    document.
-//! 3. **Heartbeat watchdog** ([`Watchdog`]): jobs beat on claim (and
-//!    may beat mid-flight); a monitor loop scans at a bounded interval
+//! 3. **Heartbeat watchdog** ([`Watchdog`]): jobs beat on claim; a
+//!    monitor loop scans at a bounded interval
 //!    and flags jobs whose silence exceeds a configurable multiple of
 //!    the median completed-job duration, recording stall diagnostics
 //!    into the ledger instead of hanging silently.
@@ -45,7 +47,7 @@ pub mod status;
 pub mod watchdog;
 
 pub use daemonseries::{DaemonSample, DaemonSeries};
-pub use ledger::{Manifest, RunLedger, RunSummary};
+pub use ledger::{Manifest, RunLedger, RunSummary, RunTracker};
 pub use metricsio::{metrics_to_json, parse_metrics, HistogramData, ParsedMetrics, SeriesData};
 pub use report::{render_html, render_html_with, ReportOptions};
 pub use status::{CacheTotals, JobPhase, PoolTotals, RunObserver, RunStatus, StallInfo};

@@ -3,13 +3,13 @@
 //!
 //! The watchdog is a pure state machine over an externally-supplied
 //! clock (`now_nanos`), so the pool coordinator can drive it from real
-//! `Instant`s while tests drive it with synthetic timestamps. Jobs beat
-//! when claimed ([`Watchdog::start`]) and may beat again mid-flight
-//! ([`Watchdog::beat`]); [`Watchdog::scan`] compares each running job's
-//! silence against a threshold derived from the *median* duration of
-//! jobs that already finished — a stall is "this job is taking several
-//! times longer than a typical job", not an absolute timeout, so the
-//! same config works for microsecond unit jobs and minute-long sweeps.
+//! `Instant`s while tests drive it with synthetic timestamps. A job's
+//! heartbeat is its claim ([`Watchdog::start`]); [`Watchdog::scan`]
+//! compares each running job's silence against a threshold derived
+//! from the *median* duration of jobs that already finished — a stall
+//! is "this job is taking several times longer than a typical job",
+//! not an absolute timeout, so the same config works for microsecond
+//! unit jobs and minute-long sweeps.
 //!
 //! Flagging is advisory: a stalled job keeps running (it may be a
 //! legitimately heavy config) and is reported at most once. The
@@ -88,28 +88,11 @@ impl Watchdog {
         self.running.push((index, now_nanos));
     }
 
-    /// Refreshes a running job's heartbeat. Unknown indices are ignored.
-    pub fn beat(&mut self, index: usize, now_nanos: u64) {
-        if let Some(entry) = self.running.iter_mut().find(|(i, _)| *i == index) {
-            entry.1 = now_nanos;
-        }
-    }
-
     /// Records that a job finished after `wall_nanos`, feeding the
     /// median baseline and clearing any pending stall state.
     pub fn finish(&mut self, index: usize, wall_nanos: u64) {
         self.running.retain(|(i, _)| *i != index);
         self.finished.push(wall_nanos);
-    }
-
-    /// Number of jobs currently believed to be running.
-    pub fn running_count(&self) -> usize {
-        self.running.len()
-    }
-
-    /// Indices flagged as stalled so far, in flag order.
-    pub fn flagged(&self) -> &[usize] {
-        &self.flagged
     }
 
     /// Median (nearest-rank) of finished-job durations, or `None` when
@@ -198,20 +181,6 @@ mod tests {
             }]
         );
         assert!(w.scan(10_000).is_empty(), "a job is flagged at most once");
-        assert_eq!(w.flagged(), &[0]);
-    }
-
-    #[test]
-    fn heartbeat_defers_the_verdict() {
-        let mut w = Watchdog::new(cfg(4.0, 3, 0));
-        w.start(0, 0);
-        for i in 1..=3 {
-            w.start(i, 0);
-            w.finish(i, 100);
-        }
-        w.beat(0, 400);
-        assert!(w.scan(700).is_empty(), "300ns of silence is under 400ns");
-        assert_eq!(w.scan(900).len(), 1, "500ns of silence is over");
     }
 
     #[test]
@@ -242,7 +211,6 @@ mod tests {
         w.start(0, 0);
         w.finish(5, 100);
         w.finish(0, 2_000); // slow but done before any scan saw it
-        assert_eq!(w.running_count(), 0);
         assert!(w.scan(1_000_000).is_empty());
         // Its duration now shifts the median for later jobs.
         assert_eq!(w.median_nanos(), Some(100));

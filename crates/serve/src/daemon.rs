@@ -5,7 +5,7 @@
 //!
 //! - the **scheduler** (the thread that called [`serve`]) pops the
 //!   highest-priority queued job and executes it on the existing
-//!   work-stealing pool via `run_sweep` / `run_campaign_watched`, one
+//!   work-stealing pool via `run_sweep` / `run_campaign_with`, one
 //!   job at a time — the pool already saturates the machine within a
 //!   job, so running jobs concurrently would only thrash the cores;
 //! - the **accept loop** hands each TCP connection to its own handler
@@ -33,10 +33,10 @@ use crate::proto::{
     error_line, parse_request, read_request_line, Request, RequestLine, MAX_REQUEST_LINE,
 };
 use crate::queue::{Cancelled, JobEntry, JobOutcome, JobQueue, JobState};
-use rmt3d_campaign::run_campaign_watched;
+use rmt3d_campaign::{run_campaign_with, CampaignOptions, CampaignRun};
 use rmt3d_obs::durable::{write_atomic, AppendLog};
-use rmt3d_obs::ledger::{unix_now_ms, RunHandle, RunLedger};
-use rmt3d_obs::{metrics_to_json, RunObserver};
+use rmt3d_obs::ledger::unix_now_ms;
+use rmt3d_obs::RunTracker;
 use rmt3d_sweep::{codec, run_sweep, CacheMode, ResultStore, SweepOptions};
 use rmt3d_telemetry::json::{json_str, JsonObject};
 use rmt3d_telemetry::{Event, Sink};
@@ -322,19 +322,14 @@ fn scheduler(shared: &Arc<Shared>, store: &ResultStore, opts: &ServeOptions, ins
 /// Forwards every telemetry event the engine emits — JobStarted,
 /// JobFinished (with ETA), JobCacheHit, JobStalled, PoolStats,
 /// CacheStats, CampaignTrial — to the job's subscribers as JSON lines
-/// tagged with the job id, and tees them into the run ledger's status
-/// observer.
+/// tagged with the job id.
 struct FanoutSink {
     shared: Arc<Shared>,
     job_id: String,
-    observer: Option<RunObserver>,
 }
 
 impl Sink for FanoutSink {
     fn record(&mut self, event: &Event) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.record(event);
-        }
         let line = tag_line(&self.job_id, &event.to_json_line(false));
         let mut st = lock(&self.shared);
         broadcast(&mut st, &self.job_id, &line);
@@ -374,15 +369,34 @@ fn execute_job(
     inst.span_begin(seq, "leased");
     let lease_started = Instant::now();
 
-    let registration = opts
-        .runs_root
-        .as_ref()
-        .and_then(|root| register_run(root, &payload, &id, spec_hash, opts.quiet));
-    let (handle, observer) = match registration {
-        Some((h, o)) => (Some(h), Some(o)),
-        None => (None, None),
-    };
-    let run_id = handle.as_ref().map(|h| h.run_id().to_string());
+    let tracker = opts.runs_root.as_ref().and_then(|root| {
+        let mut config = payload.config();
+        config.push(("source".to_string(), "serve".to_string()));
+        config.push(("job".to_string(), id.clone()));
+        match RunTracker::start(
+            root,
+            payload.kind(),
+            spec_hash,
+            payload.total_jobs(),
+            &config,
+        ) {
+            Ok(tracker) => {
+                if !opts.quiet {
+                    eprintln!(
+                        "serve: {id} run {} ({})",
+                        tracker.run_id(),
+                        tracker.dir().display()
+                    );
+                }
+                Some(tracker)
+            }
+            Err(e) => {
+                eprintln!("serve: warning: run ledger disabled: {e}");
+                None
+            }
+        }
+    });
+    let run_id = tracker.as_ref().map(|t| t.run_id().to_string());
 
     {
         let mut st = lock(shared);
@@ -399,14 +413,16 @@ fn execute_job(
     sample_now(shared, inst, store);
     let run_started = Instant::now();
 
-    let mut sink = FanoutSink {
-        shared: Arc::clone(shared),
-        job_id: id.clone(),
-        observer,
-    };
+    let mut sink = (
+        tracker,
+        FanoutSink {
+            shared: Arc::clone(shared),
+            job_id: id.clone(),
+        },
+    );
     let (state, outcome, error) = match &payload {
-        JobPayload::Sweep { .. } => {
-            let jobs = payload.sweep_spec().expand();
+        JobPayload::Sweep(spec) => {
+            let jobs = spec.expand();
             let sweep_opts = SweepOptions {
                 jobs: opts.workers,
                 cache: CacheMode::Dir(opts.cache_dir.clone()),
@@ -438,10 +454,13 @@ fn execute_job(
                 Err(e) => (JobState::Failed, JobOutcome::default(), Some(e)),
             }
         }
-        JobPayload::Campaign { .. } => {
-            let spec = payload.campaign_spec();
-            match run_campaign_watched(&spec, opts.workers, None, &mut sink) {
-                Ok(report) => {
+        JobPayload::Campaign(spec) => {
+            let campaign_opts = CampaignOptions {
+                jobs: opts.workers,
+                ..CampaignOptions::default()
+            };
+            match run_campaign_with(spec, &campaign_opts, &mut sink) {
+                Ok(CampaignRun { report, .. }) => {
                     let violations = report.violations().len() as u64;
                     let total = payload.total_jobs();
                     let report_path = opts.state_dir.join("results").join(format!("{id}.jsonl"));
@@ -480,8 +499,17 @@ fn execute_job(
         JobState::Cancelled => "cancelled",
         _ => "failed",
     };
-    let observer = sink.observer.take();
-    finish_run(handle, observer, outcome_str, &inst.metrics);
+    let (tracker, _) = sink;
+    if let Some(Err(errors)) = tracker.map(|t| t.finish(outcome_str, None)) {
+        for e in errors {
+            // Counted, not just logged: the failure shows up in the
+            // `stats` line as `metrics_write_errors`, so a daemon
+            // quietly losing its run artifacts is visible to every
+            // client instead of only to whoever tails stderr.
+            inst.metrics.note_metrics_write_error();
+            eprintln!("serve: warning: {e}");
+        }
+    }
 
     if let Some(max) = opts.cache_max_bytes {
         match store.evict_to(max) {
@@ -540,80 +568,6 @@ fn execute_job(
             outcome.cache_hits,
             outcome.failures,
         );
-    }
-}
-
-fn register_run(
-    root: &Path,
-    payload: &JobPayload,
-    id: &str,
-    spec_hash: u64,
-    quiet: bool,
-) -> Option<(RunHandle, RunObserver)> {
-    let ledger = match RunLedger::open(root) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!(
-                "serve: warning: run ledger disabled: cannot open {}: {e}",
-                root.display()
-            );
-            return None;
-        }
-    };
-    let mut config = payload.config();
-    config.push(("source".to_string(), "serve".to_string()));
-    config.push(("job".to_string(), id.to_string()));
-    let handle = match ledger.create_run(payload.kind(), spec_hash, payload.total_jobs(), &config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("serve: warning: run ledger disabled: cannot create run: {e}");
-            return None;
-        }
-    };
-    if !quiet {
-        eprintln!(
-            "serve: {id} run {} ({})",
-            handle.run_id(),
-            handle.dir().display()
-        );
-    }
-    let observer = RunObserver::new(
-        handle.status_path(),
-        handle.run_id(),
-        payload.kind(),
-        payload.total_jobs(),
-    );
-    Some((handle, observer))
-}
-
-fn finish_run(
-    handle: Option<RunHandle>,
-    observer: Option<RunObserver>,
-    outcome: &str,
-    metrics: &DaemonMetrics,
-) {
-    if let Some(mut obs) = observer {
-        if let Err(e) = obs.finalize(outcome) {
-            metrics.note_metrics_write_error();
-            eprintln!("serve: warning: status write failed: {e}");
-        }
-        if let Some(h) = handle.as_ref() {
-            let json = metrics_to_json(obs.registry());
-            if let Err(e) = write_atomic(&h.metrics_path(), &json) {
-                // Counted, not just logged: the failure shows up in the
-                // `stats` line as `metrics_write_errors`, so a daemon
-                // quietly losing its run artifacts is visible to every
-                // client instead of only to whoever tails stderr.
-                metrics.note_metrics_write_error();
-                eprintln!("serve: warning: metrics write failed: {e}");
-            }
-        }
-    }
-    if let Some(mut h) = handle {
-        if let Err(e) = h.finish(outcome) {
-            metrics.note_metrics_write_error();
-            eprintln!("serve: warning: manifest write failed: {e}");
-        }
     }
 }
 
@@ -880,7 +834,7 @@ fn dispatch(req: Request, writer: &mut TcpStream, ctx: &Ctx) -> io::Result<()> {
                 return write_line(writer, &error_line(&format!("unknown job {job:?}")));
             };
             let line = match &payload {
-                JobPayload::Sweep { .. } => {
+                JobPayload::Sweep(spec) => {
                     let mut out = String::from("{\"ok\":true,\"job\":");
                     out.push_str(&json_str(&job));
                     out.push_str(",\"state\":");
@@ -888,7 +842,7 @@ fn dispatch(req: Request, writer: &mut TcpStream, ctx: &Ctx) -> io::Result<()> {
                     out.push_str(",\"run_id\":");
                     out.push_str(&json_str(run_id.as_deref().unwrap_or("")));
                     out.push_str(",\"results\":[");
-                    for (i, sweep_job) in payload.sweep_spec().expand().iter().enumerate() {
+                    for (i, sweep_job) in spec.expand().iter().enumerate() {
                         if i > 0 {
                             out.push(',');
                         }
@@ -906,7 +860,7 @@ fn dispatch(req: Request, writer: &mut TcpStream, ctx: &Ctx) -> io::Result<()> {
                     out.push_str("]}");
                     out
                 }
-                JobPayload::Campaign { .. } => {
+                JobPayload::Campaign(_) => {
                     let path = ctx.state_dir.join("results").join(format!("{job}.jsonl"));
                     let report = std::fs::read_to_string(&path).unwrap_or_default();
                     let mut o = JsonObject::new();

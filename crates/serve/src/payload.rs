@@ -1,59 +1,67 @@
-//! Job payloads: the kind-specific spec object inside a `submit`
-//! request, normalized so the journal, the dedup hash, and the run
-//! ledger all agree on one canonical form.
+//! Job payloads: the one definition of a sweep or a campaign job.
 //!
-//! A sweep payload hashes exactly like the equivalent `rmt3d sweep`
-//! invocation (the [`rmt3d_obs::spec_hash`] of the expanded job
-//! canonicals), and a campaign payload hashes like `rmt3d campaign`
-//! (the hash of the campaign's canonical string) — so a server run in
-//! the ledger carries the same spec hash the one-shot CLI would have
-//! registered, and a warm client submission dedups against the cache
-//! the CLI populated.
+//! `rmt3d sweep`, `rmt3d campaign` and `rmt3d submit` build a job from
+//! flags, and the daemon builds one from a `submit` request's spec
+//! object ([`JobPayload::parse`]). Both go through the same
+//! constructors, [`JobPayload::sweep`] and [`JobPayload::campaign`], so
+//! a job has one set of defaults, one ledger config, one normalized
+//! spec text and one spec hash wherever it runs:
+//!
+//! - a sweep hashes as the [`rmt3d_obs::spec_hash`] of its expanded
+//!   jobs' canonical strings, the keys of the shared result cache;
+//! - a campaign hashes as the `spec_hash` of the
+//!   [`CampaignSpec::canonical`] string of the grid that runs, ECC
+//!   settings included.
+//!
+//! A server run in the ledger therefore carries the spec hash the
+//! one-shot CLI registers for the same job, and a warm submission
+//! dedups against the cache the CLI populated.
 
 use rmt3d::{ProcessorModel, RunScale};
-use rmt3d_campaign::{CampaignSpec, DEFAULT_BENCHMARKS};
-use rmt3d_rmt::{EccConfig, FaultSite};
-use rmt3d_sweep::SweepSpec;
-use rmt3d_telemetry::json::{json_str, write_json_string, JsonValue};
+use rmt3d_campaign::CampaignSpec;
+use rmt3d_rmt::FaultSite;
+use rmt3d_sweep::{JobSpec, SweepSpec};
+use rmt3d_telemetry::json::{write_json_string, JsonObject, JsonValue};
 use rmt3d_workload::Benchmark;
 
-/// A validated, normalized job payload.
+/// Instructions per job of a sweep that names none.
+const SWEEP_INSTRUCTIONS: u64 = 250_000;
+
+/// Seed of a campaign that names none.
+const CAMPAIGN_SEED: u64 = 42;
+
+/// A sweep or campaign job, built by [`JobPayload::sweep`] or
+/// [`JobPayload::campaign`].
 #[derive(Debug, Clone)]
 pub enum JobPayload {
-    /// A design-space sweep over `models × benchmarks`.
-    Sweep {
-        /// Processor organizations to sweep.
-        models: Vec<ProcessorModel>,
-        /// Benchmarks to sweep.
-        benchmarks: Vec<Benchmark>,
-        /// Instructions per job (warmup derives as a tenth, matching
-        /// the `rmt3d sweep` CLI).
-        instructions: u64,
-    },
+    /// A design-space sweep over `models × benchmarks` at the nominal
+    /// configuration.
+    Sweep(SweepSpec),
     /// A randomized fault-injection campaign.
-    Campaign {
-        /// Fault sites to strike.
-        sites: Vec<FaultSite>,
-        /// Benchmarks to inject into.
-        benchmarks: Vec<Benchmark>,
-        /// Faults per (site × benchmark) cell.
-        faults_per_site: usize,
-        /// Grid seed.
-        seed: u64,
-        /// Instructions per trial.
-        instructions: u64,
-    },
+    Campaign(CampaignSpec),
 }
 
+/// One field of a job's spec: a list of names or a count.
+enum Field {
+    Names(Vec<&'static str>),
+    Count(u64),
+}
+
+fn names<T: Copy>(items: &[T], name: fn(T) -> &'static str) -> Field {
+    Field::Names(items.iter().map(|&t| name(t)).collect())
+}
+
+/// A JSON name list: absent for the default, `"all"` for the whole
+/// axis, else an array of known names.
 fn parse_names<T: Copy>(
     v: Option<&JsonValue>,
     all: &[T],
     parse: impl Fn(&str) -> Option<T>,
     what: &str,
-) -> Result<Vec<T>, String> {
+) -> Result<Option<Vec<T>>, String> {
     match v {
-        None => Ok(all.to_vec()),
-        Some(JsonValue::Str(s)) if s == "all" => Ok(all.to_vec()),
+        None => Ok(None),
+        Some(JsonValue::Str(s)) if s == "all" => Ok(Some(all.to_vec())),
         Some(JsonValue::Arr(items)) => {
             if items.is_empty() {
                 return Err(format!("\"{what}s\" must not be empty"));
@@ -66,202 +74,197 @@ fn parse_names<T: Copy>(
                         .ok_or_else(|| format!("\"{what}s\" entries must be strings"))?;
                     parse(name).ok_or_else(|| format!("unknown {what}: {name}"))
                 })
-                .collect()
+                .collect::<Result<_, _>>()
+                .map(Some)
         }
         Some(_) => Err(format!("\"{what}s\" must be an array of names or \"all\"")),
     }
 }
 
-fn parse_u64(v: Option<&JsonValue>, default: u64, what: &str) -> Result<u64, String> {
-    match v {
-        None => Ok(default),
-        Some(n) => n
-            .as_u64()
-            .ok_or_else(|| format!("\"{what}\" must be a non-negative integer")),
-    }
+fn parse_u64(v: Option<&JsonValue>, what: &str) -> Result<Option<u64>, String> {
+    v.map(|n| {
+        n.as_u64()
+            .ok_or_else(|| format!("\"{what}\" must be a non-negative integer"))
+    })
+    .transpose()
 }
 
 impl JobPayload {
+    /// A sweep of `models × benchmarks` (default: every model and
+    /// benchmark) at `instructions` per job (default 250 000), warmed
+    /// up on a tenth as many.
+    pub fn sweep(
+        models: Option<Vec<ProcessorModel>>,
+        benchmarks: Option<Vec<Benchmark>>,
+        instructions: Option<u64>,
+    ) -> JobPayload {
+        JobPayload::Sweep(SweepSpec::new(
+            &models.unwrap_or_else(|| ProcessorModel::ALL.to_vec()),
+            &benchmarks.unwrap_or_else(|| Benchmark::ALL.to_vec()),
+            RunScale::with_instructions(instructions.unwrap_or(SWEEP_INSTRUCTIONS)),
+        ))
+    }
+
+    /// A campaign under the paper's ECC. A field left `None` takes
+    /// [`CampaignSpec::default_grid`]'s value; the default seed is 42.
+    pub fn campaign(
+        sites: Option<Vec<FaultSite>>,
+        benchmarks: Option<Vec<Benchmark>>,
+        faults_per_site: Option<usize>,
+        seed: Option<u64>,
+        instructions: Option<u64>,
+    ) -> JobPayload {
+        let grid = CampaignSpec::default_grid(seed.unwrap_or(CAMPAIGN_SEED));
+        JobPayload::Campaign(CampaignSpec {
+            sites: sites.unwrap_or(grid.sites),
+            benchmarks: benchmarks.unwrap_or(grid.benchmarks),
+            faults_per_cell: faults_per_site.unwrap_or(grid.faults_per_cell),
+            instructions: instructions.unwrap_or(grid.instructions),
+            ..grid
+        })
+    }
+
     /// Parses and validates a submit spec object for `kind`.
     ///
     /// # Errors
     ///
     /// Returns a structured message for unknown names, ill-typed
-    /// fields, or an invalid campaign grid.
+    /// fields, or a job that fails [`JobPayload::validate`].
     pub fn parse(kind: &str, spec: &JsonValue) -> Result<JobPayload, String> {
-        match kind {
-            "sweep" => {
-                let models = parse_names(
+        let benchmarks = || {
+            parse_names(
+                spec.get("benchmarks"),
+                &Benchmark::ALL,
+                |s| s.parse().ok(),
+                "benchmark",
+            )
+        };
+        let payload = match kind {
+            "sweep" => JobPayload::sweep(
+                parse_names(
                     spec.get("models"),
                     &ProcessorModel::ALL,
                     |s| s.parse().ok(),
                     "model",
-                )?;
-                let benchmarks = parse_names(
-                    spec.get("benchmarks"),
-                    &Benchmark::ALL,
-                    |s| s.parse().ok(),
-                    "benchmark",
-                )?;
-                let instructions = parse_u64(spec.get("instructions"), 250_000, "instructions")?;
-                if instructions == 0 {
-                    return Err("\"instructions\" must be at least 1".to_string());
-                }
-                Ok(JobPayload::Sweep {
-                    models,
-                    benchmarks,
-                    instructions,
-                })
-            }
-            "campaign" => {
-                let sites = parse_names(
+                )?,
+                benchmarks()?,
+                parse_u64(spec.get("instructions"), "instructions")?,
+            ),
+            "campaign" => JobPayload::campaign(
+                parse_names(
                     spec.get("sites"),
                     &FaultSite::ALL,
                     |s| FaultSite::parse(s).ok(),
                     "site",
-                )?;
-                let benchmarks = match spec.get("benchmarks") {
-                    None => DEFAULT_BENCHMARKS.to_vec(),
-                    some => parse_names(some, &Benchmark::ALL, |s| s.parse().ok(), "benchmark")?,
-                };
-                let faults_per_site =
-                    parse_u64(spec.get("faults_per_site"), 40, "faults_per_site")? as usize;
-                let seed = parse_u64(spec.get("seed"), 42, "seed")?;
-                let instructions = parse_u64(spec.get("instructions"), 20_000, "instructions")?;
-                let payload = JobPayload::Campaign {
-                    sites,
-                    benchmarks,
-                    faults_per_site,
-                    seed,
-                    instructions,
-                };
-                // Surface grid-validation errors at submit time, not
-                // at execution time.
-                if let JobPayload::Campaign { .. } = &payload {
-                    payload.campaign_spec().validate()?;
-                }
-                Ok(payload)
+                )?,
+                benchmarks()?,
+                parse_u64(spec.get("faults_per_site"), "faults_per_site")?.map(|n| n as usize),
+                parse_u64(spec.get("seed"), "seed")?,
+                parse_u64(spec.get("instructions"), "instructions")?,
+            ),
+            other => return Err(format!("unknown job kind {other:?}")),
+        };
+        payload.validate()?;
+        Ok(payload)
+    }
+
+    /// Checks the job can run: a sweep needs at least one instruction
+    /// per job, a campaign a grid that passes
+    /// [`CampaignSpec::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            JobPayload::Sweep(spec) if spec.scale.instructions == 0 => {
+                Err("\"instructions\" must be at least 1".to_string())
             }
-            other => Err(format!("unknown job kind {other:?}")),
+            JobPayload::Sweep(_) => Ok(()),
+            JobPayload::Campaign(spec) => spec.validate(),
         }
     }
 
     /// `"sweep"` or `"campaign"`.
     pub fn kind(&self) -> &'static str {
         match self {
-            JobPayload::Sweep { .. } => "sweep",
-            JobPayload::Campaign { .. } => "campaign",
+            JobPayload::Sweep(_) => "sweep",
+            JobPayload::Campaign(_) => "campaign",
+        }
+    }
+
+    /// The job's fields in spec order, under their spec-object keys.
+    fn fields(&self) -> Vec<(&'static str, Field)> {
+        match self {
+            JobPayload::Sweep(spec) => vec![
+                ("models", names(&spec.models, ProcessorModel::name)),
+                ("benchmarks", names(&spec.benchmarks, Benchmark::name)),
+                ("instructions", Field::Count(spec.scale.instructions)),
+            ],
+            JobPayload::Campaign(spec) => vec![
+                ("sites", names(&spec.sites, FaultSite::name)),
+                ("benchmarks", names(&spec.benchmarks, Benchmark::name)),
+                ("faults_per_site", Field::Count(spec.faults_per_cell as u64)),
+                ("seed", Field::Count(spec.seed)),
+                ("instructions", Field::Count(spec.instructions)),
+            ],
         }
     }
 
     /// The normalized spec object as one JSON line, with every default
     /// made explicit — this exact text persists in the journal and
-    /// round-trips through [`JobPayload::parse`] on replay.
+    /// round-trips through [`JobPayload::parse`] on replay. It holds
+    /// the fields the constructors take: a sweep's nominal axes and a
+    /// campaign's paper ECC are implied.
     pub fn spec_json(&self) -> String {
-        fn names(out: &mut String, key: &str, items: &[String]) {
-            out.push_str(&json_str(key));
-            out.push_str(":[");
-            for (i, name) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        let mut o = JsonObject::new();
+        for (key, field) in self.fields() {
+            match field {
+                Field::Names(names) => {
+                    let mut list = String::from("[");
+                    for (i, name) in names.iter().enumerate() {
+                        if i > 0 {
+                            list.push(',');
+                        }
+                        write_json_string(&mut list, name);
+                    }
+                    list.push(']');
+                    o.raw(key, &list);
                 }
-                write_json_string(out, name);
-            }
-            out.push(']');
-        }
-        let mut out = String::from("{");
-        match self {
-            JobPayload::Sweep {
-                models,
-                benchmarks,
-                instructions,
-            } => {
-                names(
-                    &mut out,
-                    "models",
-                    &models
-                        .iter()
-                        .map(|m| m.name().to_string())
-                        .collect::<Vec<_>>(),
-                );
-                out.push(',');
-                names(
-                    &mut out,
-                    "benchmarks",
-                    &benchmarks
-                        .iter()
-                        .map(|b| b.name().to_string())
-                        .collect::<Vec<_>>(),
-                );
-                out.push_str(&format!(",\"instructions\":{instructions}"));
-            }
-            JobPayload::Campaign {
-                sites,
-                benchmarks,
-                faults_per_site,
-                seed,
-                instructions,
-            } => {
-                names(
-                    &mut out,
-                    "sites",
-                    &sites
-                        .iter()
-                        .map(|s| s.name().to_string())
-                        .collect::<Vec<_>>(),
-                );
-                out.push(',');
-                names(
-                    &mut out,
-                    "benchmarks",
-                    &benchmarks
-                        .iter()
-                        .map(|b| b.name().to_string())
-                        .collect::<Vec<_>>(),
-                );
-                out.push_str(&format!(
-                    ",\"faults_per_site\":{faults_per_site},\"seed\":{seed},\"instructions\":{instructions}"
-                ));
+                Field::Count(n) => {
+                    o.u64(key, n);
+                }
             }
         }
-        out.push('}');
-        out
+        o.finish()
     }
 
-    /// The content hash identifying this spec for dedup and the run
-    /// ledger; matches what the equivalent one-shot CLI run registers.
+    /// Ledger config key-value pairs: the spec's fields, name lists
+    /// comma-joined.
+    pub fn config(&self) -> Vec<(String, String)> {
+        self.fields()
+            .into_iter()
+            .map(|(key, field)| {
+                let value = match field {
+                    Field::Names(names) => names.join(","),
+                    Field::Count(n) => n.to_string(),
+                };
+                (key.to_string(), value)
+            })
+            .collect()
+    }
+
+    /// The content hash identifying this job for dedup and the run
+    /// ledger (see the module docs).
     pub fn spec_hash(&self) -> u64 {
         match self {
-            JobPayload::Sweep { .. } => {
-                let canonicals: Vec<String> = self
-                    .sweep_spec()
-                    .expand()
-                    .iter()
-                    .map(|j| j.canonical())
-                    .collect();
+            JobPayload::Sweep(spec) => {
+                let canonicals: Vec<String> =
+                    spec.expand().iter().map(JobSpec::canonical).collect();
                 rmt3d_obs::spec_hash(canonicals.iter().map(String::as_str))
             }
-            JobPayload::Campaign {
-                sites,
-                benchmarks,
-                faults_per_site,
-                seed,
-                instructions,
-            } => {
-                // Same canonical format as the `rmt3d campaign` CLI.
-                let canonical = format!(
-                    "sites={}|benchmarks={}|faults={}|seed={}|instructions={}|ecc_sabotage=none",
-                    sites.iter().map(|s| s.name()).collect::<Vec<_>>().join(","),
-                    benchmarks
-                        .iter()
-                        .map(|b| b.name())
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    faults_per_site,
-                    seed,
-                    instructions,
-                );
-                rmt3d_obs::spec_hash(std::iter::once(canonical.as_str()))
+            JobPayload::Campaign(spec) => {
+                rmt3d_obs::spec_hash(std::iter::once(spec.canonical().as_str()))
             }
         }
     }
@@ -269,131 +272,43 @@ impl JobPayload {
     /// Number of pool items (sweep jobs or campaign trials).
     pub fn total_jobs(&self) -> u64 {
         match self {
-            JobPayload::Sweep {
-                models, benchmarks, ..
-            } => (models.len() * benchmarks.len()) as u64,
-            JobPayload::Campaign { .. } => self.campaign_spec().total_trials() as u64,
+            JobPayload::Sweep(spec) => spec.job_count() as u64,
+            JobPayload::Campaign(spec) => spec.total_trials() as u64,
         }
     }
 
     /// One-line human summary for daemon logs.
     pub fn summary(&self) -> String {
         match self {
-            JobPayload::Sweep {
-                models,
-                benchmarks,
-                instructions,
-            } => format!(
-                "sweep {} models x {} benchmarks @ {instructions} instructions",
-                models.len(),
-                benchmarks.len()
+            JobPayload::Sweep(spec) => format!(
+                "sweep {} models x {} benchmarks @ {} instructions",
+                spec.models.len(),
+                spec.benchmarks.len(),
+                spec.scale.instructions
             ),
-            JobPayload::Campaign {
-                sites,
-                benchmarks,
-                faults_per_site,
-                instructions,
-                ..
-            } => format!(
-                "campaign {} sites x {} benchmarks x {faults_per_site} faults @ {instructions} instructions",
-                sites.len(),
-                benchmarks.len()
+            JobPayload::Campaign(spec) => format!(
+                "campaign {} sites x {} benchmarks x {} faults @ {} instructions",
+                spec.sites.len(),
+                spec.benchmarks.len(),
+                spec.faults_per_cell,
+                spec.instructions
             ),
         }
     }
 
-    /// Ledger config key-value pairs, mirroring the CLI manifests.
-    pub fn config(&self) -> Vec<(String, String)> {
+    /// The sweep spec (panics on a campaign payload).
+    pub fn sweep_spec(&self) -> &SweepSpec {
         match self {
-            JobPayload::Sweep {
-                models,
-                benchmarks,
-                instructions,
-            } => vec![
-                (
-                    "models".to_string(),
-                    models
-                        .iter()
-                        .map(|m| m.name())
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-                (
-                    "benchmarks".to_string(),
-                    benchmarks
-                        .iter()
-                        .map(|b| b.name())
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-                ("instructions".to_string(), instructions.to_string()),
-            ],
-            JobPayload::Campaign {
-                sites,
-                benchmarks,
-                faults_per_site,
-                seed,
-                instructions,
-            } => vec![
-                (
-                    "sites".to_string(),
-                    sites.iter().map(|s| s.name()).collect::<Vec<_>>().join(","),
-                ),
-                (
-                    "benchmarks".to_string(),
-                    benchmarks
-                        .iter()
-                        .map(|b| b.name())
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-                ("faults_per_site".to_string(), faults_per_site.to_string()),
-                ("seed".to_string(), seed.to_string()),
-                ("instructions".to_string(), instructions.to_string()),
-            ],
+            JobPayload::Sweep(spec) => spec,
+            JobPayload::Campaign(_) => panic!("sweep_spec on a campaign payload"),
         }
-    }
-
-    /// The expanded sweep spec (panics on a campaign payload).
-    pub fn sweep_spec(&self) -> SweepSpec {
-        let JobPayload::Sweep {
-            models,
-            benchmarks,
-            instructions,
-        } = self
-        else {
-            panic!("sweep_spec on a campaign payload");
-        };
-        SweepSpec::new(
-            models,
-            benchmarks,
-            RunScale {
-                warmup_instructions: instructions / 10,
-                instructions: *instructions,
-                thermal_grid: 50,
-            },
-        )
     }
 
     /// The campaign grid (panics on a sweep payload).
-    pub fn campaign_spec(&self) -> CampaignSpec {
-        let JobPayload::Campaign {
-            sites,
-            benchmarks,
-            faults_per_site,
-            seed,
-            instructions,
-        } = self
-        else {
-            panic!("campaign_spec on a sweep payload");
-        };
-        CampaignSpec {
-            sites: sites.clone(),
-            benchmarks: benchmarks.clone(),
-            faults_per_cell: *faults_per_site,
-            seed: *seed,
-            instructions: *instructions,
-            ecc: EccConfig::paper(),
+    pub fn campaign_spec(&self) -> &CampaignSpec {
+        match self {
+            JobPayload::Campaign(spec) => spec,
+            JobPayload::Sweep(_) => panic!("campaign_spec on a sweep payload"),
         }
     }
 }
@@ -413,6 +328,10 @@ mod tests {
             .unwrap();
         assert_eq!(p.total_jobs(), 2);
         let normalized = p.spec_json();
+        assert_eq!(
+            normalized,
+            r#"{"models":["2d-a"],"benchmarks":["gzip","mcf"],"instructions":15000}"#
+        );
         let back = JobPayload::parse("sweep", &parse(&normalized).unwrap()).unwrap();
         assert_eq!(back.spec_json(), normalized, "journal round-trip");
         assert_eq!(back.spec_hash(), p.spec_hash());
@@ -440,9 +359,29 @@ mod tests {
         let q = sweep(r#"{"models":"all","benchmarks":"all"}"#).unwrap();
         assert_eq!(q.total_jobs(), p.total_jobs());
         let c = JobPayload::parse("campaign", &parse("{}").unwrap()).unwrap();
-        assert!(matches!(&c, JobPayload::Campaign { benchmarks, .. }
-            if benchmarks == &DEFAULT_BENCHMARKS.to_vec()));
-        assert!(c.total_jobs() > 0);
+        assert_eq!(c.campaign_spec(), &CampaignSpec::default_grid(42));
+        assert_eq!(c.total_jobs(), 1000);
+    }
+
+    #[test]
+    fn a_campaign_hashes_as_the_canonical_string_of_its_grid() {
+        let smoke = CampaignSpec::smoke(13);
+        let p = JobPayload::parse(
+            "campaign",
+            &parse(
+                r#"{"sites":"all","benchmarks":["gzip"],"faults_per_site":4,"seed":13,"instructions":8000}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(p.campaign_spec(), &smoke);
+        assert_eq!(
+            p.spec_hash(),
+            rmt3d_obs::spec_hash(std::iter::once(smoke.canonical().as_str()))
+        );
+        // ECC is part of the grid: a sabotaged grid is another job.
+        let sabotaged = smoke.sabotage(FaultSite::LvqValue).unwrap();
+        assert_ne!(JobPayload::Campaign(sabotaged).spec_hash(), p.spec_hash());
     }
 
     #[test]

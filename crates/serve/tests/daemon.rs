@@ -488,3 +488,42 @@ fn shutdown_drains_in_flight_and_a_restart_resumes_the_queue() {
     daemon.stop();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn a_campaign_job_registers_the_hash_of_its_grid_and_reproduces_the_golden() {
+    let root = tmp("campaign");
+    let daemon = start(&root, true);
+    // CampaignSpec::smoke(13), the grid of the committed golden report.
+    let spec = r#"{"sites":"all","benchmarks":["gzip"],"faults_per_site":4,"seed":13,"instructions":8000}"#;
+    let resp = client::request(&daemon.addr, &client::submit_line("campaign", spec, 0))
+        .expect("submit accepted");
+    let job = resp.get("job").and_then(JsonValue::as_str).unwrap();
+    assert_eq!(wait_done(&daemon.addr, job), "done");
+
+    let result = client::request(&daemon.addr, &client::job_line("result", job)).unwrap();
+    let golden = include_str!("../../campaign/tests/golden/smoke_campaign.jsonl");
+    assert_eq!(
+        result.get("report").and_then(JsonValue::as_str),
+        Some(golden)
+    );
+
+    let run_id = job_row(&daemon.addr, job)
+        .get("run_id")
+        .and_then(JsonValue::as_str)
+        .unwrap()
+        .to_string();
+    daemon.stop();
+    let manifest = std::fs::read_to_string(root.join("runs").join(run_id).join("manifest.json"))
+        .expect("the job registered a run");
+    let manifest = rmt3d_obs::Manifest::from_json(&manifest).unwrap();
+    let canonical = rmt3d_campaign::CampaignSpec::smoke(13).canonical();
+    assert_eq!(
+        manifest.spec_hash,
+        format!(
+            "{:016x}",
+            rmt3d_obs::spec_hash(std::iter::once(canonical.as_str()))
+        ),
+        "the daemon registers the hash `rmt3d campaign` registers"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}

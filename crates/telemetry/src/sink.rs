@@ -110,6 +110,19 @@ impl<A: Sink, B: Sink> Sink for (A, B) {
     }
 }
 
+/// Optional adapter: a sink that may be absent (a run ledger switched
+/// off, say) is still a sink; `None` drops every event.
+impl<S: Sink> Sink for Option<S> {
+    const ENABLED: bool = S::ENABLED;
+
+    #[inline]
+    fn record(&mut self, event: &Event) {
+        if let Some(sink) = self {
+            sink.record(event);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +179,17 @@ mod tests {
         let mut tee = (rec.clone(), rec.clone());
         emit(&mut tee, || counter(9));
         assert_eq!(rec.len(), 2);
+    }
+
+    #[test]
+    fn an_absent_sink_drops_events() {
+        let rec = RecordingSink::new();
+        let mut present = Some(rec.clone());
+        let mut absent: Option<RecordingSink> = None;
+        emit(&mut present, || counter(1));
+        emit(&mut absent, || counter(2));
+        assert_eq!(rec.events(), vec![counter(1)]);
+        const { assert!(!<Option<NullSink> as Sink>::ENABLED) };
     }
 
     #[test]
