@@ -83,6 +83,7 @@ impl CacheHierarchy {
 
     /// Instruction-fetch access: returns the front-end stall in cycles
     /// beyond the pipelined L1I hit (0 on a hit).
+    #[inline]
     pub fn fetch(&mut self, pc: u64) -> u32 {
         if self.l1i.access(pc, false) {
             0
@@ -98,6 +99,7 @@ impl CacheHierarchy {
 
     /// Data access (load or store address `addr`). Returns the total
     /// latency and the level that serviced it.
+    #[inline]
     pub fn data_access(&mut self, addr: u64, write: bool) -> DataAccess {
         let l1_lat = self.l1d.config().latency;
         if self.l1d.access(addr, write) {

@@ -165,6 +165,7 @@ impl NucaCache {
     }
 
     /// Accesses a physical address.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> NucaAccess {
         self.stats.accesses += 1;
         let r = match self.policy {
@@ -182,6 +183,7 @@ impl NucaCache {
         r
     }
 
+    #[inline]
     fn access_sets(&mut self, addr: u64, write: bool) -> NucaAccess {
         let line = addr / 64;
         let n = self.layout.bank_count() as u64;
@@ -198,6 +200,7 @@ impl NucaCache {
         }
     }
 
+    #[inline]
     fn access_ways(&mut self, addr: u64) -> NucaAccess {
         self.stats.tag_lookups += 1;
         let line = addr / 64;

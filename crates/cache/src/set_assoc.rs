@@ -101,6 +101,7 @@ impl SetAssocCache {
 
     /// Accesses `addr`; returns `true` on hit. Misses allocate the line
     /// (write-allocate for stores).
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         let (set, tag) = self.index_tag(addr);
         let ways = self.config.ways as usize;

@@ -5,10 +5,10 @@
 use crate::grid::CampaignSpec;
 use crate::journal::{self, Journal, CHECKPOINT_INTERVAL};
 use crate::report::{CampaignReport, Tally, TrialRecord};
-use crate::trial::{run_trial_from, TrialResult, TrialSpec, WarmStart};
+use crate::trial::{run_trial_from, Cursor, TrialResult, TrialSpec, WarmStart};
 use rmt3d_sweep::{run_pool, PoolEvent};
 use rmt3d_telemetry::{emit, Event, Sink};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -73,7 +73,9 @@ impl JournalState {
 /// pool drains it emits one [`Event::PoolStats`] utilization summary,
 /// then one [`Event::CampaignTrial`] per trial in grid order, so a
 /// deterministic sink sees the same trial stream regardless of worker
-/// count.
+/// count. Workers take the trials by benchmark and ascending strike,
+/// each stepping one fault-free cursor forward; every event and
+/// journal line still names a trial by its grid index.
 ///
 /// With `opts.journal` set, every completion is appended (and fsynced)
 /// to the journal *before* it is acknowledged, so a SIGKILL at any
@@ -153,33 +155,42 @@ pub fn run_campaign_with<S: Sink>(
         err: None,
     }));
 
-    // One warm start per benchmark, checkpointed up to its latest
-    // strike. The first trial that needs one builds it, so a fully
-    // resumed run builds none; all are dropped when the campaign returns.
-    let warm: Vec<(u64, OnceLock<WarmStart>)> = spec
-        .benchmarks
-        .iter()
-        .map(|&b| {
-            let strikes = trials.iter().filter(|t| t.benchmark == b);
-            let last_inject = strikes.map(|t| t.inject_at).max().unwrap_or(0);
-            (last_inject, OnceLock::new())
-        })
-        .collect();
-    let run = |t: &TrialSpec| {
+    // One warm start per benchmark. The first trial that needs one
+    // builds it, so a fully resumed run builds none; all are dropped
+    // when the campaign returns.
+    let slot = |t: &TrialSpec| {
         let slot = spec.benchmarks.iter().position(|&b| b == t.benchmark);
-        let (last_inject, cell) = &warm[slot.expect("trial benchmark is in the grid")];
-        let ws = cell.get_or_init(|| WarmStart::new(t.benchmark, spec.instructions, *last_inject));
-        run_trial_from(ws, t)
+        slot.expect("trial benchmark is in the grid")
     };
+    let warm: Vec<OnceLock<WarmStart>> = spec.benchmarks.iter().map(|_| OnceLock::new()).collect();
+    thread_local! {
+        /// This pool worker's fault-free cursor. A trial takes it out
+        /// while it runs, so one that panics leaves none behind.
+        static CURSOR: Cell<Option<Cursor>> = const { Cell::new(None) };
+    }
+    let run = |&i: &usize| {
+        let t = &trials[i];
+        let ws = warm[slot(t)].get_or_init(|| WarmStart::new(t.benchmark, spec.instructions));
+        let mut cursor = CURSOR.take();
+        let result = run_trial_from(ws, &mut cursor, t);
+        CURSOR.set(cursor);
+        result
+    };
+    // The pool sees positions in `order`: trials by benchmark, then by
+    // strike, so each worker's cursor only moves forward. Everything it
+    // reports is mapped back to grid indices.
+    let mut order: Vec<usize> = (0..total).collect();
+    order.sort_by_key(|&i| (slot(&trials[i]), trials[i].inject_at));
 
     let pool_records = run_pool(
-        &trials,
+        &order,
         workers,
-        |t: &TrialSpec| completed.get(&t.index).copied(),
+        |i: &usize| completed.get(i).copied(),
         run,
         |_, _| {},
         opts.watchdog,
-        |index, outcome: &Result<TrialResult, String>, cached| {
+        |pos, outcome: &Result<TrialResult, String>, cached| {
+            let index = order[pos];
             let mut guard = jstate.borrow_mut();
             let Some(js) = guard.as_mut() else { return };
             js.done += 1;
@@ -199,7 +210,8 @@ pub fn run_campaign_with<S: Sink>(
             }
         },
         |ev| match ev {
-            PoolEvent::Started { index } => {
+            PoolEvent::Started { index: pos } => {
+                let index = order[pos];
                 if let Some(js) = jstate.borrow_mut().as_mut() {
                     if let Err(e) = js.journal.trial_started(index) {
                         js.fail(e);
@@ -212,25 +224,25 @@ pub fn run_campaign_with<S: Sink>(
                 });
             }
             PoolEvent::Finished {
-                index,
+                index: pos,
                 ok,
                 wall_nanos,
                 eta_nanos,
             } => emit(sink, || Event::JobFinished {
-                job: index as u64,
+                job: order[pos] as u64,
                 total: total as u64,
                 ok,
                 wall_nanos,
                 eta_nanos,
             }),
             PoolEvent::Stalled {
-                index,
+                index: pos,
                 elapsed_nanos,
                 median_nanos,
             } => emit(sink, || Event::JobStalled {
-                job: index as u64,
+                job: order[pos] as u64,
                 total: total as u64,
-                label: trials[index].label(),
+                label: trials[order[pos]].label(),
                 elapsed_nanos,
                 median_nanos,
             }),
@@ -252,9 +264,11 @@ pub fn run_campaign_with<S: Sink>(
             return Err(e);
         }
     }
+    let mut by_grid: Vec<_> = order.iter().zip(pool_records).collect();
+    by_grid.sort_by_key(|(&i, _)| i);
     let records: Vec<TrialRecord> = trials
         .into_iter()
-        .zip(pool_records)
+        .zip(by_grid.into_iter().map(|(_, r)| r))
         .map(|(spec, r)| TrialRecord {
             spec,
             outcome: r.outcome,
@@ -331,6 +345,80 @@ mod tests {
             .collect();
         let expected: Vec<u64> = (0..spec.total_trials() as u64).collect();
         assert_eq!(trial_ids, expected);
+    }
+
+    /// The pool runs trials by benchmark and strike, not in grid
+    /// order; the journal and the job events still name grid indices.
+    #[test]
+    fn journal_and_job_events_name_grid_indices() {
+        let spec = CampaignSpec::smoke(17);
+        let trials = spec.expand();
+        let total = trials.len() as u64;
+        for jobs in [1, 2] {
+            let dir = std::env::temp_dir()
+                .join(format!("rmt3d-grid-indices-{}-{jobs}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let opts = CampaignOptions {
+                jobs,
+                journal: Some(dir.join(JOURNAL_FILE)),
+                ..CampaignOptions::default()
+            };
+            let mut sink = RecordingSink::new();
+            let run = run_campaign_with(&spec, &opts, &mut sink).expect("campaign runs");
+            let mut started = Vec::new();
+            let mut finished = Vec::new();
+            for e in sink.events() {
+                match e {
+                    Event::JobStarted { job, label, .. } => {
+                        assert_eq!(label, trials[job as usize].label(), "{jobs} workers");
+                        started.push(job);
+                    }
+                    Event::JobFinished { job, .. } => finished.push(job),
+                    _ => {}
+                }
+            }
+            if jobs == 1 {
+                assert!(
+                    started.windows(2).any(|w| w[0] > w[1]),
+                    "the pool order differs from the grid's"
+                );
+            }
+
+            let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal");
+            let journaled: Vec<u64> = text
+                .lines()
+                .filter_map(|l| rmt3d_telemetry::json::parse(l).ok())
+                .filter(|v| v.get("event").and_then(|e| e.as_str()) == Some("trial_started"))
+                .filter_map(|v| v.get("trial").and_then(|t| t.as_u64()))
+                .collect();
+            assert_eq!(journaled, started, "trial_started lines follow JobStarted");
+            let replay = crate::journal::replay(&text, &spec);
+            for r in &run.report.records {
+                assert_eq!(replay.completed.get(&r.spec.index), Some(&r.outcome));
+            }
+            for ids in [&mut started, &mut finished] {
+                ids.sort_unstable();
+                assert_eq!(*ids, (0..total).collect::<Vec<_>>(), "{jobs} workers");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The default grid on an unseen seed, through the campaign's
+    /// cursors on 2 workers, equals every trial run alone, in grid
+    /// order. Run with `cargo test --release -p rmt3d-campaign --
+    /// --ignored`.
+    #[test]
+    #[ignore = "the full 1000-trial grid; run in release"]
+    fn default_grid_equals_lone_trials_on_an_unseen_seed() {
+        let spec = CampaignSpec::default_grid(3);
+        let report = run(&spec, 2, &mut NullSink).expect("campaign runs");
+        let trials = spec.expand();
+        assert_eq!(report.records.len(), trials.len());
+        for (r, t) in report.records.iter().zip(&trials) {
+            assert_eq!(r.spec, *t);
+            assert_eq!(r.outcome, Ok(crate::run_trial(t)), "{}", t.label());
+        }
     }
 
     #[test]

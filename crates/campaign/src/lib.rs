@@ -25,18 +25,19 @@
 //!    records aggregate in grid order, so the JSONL coverage report
 //!    ([`CampaignReport::to_jsonl`], with per-site detection-latency
 //!    percentiles) is byte-identical between serial and parallel runs.
-//!    The fault-free part of a trial is shared: per benchmark, one
-//!    fault-free system is checkpointed every `instructions/8` commits
-//!    (the grid's lowest injection point) up to the benchmark's latest
-//!    strike, and each trial starts from a clone of the latest
-//!    checkpoint at or before its strike, with a clone of an oracle
-//!    already run to `instructions`. Before the strike a trial's
-//!    trajectory depends only on its benchmark, so results are
-//!    bit-identical to starting from cycle 0; [`run_trial`] is the same
-//!    path with only the cycle-0 checkpoint. A strike that ECC absorbs
-//!    changes no state, and a flipped BOQ branch outcome is a hint
-//!    nothing downstream reads, so such a trial takes the fault-free
-//!    run's ending, run once per warm start, instead of stepping to it.
+//!    The fault-free part of a trial is shared: each pool worker
+//!    keeps one fault-free system of the benchmark it is on, a cursor,
+//!    and takes its trials by benchmark and ascending strike, so the
+//!    cursor only steps forward; a trial forks a clone at its strike,
+//!    with a clone of an oracle already run to `instructions`. Before
+//!    the strike a trial's trajectory depends only on its benchmark,
+//!    so results are bit-identical to starting from cycle 0;
+//!    [`run_trial`] is the same path on a fresh cursor. A strike that
+//!    ECC absorbs changes no state, and a flipped BOQ branch outcome is
+//!    a hint nothing downstream reads, so such a trial takes the
+//!    fault-free run's ending, run once per benchmark, instead of
+//!    stepping to it; a BOQ trial reads its strike cycle off the cursor
+//!    without forking.
 //! 4. **Crash safety** ([`journal`], [`run_campaign_with`]): an
 //!    append-only write-ahead journal records every trial completion —
 //!    fsynced before the trial is acknowledged — plus periodic

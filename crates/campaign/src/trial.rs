@@ -1,7 +1,6 @@
-//! One fault-injection trial: start from a shared fault-free
-//! checkpoint of the RMT system, run to the injection point, strike,
-//! and classify the outcome against the paper's coverage invariant and
-//! a differential oracle.
+//! One fault-injection trial: fork from a fault-free cursor of the RMT
+//! system at the injection point, strike, and classify the outcome
+//! against the paper's coverage invariant and a differential oracle.
 
 use rmt3d_cache::{CacheHierarchy, NucaLayout, NucaPolicy};
 use rmt3d_cpu::{CoreConfig, OooCore, ReferenceExecutor, FETCH_RUN_AHEAD};
@@ -239,17 +238,14 @@ impl TrialResult {
 }
 
 /// Fault-free state shared by the trials of one benchmark at one run
-/// length, so a trial starts from a checkpoint near its strike instead
+/// length, so a trial forks from a [`Cursor`] near its strike instead
 /// of rebuilding, prefilling and re-stepping the system from cycle 0.
 ///
 /// Before the strike a trial's trajectory depends only on the
 /// benchmark: the core, the 3d-2a layout, [`RmtConfig::paper`] and the
 /// null sink are the same for every trial, and the spec's ECC is first
-/// read by the strike. A checkpoint is the state at the first cycle
-/// whose committed count reaches its target, and a trial starts from a
-/// checkpoint whose target is at most its `inject_at`, so stepping on
-/// until `inject_at` stops at the same cycle, in the same state, as
-/// stepping from cycle 0 — the trial's result is bit-identical.
+/// read by the strike. Every cursor starts from the one prefilled
+/// cycle-0 state and steps that one fault-free trajectory.
 ///
 /// A strike that ECC absorbs changes no state, and a BOQ-outcome
 /// strike flips a bit nothing reads, so such a trial runs the
@@ -257,20 +253,63 @@ impl TrialResult {
 /// once, on first demand, and every such trial reads it.
 ///
 /// The instruction stream is generated once, as one [`Trace`] of the
-/// run's length shared by the prefilled system, every checkpoint, every
+/// run's length shared by the prefilled system, every cursor, every
 /// trial and the oracle.
 #[derive(Debug)]
 pub(crate) struct WarmStart {
     benchmark: Benchmark,
     instructions: u64,
-    /// `(target, state)` in ascending target order: the prefilled
-    /// system at target 0, then one state per multiple of
-    /// [`checkpoint_spacing`] up to the last strike served.
-    checkpoints: Vec<(u64, RmtSystem)>,
+    /// The prefilled system at cycle 0, where every cursor starts.
+    start: RmtSystem,
     /// The reference executor, already run to `instructions`.
     oracle: ReferenceExecutor,
-    /// The fault-free run's ending, built from the last checkpoint.
+    /// The fault-free run's ending, built from the first trajectory
+    /// state that needs it.
     fault_free: OnceLock<Ending>,
+}
+
+/// One pool worker's fault-free system: a state on a warm start's
+/// trajectory that only moves forward. A trial forks from it at its
+/// strike; a campaign hands each worker its trials in ascending
+/// `inject_at` order, so the cursor steps every prefix once.
+#[derive(Debug)]
+pub(crate) struct Cursor {
+    benchmark: Benchmark,
+    instructions: u64,
+    sys: RmtSystem,
+    /// `Some(t)` while `sys` is the first cycle whose committed count
+    /// reached `t`; `None` once it has stepped on past such a cycle.
+    reached: Option<u64>,
+}
+
+impl Cursor {
+    /// True when `sys` lies on `warm`'s trajectory (the trajectory is a
+    /// function of the benchmark and the run length alone).
+    fn follows(&self, warm: &WarmStart) -> bool {
+        self.benchmark == warm.benchmark && self.instructions == warm.instructions
+    }
+
+    /// True when stepping on until `inject_at` has committed stops at
+    /// the cycle, and in the state, that stepping from cycle 0 does:
+    /// the cursor has committed less than `inject_at`, or it sits at
+    /// the first cycle that reached a target no later than `inject_at`
+    /// (and so at the first that reached `inject_at` too).
+    fn serves(&self, warm: &WarmStart, inject_at: u64) -> bool {
+        self.follows(warm)
+            && (self.sys.leader().activity().committed < inject_at
+                || self.reached.is_some_and(|t| t <= inject_at))
+    }
+
+    /// Steps to the first cycle whose committed count reaches `target`
+    /// (no step when [`Cursor::serves`] it and it is already there).
+    fn step_to(&mut self, target: u64) {
+        if self.sys.leader().activity().committed < target {
+            while self.sys.leader().activity().committed < target {
+                self.sys.step();
+            }
+            self.reached = Some(target);
+        }
+    }
 }
 
 /// What a system shows at the end of a trial: run to `instructions`
@@ -342,14 +381,6 @@ impl Ending {
     }
 }
 
-/// Commits between checkpoints: the grid's lowest injection point
-/// ([`CampaignSpec::expand`](crate::CampaignSpec::expand) draws
-/// `inject_at` from `instructions/8 .. instructions*3/4`), so no trial
-/// steps further than one spacing past its checkpoint.
-fn checkpoint_spacing(instructions: u64) -> u64 {
-    (instructions / 8).max(1)
-}
-
 /// The trial system at cycle 0 fetching from `trace`, caches
 /// prefilled.
 fn prefilled_system(trace: Trace) -> RmtSystem {
@@ -364,46 +395,43 @@ fn prefilled_system(trace: Trace) -> RmtSystem {
 }
 
 impl WarmStart {
-    /// Runs one fault-free system of `benchmark`, checkpointing it at
-    /// target 0 and at every multiple of [`checkpoint_spacing`] up to
-    /// `last_inject`, and runs the reference executor to
-    /// `instructions`.
-    pub(crate) fn new(benchmark: Benchmark, instructions: u64, last_inject: u64) -> WarmStart {
+    /// Builds and prefills the fault-free system of `benchmark` at
+    /// cycle 0, and runs the reference executor to `instructions`.
+    pub(crate) fn new(benchmark: Benchmark, instructions: u64) -> WarmStart {
         let trace = Trace::new(
             benchmark.profile(),
             (instructions + FETCH_RUN_AHEAD) as usize,
         );
-        let mut sys = prefilled_system(trace.clone());
-        let spacing = checkpoint_spacing(instructions);
-        let mut checkpoints = vec![(0, sys.clone())];
-        let mut target = spacing;
-        while target <= last_inject {
-            while sys.leader().activity().committed < target {
-                sys.step();
-            }
-            checkpoints.push((target, sys.clone()));
-            target += spacing;
-        }
+        let start = prefilled_system(trace.clone());
         let mut oracle = ReferenceExecutor::new(trace);
         oracle.run_to(instructions);
         WarmStart {
             benchmark,
             instructions,
-            checkpoints,
+            start,
             oracle,
             fault_free: OnceLock::new(),
         }
     }
 
+    /// A cursor at cycle 0.
+    fn cursor(&self) -> Cursor {
+        Cursor {
+            benchmark: self.benchmark,
+            instructions: self.instructions,
+            sys: self.start.clone(),
+            reached: None,
+        }
+    }
+
     /// The ending of the fault-free run, built on first use from a
-    /// clone of the last checkpoint. Every checkpoint lies on that one
-    /// trajectory, so it is the ending of every trial whose strike
-    /// changes no state that execution reads.
-    fn fault_free(&self) -> &Ending {
-        self.fault_free.get_or_init(|| {
-            let (_, last) = self.checkpoints.last().expect("the target-0 checkpoint");
-            Ending::reach(last.clone(), self.instructions, &self.oracle)
-        })
+    /// clone of `on_trajectory`, a state of that run no further than
+    /// the first cycle that committed `instructions`. Every such state
+    /// steps to the same ending, so it is the ending of every trial
+    /// whose strike changes no state that execution reads.
+    fn fault_free(&self, on_trajectory: &RmtSystem) -> &Ending {
+        self.fault_free
+            .get_or_init(|| Ending::reach(on_trajectory.clone(), self.instructions, &self.oracle))
     }
 }
 
@@ -416,29 +444,38 @@ impl WarmStart {
 /// file, and a [`ReferenceExecutor`] replay of the same trace — ground
 /// truth computed with no pipeline, queue, or recovery machinery.
 ///
-/// Campaigns run the same code from shared fault-free checkpoints; a
-/// lone trial starts it from the prefilled system at cycle 0. A strike
-/// that ECC absorbs, or a BOQ-outcome strike once it lands, leaves the
-/// system on its fault-free trajectory, so unless the fault-free run
-/// itself detects something, such a trial takes the fault-free run's
-/// ending instead of stepping to it (a lone BOQ trial steps on: the
-/// ending would cost it a second run from cycle 0).
+/// Campaigns run the same code on each worker's fault-free cursor; a
+/// lone trial runs it on a fresh cursor at cycle 0. A strike that ECC
+/// absorbs, or a BOQ-outcome strike once it lands, leaves the system
+/// on its fault-free trajectory, so unless the fault-free run itself
+/// detects something, such a trial takes the fault-free run's ending
+/// instead of stepping to it (a lone BOQ trial steps on from the
+/// strike: building the ending would cost it the same run, and no
+/// other trial would share it).
 ///
 /// # Panics
 ///
 /// Panics if the spec fails [`TrialSpec::validate`].
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
-    run_trial_from(&WarmStart::new(spec.benchmark, spec.instructions, 0), spec)
+    let warm = WarmStart::new(spec.benchmark, spec.instructions);
+    run_trial_from(&warm, &mut None, spec)
 }
 
-/// [`run_trial`] starting from the latest checkpoint of `warm` at or
-/// before the strike, with the oracle resumed from `warm`'s.
+/// [`run_trial`] forking from `cursor`, with the oracle resumed from
+/// `warm`'s. A cursor that cannot serve the strike
+/// ([`Cursor::serves`]), or none, is first reset to `warm`'s cycle-0
+/// state, so the result is the same whatever the cursor held; only the
+/// cost differs. On return the cursor sits at or past the strike.
 ///
 /// # Panics
 ///
 /// Panics if the spec fails [`TrialSpec::validate`] or does not match
 /// `warm`'s benchmark and run length.
-pub(crate) fn run_trial_from(warm: &WarmStart, spec: &TrialSpec) -> TrialResult {
+pub(crate) fn run_trial_from(
+    warm: &WarmStart,
+    cursor: &mut Option<Cursor>,
+    spec: &TrialSpec,
+) -> TrialResult {
     spec.validate().expect("invalid trial spec");
     assert!(
         spec.benchmark == warm.benchmark && spec.instructions == warm.instructions,
@@ -446,22 +483,47 @@ pub(crate) fn run_trial_from(warm: &WarmStart, spec: &TrialSpec) -> TrialResult 
         spec.label()
     );
     if spec.ecc.corrects(spec.site) {
-        let free = warm.fault_free();
+        let on_trajectory = match cursor {
+            Some(c) if c.follows(warm) => &c.sys,
+            _ => &warm.start,
+        };
+        let free = warm.fault_free(on_trajectory);
         if free.detections == 0 {
             return free.result(spec, TrialFate::CorrectedByEcc, 0);
         }
     }
-    let (_, checkpoint) = warm
-        .checkpoints
-        .iter()
-        .rev()
-        .find(|(target, _)| *target <= spec.inject_at)
-        .expect("the target-0 checkpoint precedes every strike");
-    let mut sys = checkpoint.clone();
-    while sys.leader().activity().committed < spec.inject_at {
-        sys.step();
+    let reset = !cursor
+        .as_ref()
+        .is_some_and(|c| c.serves(warm, spec.inject_at));
+    if reset {
+        *cursor = Some(warm.cursor());
+    }
+    let cursor = cursor.as_mut().expect("set above");
+    cursor.step_to(spec.inject_at);
+
+    // The flipped outcome bit is a hint nothing downstream reads: the
+    // trial's inject cycle is the first at or after `inject_at` with a
+    // branch queued, and its ending is the fault-free run's. The cursor
+    // steps there (as the retry below would) and serves on. A lone
+    // trial (a fresh cursor, no ending built) steps on from the strike
+    // instead: building the ending would cost it the same run.
+    if spec.site == FaultSite::BoqOutcome && !(reset && warm.fault_free.get().is_none()) {
+        while cursor.sys.strike_target(spec.site).is_none()
+            && cursor.sys.leader().activity().committed < spec.instructions
+        {
+            cursor.sys.step();
+            cursor.reached = None;
+        }
+        if cursor.sys.strike_target(spec.site).is_none() {
+            return not_injected(&cursor.sys);
+        }
+        let free = warm.fault_free(&cursor.sys);
+        if free.detections == 0 {
+            return free.result(spec, TrialFate::MaskedHarmless, cursor.sys.total_cycles());
+        }
     }
 
+    let mut sys = cursor.sys.clone();
     let fault = DrawnFault {
         site: spec.site,
         bit: spec.bit,
@@ -477,28 +539,9 @@ pub(crate) fn run_trial_from(warm: &WarmStart, spec: &TrialSpec) -> TrialResult 
         injected = sys.inject_directed(fault, spec.ecc);
     }
     if injected == DirectedOutcome::NoTarget {
-        return TrialResult {
-            fate: TrialFate::NotInjected,
-            violation: Some(Violation::TargetUnavailable),
-            detect_cycles: 0,
-            detections: 0,
-            recoveries: 0,
-            committed: sys.leader().activity().committed,
-        };
+        return not_injected(&sys);
     }
     let inject_cycle = sys.total_cycles();
-    // The flipped outcome bit is a hint nothing downstream reads: the
-    // system is still on the fault-free trajectory. Its ending pays off
-    // once built or when it serves a campaign (checkpoints past cycle
-    // 0); a lone trial would step a second system from cycle 0 to build
-    // it, so it steps on from the strike instead.
-    let shared_ending = warm.fault_free.get().is_some() || warm.checkpoints.len() > 1;
-    if spec.site == FaultSite::BoqOutcome && shared_ending && warm.fault_free().detections == 0 {
-        return warm
-            .fault_free()
-            .result(spec, TrialFate::MaskedHarmless, inject_cycle);
-    }
-
     let ending = Ending::reach(sys, spec.instructions, &warm.oracle);
     let fate = if injected == DirectedOutcome::CorrectedByEcc {
         TrialFate::CorrectedByEcc
@@ -508,6 +551,19 @@ pub(crate) fn run_trial_from(warm: &WarmStart, spec: &TrialSpec) -> TrialResult 
         TrialFate::MaskedHarmless
     };
     ending.result(spec, fate, inject_cycle)
+}
+
+/// The result of a trial whose strike found no target before `sys`
+/// committed the whole run.
+fn not_injected(sys: &RmtSystem) -> TrialResult {
+    TrialResult {
+        fate: TrialFate::NotInjected,
+        violation: Some(Violation::TargetUnavailable),
+        detect_cycles: 0,
+        detections: 0,
+        recoveries: 0,
+        committed: sys.leader().activity().committed,
+    }
 }
 
 /// Applies the coverage invariant to one trial's observations.
@@ -550,6 +606,7 @@ fn classify(
 mod tests {
     use super::*;
     use crate::CampaignSpec;
+    use rmt3d_workload::SplitMix64;
 
     fn spec(site: FaultSite) -> TrialSpec {
         TrialSpec {
@@ -597,8 +654,8 @@ mod tests {
     #[test]
     fn a_lone_boq_trial_steps_on_from_the_strike() {
         let s = spec(FaultSite::BoqOutcome);
-        let warm = WarmStart::new(s.benchmark, s.instructions, 0);
-        assert_eq!(run_trial_from(&warm, &s), stepped_trial(&s));
+        let warm = WarmStart::new(s.benchmark, s.instructions);
+        assert_eq!(run_trial_from(&warm, &mut None, &s), stepped_trial(&s));
         assert!(
             warm.fault_free.get().is_none(),
             "no second run from cycle 0"
@@ -682,53 +739,80 @@ mod tests {
         }
     }
 
-    /// Runs every trial of `grid` from one shared warm start per
-    /// benchmark and requires each result to equal a fresh
-    /// [`run_trial`], and each absorbed or BOQ strike's to equal
-    /// [`stepped_trial`]; returns the results.
-    fn assert_warm_matches_fresh(grid: &CampaignSpec) -> Vec<TrialResult> {
+    /// Serves every trial of `grid` through one cursor per benchmark,
+    /// once in ascending `inject_at` order (the campaign's, where the
+    /// cursor never resets) and once shuffled (where it must), and
+    /// requires each result to equal a fresh [`run_trial`] and
+    /// [`stepped_trial`]; returns the results in grid order.
+    fn assert_cursor_matches_fresh(grid: &CampaignSpec) -> Vec<TrialResult> {
         let trials = grid.expand();
-        let mut results = Vec::new();
+        let fresh: Vec<TrialResult> = trials.iter().map(run_trial).collect();
+        for (t, r) in trials.iter().zip(&fresh) {
+            assert_eq!(*r, stepped_trial(t), "{}", t.label());
+        }
+        let mut rng = SplitMix64::new(grid.seed);
         for &b in &grid.benchmarks {
-            let mine = || trials.iter().filter(move |t| t.benchmark == b);
-            let last = mine().map(|t| t.inject_at).max().unwrap_or(0);
-            let mut warm = WarmStart::new(b, grid.instructions, last);
-            assert!(warm.checkpoints.len() > 1, "the grid uses the ladder");
-            let (mut absorbed, mut boq) = (0, 0);
-            for t in mine() {
-                let r = run_trial_from(&warm, t);
-                assert_eq!(r, run_trial(t), "{}", t.label());
-                let on_boq = t.site == FaultSite::BoqOutcome;
-                if t.ecc.corrects(t.site) || on_boq {
-                    assert_eq!(r, stepped_trial(t), "{}", t.label());
-                }
-                absorbed += usize::from(t.ecc.corrects(t.site));
-                boq += usize::from(on_boq);
-                results.push(r);
+            let mut mine: Vec<&TrialSpec> = trials.iter().filter(|t| t.benchmark == b).collect();
+            mine.sort_by_key(|t| t.inject_at);
+            let mut shuffled = mine.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.below_usize(i + 1));
             }
-            assert!(absorbed > 0 && boq > 0, "the grid has dead strikes");
+            for (order, ascending) in [(mine, true), (shuffled, false)] {
+                let warm = WarmStart::new(b, grid.instructions);
+                let mut cursor: Option<Cursor> = None;
+                let mut resets = 0;
+                for t in &order {
+                    if let Some(c) = &cursor {
+                        let absorbed = t.ecc.corrects(t.site);
+                        resets += usize::from(!absorbed && !c.serves(&warm, t.inject_at));
+                    }
+                    let r = run_trial_from(&warm, &mut cursor, t);
+                    assert_eq!(r, fresh[t.index], "{}", t.label());
+                }
+                if ascending {
+                    assert_eq!(resets, 0, "{b:?}: ascending strikes never reset");
+                } else {
+                    assert!(resets > 0, "{b:?}: the shuffle must force resets");
+                }
+            }
 
             // Plant an ending no stepped run reaches: a trial that
             // returns it took the shortcut.
-            let free = *warm.fault_free.get().expect("dead strikes shortcut");
+            let warm = WarmStart::new(b, grid.instructions);
+            let mut cursor = Some(warm.cursor());
+            let free = *warm.fault_free(&warm.start);
             let planted = Ending {
                 committed: free.committed + 1_000,
                 ..free
             };
-            warm.fault_free = OnceLock::from(planted);
-            let shortcut = mine()
-                .filter(|t| t.site == FaultSite::BoqOutcome)
-                .filter(|t| run_trial_from(&warm, t).committed == planted.committed)
-                .count();
-            assert_eq!(shortcut, boq, "every BOQ strike takes the shortcut");
+            let warm = WarmStart {
+                fault_free: OnceLock::from(planted),
+                ..warm
+            };
+            let mut shortcut = 0;
+            let mut dead = 0;
+            for t in trials.iter().filter(|t| t.benchmark == b) {
+                let on_boq = t.site == FaultSite::BoqOutcome;
+                if t.ecc.corrects(t.site) || on_boq {
+                    dead += 1;
+                    let r = run_trial_from(&warm, &mut cursor, t);
+                    shortcut += usize::from(r.committed == planted.committed);
+                }
+            }
+            assert!(dead > 0, "the grid has dead strikes");
+            assert_eq!(
+                shortcut, dead,
+                "every absorbed and BOQ strike takes the shortcut"
+            );
         }
-        results
+        fresh
     }
 
     #[test]
     fn warm_start_matches_fresh_trials_on_smoke_grids() {
         for seed in [1, 7, 42] {
-            assert_warm_matches_fresh(&CampaignSpec::smoke(seed));
+            assert_cursor_matches_fresh(&CampaignSpec::smoke(seed));
         }
     }
 
@@ -737,19 +821,21 @@ mod tests {
         let mut violations = 0;
         for site in [FaultSite::LvqValue, FaultSite::TrailerRegfile] {
             let grid = CampaignSpec::smoke(5).sabotage(site).expect("ECC site");
-            let results = assert_warm_matches_fresh(&grid);
+            let results = assert_cursor_matches_fresh(&grid);
             violations += results.iter().filter(|r| !r.ok()).count();
         }
         assert!(violations > 0, "sabotage must reach the violation paths");
     }
 
+    /// A cursor stepped to a target serves strikes at and after it, and
+    /// resets for one before it; one that stepped on past a BOQ strike
+    /// serves only strikes beyond what it committed. Every result
+    /// equals a fresh trial's.
     #[test]
-    fn warm_start_matches_fresh_trials_around_a_checkpoint() {
+    fn cursors_serve_strikes_around_their_target() {
         let base = spec(FaultSite::RvqOperand);
-        let target = 3 * checkpoint_spacing(base.instructions);
-        let warm = WarmStart::new(base.benchmark, base.instructions, target + 1);
-        let targets: Vec<u64> = warm.checkpoints.iter().map(|(t, _)| *t).collect();
-        assert_eq!(targets, [0, target / 3, target * 2 / 3, target]);
+        let target = base.inject_at;
+        let warm = WarmStart::new(base.benchmark, base.instructions);
         for inject_at in [target - 1, target, target + 1] {
             for site in FaultSite::ALL {
                 let s = TrialSpec {
@@ -757,9 +843,41 @@ mod tests {
                     inject_at,
                     ..base
                 };
-                assert_eq!(run_trial_from(&warm, &s), run_trial(&s), "{}", s.label());
+                let mut cursor = Some(warm.cursor());
+                cursor.as_mut().unwrap().step_to(target);
+                let c = cursor.as_ref().unwrap();
+                assert_eq!(c.serves(&warm, inject_at), inject_at >= target);
+                assert_eq!(
+                    run_trial_from(&warm, &mut cursor, &s),
+                    run_trial(&s),
+                    "{}",
+                    s.label()
+                );
             }
         }
+
+        // Fill in the ending so the BOQ strike reads off the cursor, and
+        // step past a first cycle to find its branch.
+        warm.fault_free(&warm.start);
+        let boq = TrialSpec {
+            site: FaultSite::BoqOutcome,
+            ..base
+        };
+        let mut cursor = Some(warm.cursor());
+        let mut inject_at = target;
+        let (s, r) = loop {
+            let s = TrialSpec { inject_at, ..boq };
+            let r = run_trial_from(&warm, &mut cursor, &s);
+            if cursor.as_ref().unwrap().reached.is_none() {
+                break (s, r);
+            }
+            inject_at += 1;
+        };
+        assert_eq!(r, stepped_trial(&s));
+        let c = cursor.as_ref().unwrap();
+        let committed = c.sys.leader().activity().committed;
+        assert!(!c.serves(&warm, committed));
+        assert!(c.serves(&warm, committed + 1));
     }
 
     /// The shortcut classifies the ending it recorded, whatever that
@@ -776,29 +894,29 @@ mod tests {
             unrecoverable: false,
             states_clean: false,
         };
-        let warm = WarmStart::new(s.benchmark, s.instructions, 0);
+        let warm = WarmStart::new(s.benchmark, s.instructions);
         warm.fault_free.set(ending).expect("unset");
-        let r = run_trial_from(&warm, &s);
+        let r = run_trial_from(&warm, &mut None, &s);
         assert_eq!(r.violation, Some(Violation::SilentCorruption));
         assert_eq!(r.committed, 8_003);
 
         // A fault-free run that detects something is no ending to
         // share: the trial runs in full.
-        let warm = WarmStart::new(s.benchmark, s.instructions, 0);
+        let warm = WarmStart::new(s.benchmark, s.instructions);
         let detecting = Ending {
             detect_cycle: Some(1),
             detections: 1,
             ..ending
         };
         warm.fault_free.set(detecting).expect("unset");
-        assert_eq!(run_trial_from(&warm, &s), stepped_trial(&s));
+        assert_eq!(run_trial_from(&warm, &mut None, &s), stepped_trial(&s));
     }
 
     #[test]
     #[should_panic(expected = "does not match its warm start")]
     fn a_warm_start_serves_only_its_benchmark() {
-        let warm = WarmStart::new(Benchmark::Mcf, 8_000, 0);
-        run_trial_from(&warm, &spec(FaultSite::LeaderResult));
+        let warm = WarmStart::new(Benchmark::Mcf, 8_000);
+        run_trial_from(&warm, &mut None, &spec(FaultSite::LeaderResult));
     }
 
     #[test]

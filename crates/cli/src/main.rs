@@ -576,6 +576,7 @@ fn run_sweep_command(mut a: Args) -> Result<ExitCode, String> {
     let stall_factor = a.parsed::<f64>("--stall-factor")?;
     let ledger_root = a.ledger_root()?;
     a.finish()?;
+    payload.validate()?;
     if resume && no_cache {
         return Err("--resume and --no-cache are mutually exclusive".into());
     }

@@ -154,6 +154,10 @@ const PINNED: &[(&[&str], &str)] = &[
     ),
     (&["sweep", "--out-dir"], "error: --out-dir requires a value"),
     (
+        &["sweep", "--instructions", "0"],
+        "error: \"instructions\" must be at least 1",
+    ),
+    (
         &["sweep", "--resume", "--no-cache"],
         "error: --resume and --no-cache are mutually exclusive",
     ),

@@ -149,6 +149,31 @@ impl Simulator for SerialSimulator {
     fn simulate(&self, cfg: &SimConfig, benchmark: Benchmark) -> PerfResult {
         simulate(cfg, benchmark)
     }
+
+    /// Runs the batch in input order through [`simulate_on`]. The jobs
+    /// of one benchmark at one [`RunScale::trace_len`] share one
+    /// [`Trace`], generated for the first of them and dropped after the
+    /// last.
+    fn simulate_batch(&self, jobs: &[(SimConfig, Benchmark)]) -> Vec<PerfResult> {
+        let key = |(cfg, b): &(SimConfig, Benchmark)| (*b, cfg.scale.trace_len());
+        let mut live: Vec<((Benchmark, usize), Trace)> = Vec::new();
+        jobs.iter()
+            .enumerate()
+            .map(|(i, job)| {
+                let k = key(job);
+                let at = live.iter().position(|(lk, _)| *lk == k).unwrap_or_else(|| {
+                    live.push((k, Trace::new(k.0.profile(), k.1)));
+                    live.len() - 1
+                });
+                let trace = if jobs[i + 1..].iter().any(|j| key(j) == k) {
+                    live[at].1.clone()
+                } else {
+                    live.swap_remove(at).1
+                };
+                simulate_on(&job.0, job.1, trace)
+            })
+            .collect()
+    }
 }
 
 /// Periodic machine-state snapshots: every `interval` cycles the run
@@ -444,6 +469,35 @@ mod tests {
                 let shared = simulate_on(&cfg, Benchmark::Mcf, trace);
                 assert_eq!(format!("{shared:?}"), plain, "{model:?}, trace of {len}");
             }
+        }
+    }
+
+    #[test]
+    fn serial_batches_share_traces_and_equal_single_runs() {
+        let short = RunScale {
+            warmup_instructions: 1_000,
+            instructions: 6_000,
+            thermal_grid: 10,
+        };
+        let longer = RunScale {
+            instructions: 8_000,
+            ..short
+        };
+        let jobs: Vec<(SimConfig, Benchmark)> = [
+            (ProcessorModel::TwoDA, short, Benchmark::Mcf),
+            (ProcessorModel::ThreeD2A, short, Benchmark::Gzip),
+            (ProcessorModel::ThreeD2A, short, Benchmark::Mcf),
+            (ProcessorModel::ThreeDChecker, longer, Benchmark::Mcf),
+            (ProcessorModel::TwoD2A, short, Benchmark::Gzip),
+        ]
+        .into_iter()
+        .map(|(model, scale, b)| (SimConfig::nominal(model, scale), b))
+        .collect();
+        let batch = SerialSimulator.simulate_batch(&jobs);
+        assert_eq!(batch.len(), jobs.len());
+        for ((cfg, b), r) in jobs.iter().zip(&batch) {
+            let single = simulate(cfg, *b);
+            assert_eq!(format!("{r:?}"), format!("{single:?}"), "{b:?}");
         }
     }
 

@@ -92,6 +92,7 @@ impl CombinedPredictor {
 
     /// Predicts `pc`, then updates all tables with the actual outcome.
     /// Returns the prediction made *before* the update.
+    #[inline]
     pub fn predict_and_train(&mut self, pc: u64, taken: bool) -> bool {
         self.lookups += 1;
         let bi = self.bimodal_index(pc);

@@ -141,6 +141,7 @@ impl DfsController {
     /// Advances one leader cycle; when an interval boundary is reached
     /// the controller samples `rvq_fill` and possibly steps the
     /// frequency. Returns `true` when a decision was made.
+    #[inline]
     pub fn tick(&mut self, rvq_fill: f64) -> bool {
         self.since_decision += 1;
         if self.since_decision < self.config.interval {

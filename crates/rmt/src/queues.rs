@@ -125,6 +125,7 @@ impl IntercoreQueues {
 
     /// RVQ occupancy as a fraction of capacity — the DFS controller's
     /// input signal.
+    #[inline]
     pub fn rvq_fill(&self) -> f64 {
         self.stream.len() as f64 / self.config.rvq as f64
     }
@@ -132,6 +133,7 @@ impl IntercoreQueues {
     /// True when the leader may commit `headroom` more instructions of
     /// any type without overflowing a queue. The leader checks this
     /// before its commit stage; a full queue stalls retirement.
+    #[inline]
     pub fn can_accept(&self, headroom: usize) -> bool {
         self.stream.len() + headroom <= self.config.rvq
             && self.lvq + headroom <= self.config.lvq
@@ -145,6 +147,7 @@ impl IntercoreQueues {
     ///
     /// Panics if a queue would overflow — callers must gate leader commit
     /// with [`IntercoreQueues::can_accept`].
+    #[inline]
     pub fn push(&mut self, item: CommittedOp) {
         assert!(self.stream.len() < self.config.rvq, "RVQ overflow");
         match item.op.kind {
@@ -171,6 +174,11 @@ impl IntercoreQueues {
         self.peak.stb = self.peak.stb.max(occ.stb);
     }
 
+    /// The queued ops, oldest first.
+    pub fn stream(&self) -> &VecDeque<CommittedOp> {
+        &self.stream
+    }
+
     /// The trailer-side dequeue view. The trailer pops from this; the
     /// caller must report each popped op back via
     /// [`IntercoreQueues::on_trailer_consumed`] to keep the logical
@@ -182,6 +190,7 @@ impl IntercoreQueues {
     /// Records that the trailer consumed (verified or squashed) an op of
     /// the given class, releasing its LVQ/BOQ/StB slot. Stores leave the
     /// StB here: the paper commits stores to memory only after checking.
+    #[inline]
     pub fn on_trailer_consumed(&mut self, kind: OpClass) {
         match kind {
             OpClass::Load => self.lvq = self.lvq.saturating_sub(1),

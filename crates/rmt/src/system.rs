@@ -394,8 +394,8 @@ impl<S: Sink> RmtSystem<S> {
     ///
     /// ECC-protected sites absorb the strike without touching state.
     /// `TrailerRegfile` strikes flip the checker's own register file.
-    /// Payload sites strike the *newest* suitable op in the RVQ stream —
-    /// the fault hits the value as it enters the queue, so the detection
+    /// Payload sites strike the *newest* suitable op in the RVQ stream
+    /// ([`RmtSystem::strike_target`]) — the fault hits the value as it enters the queue, so the detection
     /// latency observed by the caller measures the full leader/checker
     /// slack. Returns [`DirectedOutcome::NoTarget`] when nothing
     /// suitable is queued; the caller may step and retry.
@@ -413,15 +413,10 @@ impl<S: Sink> RmtSystem<S> {
         if fault.site == FaultSite::TrailerRegfile {
             self.trailer.flip_regfile_bit(fault.reg, fault.bit);
         } else {
-            let Some(item) = self
-                .queues
-                .stream_mut()
-                .iter_mut()
-                .rev()
-                .find(|i| fault.site.can_strike(i))
-            else {
+            let Some(at) = self.strike_target(fault.site) else {
                 return DirectedOutcome::NoTarget;
             };
+            let item = &mut self.queues.stream_mut()[at];
             let applied = FaultInjector::apply_to_payload(fault, item);
             debug_assert!(applied, "can_strike guarantees a mutable target");
         }
@@ -435,6 +430,18 @@ impl<S: Sink> RmtSystem<S> {
             corrected: false,
         });
         DirectedOutcome::Applied
+    }
+
+    /// The RVQ position a payload strike at `site` would hit: the
+    /// newest queued op the site [can strike](FaultSite::can_strike).
+    /// `None` when nothing suitable is queued, and always for
+    /// `TrailerRegfile`, which strikes core state. Read-only, so a
+    /// caller can find a strike's cycle without striking.
+    pub fn strike_target(&self, site: FaultSite) -> Option<usize> {
+        self.queues
+            .stream()
+            .iter()
+            .rposition(|i| site.can_strike(i))
     }
 
     /// Runs until `n` instructions have committed on the leader.
@@ -817,6 +824,53 @@ mod tests {
                 &[(FaultSite::BoqOutcome, FaultFate::Masked)]
             );
         }
+    }
+
+    /// `strike_target` names the op `inject_directed` strikes: at every
+    /// cycle of a short run and for every payload site, it is `None`
+    /// exactly when the strike finds no target, and otherwise the one
+    /// queued op the strike changes.
+    #[test]
+    fn strike_target_agrees_with_inject_directed_at_every_cycle() {
+        use crate::DrawnFault;
+        let mut s = system(Benchmark::Gzip);
+        s.prefill_caches();
+        let (mut found, mut missed) = (0, 0);
+        while s.leader().activity().committed < 400 {
+            for site in FaultSite::ALL {
+                if site == FaultSite::TrailerRegfile {
+                    assert_eq!(s.strike_target(site), None);
+                    continue;
+                }
+                let target = s.strike_target(site);
+                let mut struck = s.clone();
+                let fault = DrawnFault {
+                    site,
+                    bit: 3,
+                    reg: 1,
+                };
+                let out = struck.inject_directed(fault, EccConfig::none());
+                assert_eq!(
+                    target.is_none(),
+                    out == DirectedOutcome::NoTarget,
+                    "{site:?}"
+                );
+                let changed: Vec<usize> = (s.queues().stream().iter())
+                    .zip(struck.queues().stream())
+                    .enumerate()
+                    .filter(|(_, (a, b))| a != b)
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(changed, Vec::from_iter(target), "{site:?}");
+                found += usize::from(target.is_some());
+                missed += usize::from(target.is_none());
+            }
+            s.step();
+        }
+        assert!(
+            found > 0 && missed > 0,
+            "both answers occur: {found}/{missed}"
+        );
     }
 
     fn run_to_6000_and_drain(systems: [&mut RmtSystem; 2]) {
