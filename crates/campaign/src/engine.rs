@@ -11,7 +11,8 @@ use rmt3d_telemetry::{emit, Event, Sink};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Knobs of [`run_campaign_with`]. The zero-value default (via
 /// [`Default`]) is an unjournaled auto-parallel run.
@@ -28,6 +29,11 @@ pub struct CampaignOptions {
     /// completed trials. Without a usable journal this degrades to a
     /// fresh run (see [`CampaignRun::journal_discarded`]).
     pub resume: bool,
+    /// Cooperative cancellation flag, as in a sweep
+    /// (`SweepOptions::cancel`): once it is `true`, trials not yet
+    /// started fail fast with a `"cancelled"` panic and the campaign
+    /// drains. A resume re-runs them, as it re-runs every failed trial.
+    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 /// A campaign's report plus how the journal shaped the run.
@@ -169,6 +175,15 @@ pub fn run_campaign_with<S: Sink>(
         static CURSOR: Cell<Option<Cursor>> = const { Cell::new(None) };
     }
     let run = |&i: &usize| {
+        // Cancellation rides the pool's panic channel: the worker's
+        // catch_unwind records the trial as failed with "cancelled".
+        if opts
+            .cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::SeqCst))
+        {
+            panic!("cancelled");
+        }
         let t = &trials[i];
         let ws = warm[slot(t)].get_or_init(|| WarmStart::new(t.benchmark, spec.instructions));
         let mut cursor = CURSOR.take();

@@ -34,6 +34,15 @@ pub struct CampaignSpec {
 /// — the same discipline as the sweep cache's `CACHE_VERSION`.
 pub const SPEC_VERSION: &str = concat!("rmt3d-campaign/", env!("CARGO_PKG_VERSION"), "/1");
 
+/// Most faults per (site, benchmark) cell a spec may ask for: with
+/// every site and benchmark that is under a million trials, whose
+/// specs and records the engine holds in memory at once.
+pub const MAX_FAULTS_PER_SITE: usize = 10_000;
+
+/// Most leader commits per trial a spec may ask for: each benchmark's
+/// warm start holds a trace of that many ops (about 60 MB at the cap).
+pub const MAX_INSTRUCTIONS: u64 = 1_000_000;
+
 /// The default campaign's benchmark slice: two int and two fp-adjacent
 /// profiles plus the paper's canonical mcf, spanning branchy and
 /// memory-bound behaviour.
@@ -107,12 +116,27 @@ impl CampaignSpec {
         if self.faults_per_cell == 0 {
             return Err("faults-per-site must be positive".to_string());
         }
+        if self.faults_per_cell > MAX_FAULTS_PER_SITE {
+            return Err(format!(
+                "faults-per-site {} exceeds the cap of {MAX_FAULTS_PER_SITE}",
+                self.faults_per_cell
+            ));
+        }
         if self.instructions < 4_000 {
             return Err(format!(
                 "instructions {} too small: trials need room for warm state, \
                  an injection window, and a post-fault tail",
                 self.instructions
             ));
+        }
+        if self.instructions > MAX_INSTRUCTIONS {
+            return Err(format!(
+                "instructions {} exceeds the cap of {MAX_INSTRUCTIONS}",
+                self.instructions
+            ));
+        }
+        if self.checked_total().is_none() {
+            return Err("the grid's trial count overflows".to_string());
         }
         Ok(())
     }
@@ -143,9 +167,17 @@ impl CampaignSpec {
         )
     }
 
-    /// Total trials the grid expands to.
+    /// Total trials the grid expands to (saturating at `usize::MAX`,
+    /// which [`CampaignSpec::validate`] rejects).
     pub fn total_trials(&self) -> usize {
-        self.sites.len() * self.benchmarks.len() * self.faults_per_cell
+        self.checked_total().unwrap_or(usize::MAX)
+    }
+
+    fn checked_total(&self) -> Option<usize> {
+        self.sites
+            .len()
+            .checked_mul(self.benchmarks.len())?
+            .checked_mul(self.faults_per_cell)
     }
 
     /// Expands the grid into concrete trials (site-major, then

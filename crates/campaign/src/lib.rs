@@ -77,7 +77,9 @@ pub use fixture::{
     fixture_file_name, fixture_json, parse_fixture, replay_fixture, write_fixture, FIXTURE_KIND,
     FIXTURE_VERSION,
 };
-pub use grid::{CampaignSpec, DEFAULT_BENCHMARKS, SPEC_VERSION};
+pub use grid::{
+    CampaignSpec, DEFAULT_BENCHMARKS, MAX_FAULTS_PER_SITE, MAX_INSTRUCTIONS, SPEC_VERSION,
+};
 pub use journal::{Journal, Replay, CHECKPOINT_INTERVAL, JOURNAL_FILE, JOURNAL_VERSION};
 pub use report::{CampaignReport, LatencyStats, SiteSummary, Tally, TrialRecord};
 pub use shrink::{reproduces, shrink, Shrunk};

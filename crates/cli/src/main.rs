@@ -13,6 +13,8 @@
 //!                 [--quiet] [--trace-out FILE]
 //! rmt3d campaign  [--sites S,..|all] [--benchmarks B,..|all]
 //!                 [--faults-per-site N] [--seed N] [--instructions N]
+//!                 (at most 10000 faults per site and 1000000
+//!                 instructions)
 //!                 [--jobs N] [--out-dir DIR] [--sabotage SITE]
 //!                 [--journal] [--resume] [--quiet] [--trace-out FILE]
 //! rmt3d profile   --model 3d-2a --benchmark gzip [--instructions N]
@@ -102,6 +104,8 @@ commands:
              [--quiet] [--trace-out FILE.jsonl]
   campaign   [--sites S1,S2|all] [--benchmarks B1,B2|all]
              [--faults-per-site N] [--seed N] [--instructions N]
+             (N <= 10000 faults per site, 4000 <= N <= 1000000
+             instructions)
              [--jobs N] [--out-dir DIR] [--sabotage SITE]
              [--journal] [--resume] [--quiet]
              [--trace-out FILE.jsonl]
@@ -249,9 +253,19 @@ fn stall_watchdog(stall_factor: Option<f64>) -> Result<Option<WatchdogConfig>, S
     }))
 }
 
-/// Streams sweep progress to stderr as the engine emits job events.
+/// Streams sweep and campaign progress to stderr as the engine emits
+/// job events. The bracket counts jobs finished so far (cache hits
+/// included) out of the total: the pool runs jobs out of grid order, so
+/// a job's grid index would not read as progress.
 struct ProgressSink {
     quiet: bool,
+    finished: u64,
+}
+
+impl ProgressSink {
+    fn new(quiet: bool) -> ProgressSink {
+        ProgressSink { quiet, finished: 0 }
+    }
 }
 
 impl Sink for ProgressSink {
@@ -260,22 +274,24 @@ impl Sink for ProgressSink {
             return;
         }
         match event {
-            Event::JobStarted { job, total, label } => {
-                eprintln!("[{}/{total}] start  {label}", job + 1);
+            Event::JobStarted { total, label, .. } => {
+                eprintln!("[{}/{total}] start  {label}", self.finished);
             }
-            Event::JobCacheHit { job, total, label } => {
-                eprintln!("[{}/{total}] cached {label}", job + 1);
+            Event::JobCacheHit { total, label, .. } => {
+                self.finished += 1;
+                eprintln!("[{}/{total}] cached {label}", self.finished);
             }
             Event::JobFinished {
-                job,
                 total,
                 ok,
                 wall_nanos,
                 eta_nanos,
+                ..
             } => {
+                self.finished += 1;
                 eprintln!(
                     "[{}/{total}] {} in {:.1} s (eta {:.1} s)",
-                    job + 1,
+                    self.finished,
                     if *ok { "done  " } else { "FAILED" },
                     *wall_nanos as f64 / 1e9,
                     *eta_nanos as f64 / 1e9,
@@ -633,7 +649,7 @@ fn run_sweep_command(mut a: Args) -> Result<ExitCode, String> {
     );
 
     let jsonl = trace_sink(trace_out.as_deref())?;
-    let mut sink = ((ProgressSink { quiet }, jsonl.clone()), tracker);
+    let mut sink = ((ProgressSink::new(quiet), jsonl.clone()), tracker);
     let report = run_sweep(spec.expand(), &opts, &mut sink)?;
     let (_, tracker) = sink;
     finish_trace(jsonl)?;
@@ -721,12 +737,13 @@ fn run_campaign_command(mut a: Args) -> Result<ExitCode, String> {
     );
 
     let jsonl = trace_sink(trace_out.as_deref())?;
-    let mut sink = ((ProgressSink { quiet }, jsonl.clone()), tracker);
+    let mut sink = ((ProgressSink::new(quiet), jsonl.clone()), tracker);
     let opts = CampaignOptions {
         jobs,
         watchdog,
         journal: (journal || resume).then(|| out_dir.join(JOURNAL_FILE)),
         resume,
+        cancel: None,
     };
     let run = run_campaign_with(spec, &opts, &mut sink)?;
     if !quiet {

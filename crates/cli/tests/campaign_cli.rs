@@ -55,6 +55,43 @@ fn empty_benchmark_list_is_a_usage_error() {
     );
 }
 
+/// Progress lines count finished trials: with two workers finishing
+/// out of grid order, the `done` lines still read 1, 2, ..., total.
+#[test]
+fn progress_lines_count_finished_trials_in_order() {
+    let dir = std::env::temp_dir().join(format!("rmt3d-progress-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.to_str().unwrap();
+    let (ok, stderr) = campaign(&[
+        "--sites",
+        "all",
+        "--benchmarks",
+        "gzip",
+        "--faults-per-site",
+        "4",
+        "--seed",
+        "13",
+        "--instructions",
+        "8000",
+        "--jobs",
+        "2",
+        "--out-dir",
+        out,
+        "--no-ledger",
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "campaign failed: {stderr}");
+    let done: Vec<&str> = stderr.lines().filter(|l| l.contains("] done")).collect();
+    let total = 20;
+    assert_eq!(done.len(), total, "stderr: {stderr}");
+    for (i, line) in done.iter().enumerate() {
+        assert!(
+            line.starts_with(&format!("[{}/{total}] done", i + 1)),
+            "line {i}: {line}"
+        );
+    }
+}
+
 /// Bad invocations of every subcommand and the first stderr line each
 /// prints. `RUNS` stands for a scratch runs root holding one run, `r1`.
 const PINNED: &[(&[&str], &str)] = &[
@@ -188,6 +225,24 @@ const PINNED: &[(&[&str], &str)] = &[
     (
         &["campaign", "--stall-factor", "1"],
         "error: --stall-factor must be greater than 1",
+    ),
+    (
+        &["campaign", "--faults-per-site", "4611686018427387904"],
+        "error: faults-per-site 4611686018427387904 exceeds the cap of 10000",
+    ),
+    (
+        &["campaign", "--instructions", "1000001"],
+        "error: instructions 1000001 exceeds the cap of 1000000",
+    ),
+    (
+        &[
+            "submit",
+            "--kind",
+            "campaign",
+            "--faults-per-site",
+            "4611686018427387904",
+        ],
+        "error: faults-per-site 4611686018427387904 exceeds the cap of 10000",
     ),
     (&["profile"], "error: --model is required"),
     (

@@ -12,6 +12,7 @@
 use crate::activity::ActivityCounters;
 use crate::commit::CommittedOp;
 use crate::config::TrailerConfig;
+use crate::ring::CommitRing;
 use rmt3d_telemetry::{emit, CpiComponent, CpiStack, Event, NullSink, Sink};
 use rmt3d_workload::OpClass;
 use std::collections::VecDeque;
@@ -29,12 +30,11 @@ pub enum CheckOutcome {
     OperandMismatch,
 }
 
-/// A completed verification, emitted at trailer commit.
+/// A completed verification, reported at trailer commit.
 ///
-/// The record is deliberately small (it is copied once per verified
-/// instruction on the hot path): recovery and TMR voting need the full
-/// checked payload only for *failed* checks, so those items are parked
-/// in a side buffer on the core ([`InOrderCore::drain_error_items_into`],
+/// Recovery and TMR voting need the full checked payload only for
+/// *failed* checks, so those items are parked in a side buffer on the
+/// core ([`InOrderCore::replay_error_items`],
 /// [`InOrderCore::pop_error_item`]) instead of riding along here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Verification {
@@ -42,8 +42,6 @@ pub struct Verification {
     pub seq: u64,
     /// The trailer's recomputed result value.
     pub result: u64,
-    /// Kind of the checked instruction (for queue-slot accounting).
-    pub kind: OpClass,
     /// Check result.
     pub outcome: CheckOutcome,
 }
@@ -55,28 +53,72 @@ impl Verification {
     }
 }
 
+/// Where the checker reports its verifications: a `Vec` keeps every
+/// record (tests, TMR voting); a counting sink keeps only what its
+/// owner reads.
+pub trait CheckSink {
+    /// Accepts one verification, in program order.
+    fn record(&mut self, v: Verification);
+}
+
+impl CheckSink for Vec<Verification> {
+    #[inline]
+    fn record(&mut self, v: Verification) {
+        self.push(v);
+    }
+}
+
+/// Functional unit per class, indexed by `OpClass as usize`
+/// (`IntAlu, IntMul, FpAlu, FpMul, Load, Store, Branch`): 0 integer
+/// ALU (which also serves loads, stores and branches), 1 integer
+/// multiplier, 2 FP ALU, 3 FP multiplier.
+const UNIT: [usize; 7] = [0, 1, 2, 3, 0, 0, 0];
+
+/// Dispatch-to-verify latency per class: the execute latency, except
+/// that a load reads its value from the LVQ in one cycle.
+const LATENCY: [u64; 7] = [1, 3, 2, 4, 1, 1, 1];
+
+/// Where the checker's result for a class comes from; the value
+/// indexes `[recomputed, loaded, 0]`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ResultSource {
+    /// Recomputed from the operands.
+    Compute = 0,
+    /// The loaded value, from the LVQ.
+    Lvq = 1,
+    /// No register result (stores, branches).
+    Zero = 2,
+}
+
+/// Result source per class, indexed by `OpClass as usize`.
+const SOURCE: [ResultSource; 7] = [
+    ResultSource::Compute,
+    ResultSource::Compute,
+    ResultSource::Compute,
+    ResultSource::Compute,
+    ResultSource::Lvq,
+    ResultSource::Zero,
+    ResultSource::Zero,
+];
+
 /// The in-order checker pipeline.
 ///
-/// Drive it one trailer-clock cycle at a time with [`InOrderCore::step_cycle`],
-/// feeding instructions from the RVQ; verified instructions come back in
-/// order. The caller owns the clock-domain crossing (GALS) and the DFS
-/// policy — see the `rmt3d-rmt` crate.
-///
-/// Pipeline state is struct-of-arrays: payloads and completion cycles
-/// live in parallel rings indexed by two monotone cursors
-/// (`pipe_head..pipe_tail` is the occupied window, oldest first). The
-/// ring capacity is the configured pipeline depth rounded up to a power
-/// of two, so slot indexing is a mask instead of a modulo.
+/// Drive it one trailer-clock cycle at a time with
+/// [`InOrderCore::step_cycle`] over a [`CommitRing`]: it dispatches
+/// from the ring's RVQ into the ring's pipe and verifies the pipe's
+/// oldest ops in place, reporting each to a [`CheckSink`] in order. The
+/// caller owns the clock-domain crossing (GALS) and the DFS policy —
+/// see the `rmt3d-rmt` crate.
 #[derive(Debug, Clone)]
 pub struct InOrderCore<S: Sink = NullSink> {
     cfg: TrailerConfig,
     cycle: u64,
-    regfile: [u64; 64],
-    pipe_items: Box<[CommittedOp]>,
-    pipe_complete: Box<[u64]>,
-    pipe_mask: u64,
-    pipe_head: u64,
-    pipe_tail: u64,
+    /// The architectural register file behind a sink slot: register `i`
+    /// lives at `regs[i + 1]` (its [`reg_slot`]), and slot 0 absorbs the
+    /// writes of ops with no destination and of failed checks, so the
+    /// checker writes without branching. Reads of an absent operand are
+    /// masked to 0.
+    regs: [u64; 65],
     /// Payloads of failed checks, in verification order; drained by
     /// recovery (replay) and TMR voting (repair). Empty on the fault-free
     /// fast path.
@@ -107,26 +149,15 @@ impl<S: Sink> InOrderCore<S> {
     /// Panics if the configuration fails validation.
     pub fn with_sink(cfg: TrailerConfig, sink: S) -> InOrderCore<S> {
         cfg.validate().expect("invalid trailer configuration");
-        let cap = (cfg.pipeline_depth as usize).next_power_of_two();
         InOrderCore {
             cfg,
             cycle: 0,
-            regfile: [0; 64],
-            pipe_items: vec![CommittedOp::EMPTY; cap].into_boxed_slice(),
-            pipe_complete: vec![0; cap].into_boxed_slice(),
-            pipe_mask: cap as u64 - 1,
-            pipe_head: 0,
-            pipe_tail: 0,
+            regs: [0; 65],
             error_items: VecDeque::new(),
             activity: ActivityCounters::default(),
             cpi: CpiStack::new(),
             sink,
         }
-    }
-
-    #[inline]
-    fn pipe_len(&self) -> usize {
-        (self.pipe_tail - self.pipe_head) as usize
     }
 
     /// Current trailer cycle.
@@ -139,17 +170,11 @@ impl<S: Sink> InOrderCore<S> {
         &self.activity
     }
 
-    /// Instructions currently in the trailer pipeline (dispatched but not
-    /// yet verified).
-    pub fn in_flight(&self) -> usize {
-        self.pipe_len()
-    }
-
     /// Injects a single-bit flip into the trailer's register file. Used
     /// by the fault-injection harness to model the §3.5 concern: errors
     /// in the checker's own state.
     pub fn flip_regfile_bit(&mut self, reg: u8, bit: u8) {
-        self.regfile[reg as usize % 64] ^= 1u64 << (bit % 64);
+        self.regs[reg as usize % 64 + 1] ^= 1u64 << (bit % 64);
     }
 
     /// CPI stack over trailer-clock ticks. Only populated when the sink
@@ -169,20 +194,24 @@ impl<S: Sink> InOrderCore<S> {
     /// system's recovery point (§2: "the register file state of the
     /// trailing thread is used to initiate recovery").
     pub fn regfile(&self) -> &[u64; 64] {
-        &self.regfile
+        self.regs[1..]
+            .try_into()
+            .expect("64 registers follow the sink slot")
     }
 
     /// Overwrites the architectural register file (TMR repair: an
     /// outvoted checker is restored from the winner's state).
     pub fn restore_regfile(&mut self, rf: &[u64; 64]) {
-        self.regfile = *rf;
+        self.regs[1..].copy_from_slice(rf);
     }
 
-    /// Appends the payloads of every failed check since the last drain
-    /// (in verification order) to `out` and clears the side buffer.
-    /// Recovery replays these before the still-queued backlog.
-    pub fn drain_error_items_into(&mut self, out: &mut Vec<CommittedOp>) {
-        out.extend(self.error_items.drain(..));
+    /// Replays, architecturally and in verification order, the payload
+    /// of every failed check since the last drain, and clears the side
+    /// buffer. Recovery does this before replaying the ring.
+    pub fn replay_error_items(&mut self) {
+        while let Some(item) = self.error_items.pop_front() {
+            self.architectural_replay(&item);
+        }
     }
 
     /// Removes and returns the payload of the oldest undrained failed
@@ -205,53 +234,35 @@ impl<S: Sink> InOrderCore<S> {
     /// Returns the recomputed result.
     pub fn architectural_replay(&mut self, item: &CommittedOp) -> u64 {
         let op = item.op;
-        let s1 = op.src1_reg.map_or(0, |r| self.regfile[r.index() as usize]);
-        let s2 = op.src2_reg.map_or(0, |r| self.regfile[r.index() as usize]);
+        let s1 = self.read(reg_slot(op.src1_reg));
+        let s2 = self.read(reg_slot(op.src2_reg));
         let result = match op.kind {
             OpClass::Load => crate::ooo::load_memory_value(op.mem_addr),
             OpClass::Store | OpClass::Branch => 0,
             _ => op.compute_result(s1, s2),
         };
-        if let Some(d) = op.dest {
-            self.regfile[d.index() as usize] = result;
-        }
+        self.regs[reg_slot(op.dest)] = result;
         result
     }
 
-    /// Empties the execution pipeline, returning the in-flight payloads
-    /// oldest-first (recovery squash: the caller replays them).
-    pub fn drain_pipe(&mut self) -> Vec<CommittedOp> {
-        let mut out = Vec::with_capacity(self.pipe_len());
-        self.drain_pipe_into(&mut out);
-        out
-    }
-
-    /// Like [`drain_pipe`](Self::drain_pipe) but appends into a
-    /// caller-owned buffer, so recovery paths can reuse scratch storage
-    /// instead of allocating per flush.
-    pub fn drain_pipe_into(&mut self, out: &mut Vec<CommittedOp>) {
-        while self.pipe_head != self.pipe_tail {
-            out.push(self.pipe_items[(self.pipe_head & self.pipe_mask) as usize]);
-            self.pipe_head += 1;
-        }
+    /// The register at `slot`, or 0 for an absent operand (slot 0).
+    #[inline]
+    fn read(&self, slot: usize) -> u64 {
+        self.regs[slot] & 0u64.wrapping_sub((slot != 0) as u64)
     }
 
     /// Advances one trailer cycle: verifies up to `verify_ports` oldest
-    /// completed instructions (appending results to `out`), then
-    /// dispatches up to `width` new instructions from `input`.
+    /// completed ops of the ring's pipe (reporting each to `out`), then
+    /// dispatches up to `width` ops from the ring's RVQ.
     ///
     /// Returns the number of instructions verified this cycle.
-    pub fn step_cycle(
-        &mut self,
-        input: &mut VecDeque<CommittedOp>,
-        out: &mut Vec<Verification>,
-    ) -> u32 {
-        let verified = self.do_verify(out);
-        self.do_dispatch(input);
+    pub fn step_cycle(&mut self, ring: &mut CommitRing, out: &mut impl CheckSink) -> u32 {
+        let verified = self.do_verify(ring, out);
+        self.do_dispatch(ring);
         // Cycle attribution is profiling-only: gated on the sink so the
         // NullSink build stays identical to the uninstrumented core.
         if S::ENABLED {
-            self.cpi.add(self.classify_cycle(verified, input));
+            self.cpi.add(self.classify_cycle(verified, ring));
         }
         self.cycle += 1;
         self.activity.cycles += 1;
@@ -270,95 +281,79 @@ impl<S: Sink> InOrderCore<S> {
     /// taxonomy is small: verifying is progress, an empty pipe with an
     /// empty RVQ is fetch starvation, a full pipe is a structural
     /// stall, and everything else is execute/dependence latency.
-    fn classify_cycle(&self, verified: u32, input: &VecDeque<CommittedOp>) -> CpiComponent {
+    fn classify_cycle(&self, verified: u32, ring: &CommitRing) -> CpiComponent {
         if verified > 0 {
             return CpiComponent::BaseIssue;
         }
-        if self.pipe_head == self.pipe_tail {
-            if input.is_empty() {
+        if ring.in_pipe() == 0 {
+            if ring.queued() == 0 {
                 CpiComponent::FetchStarved
             } else {
                 CpiComponent::BaseIssue
             }
-        } else if self.pipe_len() >= self.cfg.pipeline_depth as usize {
+        } else if ring.in_pipe() >= self.cfg.pipeline_depth as usize {
             CpiComponent::StructFull
         } else {
             CpiComponent::BaseIssue
         }
     }
 
-    fn do_verify(&mut self, out: &mut Vec<Verification>) -> u32 {
+    fn do_verify(&mut self, ring: &mut CommitRing, out: &mut impl CheckSink) -> u32 {
         let mut n = 0;
-        while n < self.cfg.verify_ports {
-            if self.pipe_head == self.pipe_tail {
+        while n < self.cfg.verify_ports && ring.head != ring.next {
+            let slot = ring.slot(ring.head);
+            if ring.complete[slot] > self.cycle {
                 break;
             }
-            let slot = (self.pipe_head & self.pipe_mask) as usize;
-            if self.pipe_complete[slot] > self.cycle {
-                break;
-            }
-            let item = self.pipe_items[slot];
-            self.pipe_head += 1;
-            let op = item.op;
+            let item = &ring.items[slot];
+            let op = &item.op;
+            let k = op.kind as usize;
+            let (r1, r2, rd) = (
+                reg_slot(op.src1_reg),
+                reg_slot(op.src2_reg),
+                reg_slot(op.dest),
+            );
 
             // Operand check (RVP only): predicted operands must match the
-            // trailer's own architectural state.
-            let mut outcome = CheckOutcome::Ok;
-            if self.cfg.rvp {
-                let s1_ok = op
-                    .src1_reg
-                    .is_none_or(|r| self.regfile[r.index() as usize] == item.src1_value);
-                let s2_ok = op
-                    .src2_reg
-                    .is_none_or(|r| self.regfile[r.index() as usize] == item.src2_value);
-                if !(s1_ok && s2_ok) {
-                    outcome = CheckOutcome::OperandMismatch;
-                }
-            }
-
-            // Recompute the result from the trailer's view of the
-            // operands.
-            let (s1, s2) = if self.cfg.rvp {
-                (item.src1_value, item.src2_value)
+            // trailer's own architectural state. A missing operand is
+            // never compared; its payload still feeds the recomputation.
+            let (s1, s2, operands_ok) = if self.cfg.rvp {
+                let bad1 = (r1 != 0) & (self.regs[r1] != item.src1_value);
+                let bad2 = (r2 != 0) & (self.regs[r2] != item.src2_value);
+                (item.src1_value, item.src2_value, !(bad1 | bad2))
             } else {
-                (
-                    op.src1_reg.map_or(0, |r| self.regfile[r.index() as usize]),
-                    op.src2_reg.map_or(0, |r| self.regfile[r.index() as usize]),
-                )
+                (self.read(r1), self.read(r2), true)
             };
-            let result = match op.kind {
-                OpClass::Load => item.mem_value, // from the LVQ
-                OpClass::Store | OpClass::Branch => 0,
-                _ => op.compute_result(s1, s2),
+            let result = [op.compute_result(s1, s2), item.mem_value, 0][SOURCE[k] as usize];
+            let result_ok = (rd == 0) | (result == item.result);
+            // An operand mismatch outranks a result mismatch.
+            let outcome = match (operands_ok, result_ok) {
+                (false, _) => CheckOutcome::OperandMismatch,
+                (true, false) => CheckOutcome::ResultMismatch,
+                (true, true) => CheckOutcome::Ok,
             };
-            if outcome == CheckOutcome::Ok && op.dest.is_some() && result != item.result {
-                outcome = CheckOutcome::ResultMismatch;
-            }
-
-            if outcome == CheckOutcome::Ok {
-                if let Some(d) = op.dest {
-                    self.regfile[d.index() as usize] = result;
-                    self.activity.regfile_writes += 1;
-                }
-                self.activity.committed += 1;
-            }
-            // On a mismatch the trailer register file is left untouched:
-            // it is the recovery point (paper §2).
-            self.activity.regfile_reads +=
-                op.src1_reg.is_some() as u64 + op.src2_reg.is_some() as u64;
-            if outcome != CheckOutcome::Ok {
+            let ok = operands_ok & result_ok;
+            // A failed check leaves the register file untouched (its
+            // result goes to the sink slot): it is the recovery point
+            // (paper §2).
+            self.regs[if ok { rd } else { 0 }] = result;
+            self.activity.regfile_reads += (r1 != 0) as u64 + (r2 != 0) as u64;
+            self.activity.regfile_writes += (ok & (rd != 0)) as u64;
+            self.activity.committed += ok as u64;
+            let (seq, kind) = (op.seq, op.kind);
+            if !ok {
+                self.error_items.push_back(*item);
                 let cycle = self.cycle;
                 emit(&mut self.sink, || Event::Counter {
                     name: "checker_mismatch".into(),
                     cycle,
                     value: 1.0,
                 });
-                self.error_items.push_back(item);
             }
-            out.push(Verification {
-                seq: op.seq,
+            ring.retire_head(kind);
+            out.record(Verification {
+                seq,
                 result,
-                kind: op.kind,
                 outcome,
             });
             n += 1;
@@ -366,68 +361,60 @@ impl<S: Sink> InOrderCore<S> {
         n
     }
 
-    fn do_dispatch(&mut self, input: &mut VecDeque<CommittedOp>) {
-        let mut int_alu = self.cfg.int_alu;
-        let mut int_mul = self.cfg.int_mul;
-        let mut fp_alu = self.cfg.fp_alu;
-        let mut fp_mul = self.cfg.fp_mul;
-        for _ in 0..self.cfg.width {
-            if self.pipe_len() >= self.cfg.pipeline_depth as usize {
+    fn do_dispatch(&mut self, ring: &mut CommitRing) {
+        let cfg = self.cfg;
+        let mut free = [cfg.int_alu, cfg.int_mul, cfg.fp_alu, cfg.fp_mul];
+        let depth = cfg.pipeline_depth as usize;
+        let first = ring.next;
+        for _ in 0..cfg.width {
+            if ring.next == ring.tail || ring.in_pipe() >= depth {
                 break;
             }
-            let Some(front) = input.front() else { break };
-            let op = front.op;
+            let op = &ring.items[ring.slot(ring.next)].op;
+            let k = op.kind as usize;
             // In-order: a structural or data stall blocks younger ops.
-            let unit = match op.kind {
-                OpClass::IntAlu | OpClass::Load | OpClass::Store | OpClass::Branch => &mut int_alu,
-                OpClass::IntMul => &mut int_mul,
-                OpClass::FpAlu => &mut fp_alu,
-                OpClass::FpMul => &mut fp_mul,
-            };
-            if *unit == 0 {
+            let unit = UNIT[k];
+            if free[unit] == 0 {
                 break;
             }
-            if !self.cfg.rvp && !self.operands_ready(&op) {
+            if !cfg.rvp && !self.operands_ready(ring, op) {
                 break;
             }
-            *unit -= 1;
-            let item = input.pop_front().expect("front exists");
-            let lat = match item.op.kind {
-                OpClass::Load => 1, // LVQ read: no cache access
-                k => k.execute_latency() as u64,
-            };
-            let complete = self.cycle + lat;
-            let slot = (self.pipe_tail & self.pipe_mask) as usize;
-            self.pipe_items[slot] = item;
-            self.pipe_complete[slot] = complete;
-            self.pipe_tail += 1;
-            self.activity.dispatched += 1;
-            self.activity.issued += 1;
-            match op.kind {
-                OpClass::IntMul => self.activity.int_mul_ops += 1,
-                OpClass::FpAlu => self.activity.fp_alu_ops += 1,
-                OpClass::FpMul => self.activity.fp_mul_ops += 1,
-                _ => self.activity.int_alu_ops += 1,
-            }
+            free[unit] -= 1;
+            ring.dispatch(self.cycle + LATENCY[k]);
         }
+        // Every dispatched op took one unit, so the units used count the
+        // ops per class.
+        let dispatched = ring.next - first;
+        let a = &mut self.activity;
+        a.dispatched += dispatched;
+        a.issued += dispatched;
+        a.int_alu_ops += u64::from(cfg.int_alu - free[0]);
+        a.int_mul_ops += u64::from(cfg.int_mul - free[1]);
+        a.fp_alu_ops += u64::from(cfg.fp_alu - free[2]);
+        a.fp_mul_ops += u64::from(cfg.fp_mul - free[3]);
     }
-
-    fn operands_ready(&self, op: &rmt3d_workload::MicroOp) -> bool {
+    /// True unless a producer of `op` is still executing in the pipe
+    /// (the non-RVP checker reads operands from its register file).
+    fn operands_ready(&self, ring: &CommitRing, op: &rmt3d_workload::MicroOp) -> bool {
         for dist in [op.src1_dist, op.src2_dist].into_iter().flatten() {
             let producer = op.seq - dist.get() as u64;
-            // If the producer is still in the pipe and not complete, stall.
-            let mut i = self.pipe_head;
-            while i != self.pipe_tail {
-                let slot = (i & self.pipe_mask) as usize;
-                if self.pipe_items[slot].op.seq == producer && self.pipe_complete[slot] > self.cycle
-                {
+            for c in ring.head..ring.next {
+                let slot = ring.slot(c);
+                if ring.items[slot].op.seq == producer && ring.complete[slot] > self.cycle {
                     return false;
                 }
-                i += 1;
             }
         }
         true
     }
+}
+
+/// Index of an optional register in [`InOrderCore`]'s `regs`: the
+/// register's index + 1, or the sink slot 0 when absent.
+#[inline]
+fn reg_slot(r: Option<rmt3d_workload::ArchReg>) -> usize {
+    r.map_or(0, |r| r.index() as usize + 1)
 }
 
 #[cfg(test)]
@@ -457,9 +444,17 @@ mod tests {
         out
     }
 
+    fn ring_of(stream: &[CommittedOp]) -> CommitRing {
+        let mut ring = CommitRing::with_capacity(stream.len());
+        for c in stream {
+            ring.push(*c);
+        }
+        ring
+    }
+
     fn run_trailer(cfg: TrailerConfig, stream: &[CommittedOp]) -> (Vec<Verification>, u64) {
         let mut t = InOrderCore::new(cfg);
-        let mut q: VecDeque<CommittedOp> = stream.iter().copied().collect();
+        let mut q = ring_of(stream);
         let mut out = Vec::new();
         while out.len() < stream.len() {
             t.step_cycle(&mut q, &mut out);
@@ -469,6 +464,31 @@ mod tests {
             );
         }
         (out, t.cycle())
+    }
+
+    #[test]
+    fn class_tables_follow_op_classes() {
+        for k in OpClass::ALL {
+            let unit = match k {
+                OpClass::IntMul => 1,
+                OpClass::FpAlu => 2,
+                OpClass::FpMul => 3,
+                _ => 0,
+            };
+            assert_eq!(UNIT[k as usize], unit, "{k:?}");
+            let latency = if k == OpClass::Load {
+                1
+            } else {
+                k.execute_latency() as u64
+            };
+            assert_eq!(LATENCY[k as usize], latency, "{k:?}");
+            let source = match k {
+                OpClass::Load => ResultSource::Lvq,
+                OpClass::Store | OpClass::Branch => ResultSource::Zero,
+                _ => ResultSource::Compute,
+            };
+            assert!(SOURCE[k as usize] == source, "{k:?}");
+        }
     }
 
     #[test]
@@ -546,7 +566,7 @@ mod tests {
     fn trailer_regfile_fault_is_detected_on_next_use() {
         let stream = committed_stream(3000);
         let mut t = InOrderCore::new(TrailerConfig::checker());
-        let mut q: VecDeque<CommittedOp> = stream.iter().copied().collect();
+        let mut q = ring_of(&stream);
         let mut out = Vec::new();
         // Let it run a while, then corrupt trailer state.
         for _ in 0..200 {
@@ -590,7 +610,7 @@ mod tests {
             TrailerConfig::checker(),
             rmt3d_telemetry::RecordingSink::new(),
         );
-        let mut q: VecDeque<CommittedOp> = stream.iter().copied().collect();
+        let mut q = ring_of(&stream);
         let mut out = Vec::new();
         while out.len() < stream.len() {
             t.step_cycle(&mut q, &mut out);
@@ -615,12 +635,12 @@ mod tests {
     #[test]
     fn empty_input_idles() {
         let mut t = InOrderCore::new(TrailerConfig::checker());
-        let mut q = VecDeque::new();
+        let mut q = CommitRing::default();
         let mut out = Vec::new();
         for _ in 0..10 {
             assert_eq!(t.step_cycle(&mut q, &mut out), 0);
         }
         assert!(out.is_empty());
-        assert_eq!(t.in_flight(), 0);
+        assert_eq!(q.in_pipe(), 0);
     }
 }

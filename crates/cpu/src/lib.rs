@@ -9,6 +9,15 @@
 //! value prediction (§2.1). The RMT coupling (queues, slack, DFS, fault
 //! injection) lives in `rmt3d-rmt`.
 //!
+//! The two cores meet in a [`CommitRing`]: the leader commits each op
+//! straight into it (its commit output is any [`CommitSink`]; a `Vec`
+//! works for tests), the checker dispatches ops from the ring's RVQ
+//! part into its pipe part and verifies them in place, reporting to a
+//! [`CheckSink`] (a `Vec<Verification>` keeps every record; a counting
+//! sink keeps only what its owner reads). The checker's per-op
+//! bookkeeping — functional unit, latency, result source, side queue —
+//! comes from per-class tables.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,11 +41,13 @@ mod config;
 mod inorder;
 mod ooo;
 mod refexec;
+mod ring;
 
 pub use activity::ActivityCounters;
 pub use bpred::CombinedPredictor;
 pub use commit::CommittedOp;
 pub use config::{CoreConfig, TrailerConfig};
-pub use inorder::{CheckOutcome, InOrderCore, Verification};
+pub use inorder::{CheckOutcome, CheckSink, InOrderCore, Verification};
 pub use ooo::{load_memory_value, OooCore, FETCH_RUN_AHEAD};
 pub use refexec::ReferenceExecutor;
+pub use ring::{CommitRing, CommitSink, QueueOccupancy};

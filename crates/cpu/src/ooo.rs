@@ -11,6 +11,7 @@ use crate::activity::ActivityCounters;
 use crate::bpred::CombinedPredictor;
 use crate::commit::CommittedOp;
 use crate::config::CoreConfig;
+use crate::ring::CommitSink;
 use rmt3d_cache::CacheHierarchy;
 use rmt3d_telemetry::{emit, CpiComponent, CpiStack, Event, NullSink, Sink};
 use rmt3d_workload::{MicroOp, OpClass, Trace};
@@ -316,9 +317,14 @@ impl<S: Sink> OooCore<S> {
         self.caches.reset_stats();
     }
 
-    /// Advances one cycle; committed instructions are appended to `out`.
-    /// Returns the number committed this cycle.
-    pub fn step_cycle(&mut self, out: &mut Vec<CommittedOp>) -> u32 {
+    /// Advances one cycle; committed instructions go to `out` in commit
+    /// order (a `Vec`, or the [`CommitRing`](crate::CommitRing) a
+    /// checker reads). Returns the number committed this cycle.
+    // Kept out of line: being generic, it is compiled into each calling
+    // crate and would be a candidate for inlining into every caller's
+    // cycle loop, which bloats those loops for no measured gain.
+    #[inline(never)]
+    pub fn step_cycle(&mut self, out: &mut impl CommitSink) -> u32 {
         let committed = self.do_commit(out);
         self.do_issue();
         self.do_dispatch();
@@ -382,7 +388,7 @@ impl<S: Sink> OooCore<S> {
         }
     }
 
-    fn do_commit(&mut self, out: &mut Vec<CommittedOp>) -> u32 {
+    fn do_commit(&mut self, out: &mut impl CommitSink) -> u32 {
         if self.commit_stalled {
             self.activity.commit_stall_cycles += 1;
             return 0;
@@ -427,7 +433,7 @@ impl<S: Sink> OooCore<S> {
             }
             self.activity.committed += 1;
             self.caches.add_instructions(1);
-            out.push(CommittedOp {
+            out.commit(CommittedOp {
                 op,
                 result,
                 src1_value: s1,

@@ -5,9 +5,18 @@
 //! reproducibility without an external property-test dependency.
 
 use rmt3d_cache::{CacheHierarchy, NucaLayout, NucaPolicy};
-use rmt3d_cpu::{CheckOutcome, CoreConfig, InOrderCore, OooCore, TrailerConfig};
+use rmt3d_cpu::{
+    CheckOutcome, CommitRing, CommittedOp, CoreConfig, InOrderCore, OooCore, TrailerConfig,
+};
 use rmt3d_workload::{Benchmark, SplitMix64, TraceGenerator};
-use std::collections::VecDeque;
+
+fn ring_of(stream: Vec<CommittedOp>) -> CommitRing {
+    let mut ring = CommitRing::with_capacity(stream.len());
+    for c in stream {
+        ring.push(c);
+    }
+    ring
+}
 
 fn any_benchmark(rng: &mut SplitMix64) -> Benchmark {
     Benchmark::ALL[rng.below_usize(19)]
@@ -80,7 +89,7 @@ fn checker_verifies_any_committed_stream_clean() {
         let mut cfg = TrailerConfig::checker();
         cfg.verify_ports = ports;
         let mut trailer = InOrderCore::new(cfg);
-        let mut q: VecDeque<_> = stream.into_iter().collect();
+        let mut q = ring_of(stream);
         let mut out = Vec::new();
         let mut guard = 0;
         while out.len() < n {
@@ -124,7 +133,7 @@ fn single_bit_flip_is_always_detected() {
         stream[victim].result ^= 1u64 << bit;
 
         let mut trailer = InOrderCore::new(TrailerConfig::checker());
-        let mut q: VecDeque<_> = stream.into_iter().collect();
+        let mut q = ring_of(stream);
         let mut out = Vec::new();
         while out.len() < 1200 {
             trailer.step_cycle(&mut q, &mut out);

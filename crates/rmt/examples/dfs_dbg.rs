@@ -23,7 +23,7 @@ fn main() {
             o.lvq,
             o.boq,
             o.stb,
-            s.trailer().in_flight(),
+            s.queues().ring().in_pipe(),
             s.leader().activity().commit_stall_cycles,
             s.leader().activity().committed,
             s.trailer().activity().cycles

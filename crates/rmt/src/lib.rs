@@ -4,11 +4,20 @@
 //! Provides:
 //!
 //! * [`IntercoreQueues`] — the RVQ / LVQ / BOQ / StB complex of Fig. 1,
+//!   over the one [`rmt3d_cpu::CommitRing`] the leader commits into and
+//!   the checker verifies from,
 //! * [`DfsController`] — the dynamic-frequency-scaling throughput
 //!   matcher whose interval histogram is the paper's Fig. 7,
 //! * [`FaultInjector`] / [`EccConfig`] — the §2 transient-fault model,
 //! * [`RmtSystem`] — the coupled system with detection and recovery,
-//!   plus a golden architectural oracle that proves recoveries correct.
+//!   plus a golden architectural oracle that proves recoveries correct
+//!   (kept from the first applied fault on; until then it equals the
+//!   leader's register file),
+//! * [`TmrSystem`] — the §4 triple-modular-redundancy extension.
+//!
+//! A leader cycle of [`RmtSystem`] commits straight into the ring, then
+//! the checker's DFS-gated ticks verify from it in place and report
+//! only how many checks passed and failed.
 //!
 //! # Examples
 //!

@@ -1,15 +1,16 @@
 //! Inter-core queues: RVQ, LVQ, BOQ and StB (paper §2, Fig. 1).
 //!
 //! Physically we model one in-order stream of [`CommittedOp`] records
-//! (that is what the inter-die via bundle of Table 4 carries), but each
-//! logical queue has its own capacity and occupancy: the register value
-//! queue holds every instruction, the load value queue only loads, the
-//! branch outcome queue only branches, and the store buffer holds stores
-//! from leader-commit until the checker verifies them.
+//! (that is what the inter-die via bundle of Table 4 carries): the
+//! [`CommitRing`] the leader commits into and the checker verifies
+//! from. Each logical queue has its own capacity and occupancy: the
+//! register value queue holds every instruction, the load value queue
+//! only loads, the branch outcome queue only branches, and the store
+//! buffer holds stores from leader-commit until the checker verifies
+//! them.
 
-use rmt3d_cpu::CommittedOp;
-use rmt3d_workload::OpClass;
-use std::collections::VecDeque;
+pub use rmt3d_cpu::QueueOccupancy;
+use rmt3d_cpu::{CommitRing, CommittedOp};
 
 /// Capacities of the four logical queues.
 ///
@@ -57,35 +58,20 @@ impl Default for QueueConfig {
     }
 }
 
-/// Occupancy snapshot of the logical queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueueOccupancy {
-    /// Entries in the RVQ.
-    pub rvq: usize,
-    /// Load entries in flight.
-    pub lvq: usize,
-    /// Branch entries in flight.
-    pub boq: usize,
-    /// Unverified stores in the StB.
-    pub stb: usize,
-}
-
 /// The leader→trailer queue complex.
 #[derive(Debug, Clone)]
 pub struct IntercoreQueues {
     config: QueueConfig,
-    stream: VecDeque<CommittedOp>,
-    lvq: usize,
-    boq: usize,
-    stb: usize,
+    ring: CommitRing,
     /// High-water marks (for sizing studies).
     peak: QueueOccupancy,
-    /// Total entries ever enqueued (for bandwidth/power accounting).
-    pub total_enqueued: u64,
 }
 
 impl IntercoreQueues {
-    /// Creates empty queues.
+    /// Creates empty queues. The ring holds the RVQ capacity rounded up
+    /// to a power of two, which at the paper's sizing (200 → 256) also
+    /// holds the checker's 16-deep pipe, so a coupled system never grows
+    /// it.
     ///
     /// # Panics
     ///
@@ -94,12 +80,8 @@ impl IntercoreQueues {
         config.validate().expect("invalid queue configuration");
         IntercoreQueues {
             config,
-            stream: VecDeque::with_capacity(config.rvq),
-            lvq: 0,
-            boq: 0,
-            stb: 0,
+            ring: CommitRing::with_capacity(config.rvq),
             peak: QueueOccupancy::default(),
-            total_enqueued: 0,
         }
     }
 
@@ -109,13 +91,9 @@ impl IntercoreQueues {
     }
 
     /// Current occupancies.
+    #[inline]
     pub fn occupancy(&self) -> QueueOccupancy {
-        QueueOccupancy {
-            rvq: self.stream.len(),
-            lvq: self.lvq,
-            boq: self.boq,
-            stb: self.stb,
-        }
+        self.ring.occupancy()
     }
 
     /// Highest occupancies observed.
@@ -127,7 +105,7 @@ impl IntercoreQueues {
     /// input signal.
     #[inline]
     pub fn rvq_fill(&self) -> f64 {
-        self.stream.len() as f64 / self.config.rvq as f64
+        self.ring.queued() as f64 / self.config.rvq as f64
     }
 
     /// True when the leader may commit `headroom` more instructions of
@@ -135,86 +113,67 @@ impl IntercoreQueues {
     /// before its commit stage; a full queue stalls retirement.
     #[inline]
     pub fn can_accept(&self, headroom: usize) -> bool {
-        self.stream.len() + headroom <= self.config.rvq
-            && self.lvq + headroom <= self.config.lvq
-            && self.boq + headroom <= self.config.boq
-            && self.stb + headroom <= self.config.stb
+        let o = self.ring.occupancy();
+        o.rvq + headroom <= self.config.rvq
+            && o.lvq + headroom <= self.config.lvq
+            && o.boq + headroom <= self.config.boq
+            && o.stb + headroom <= self.config.stb
     }
 
-    /// Enqueues a committed instruction.
+    /// Checks the ops the leader just committed into the ring and raises
+    /// the high-water marks. Occupancies only grow during a commit, so
+    /// one check after its last push covers every push.
     ///
     /// # Panics
     ///
-    /// Panics if a queue would overflow — callers must gate leader commit
-    /// with [`IntercoreQueues::can_accept`].
+    /// Panics if a queue holds more than its capacity — callers must gate
+    /// leader commit with [`IntercoreQueues::can_accept`].
     #[inline]
-    pub fn push(&mut self, item: CommittedOp) {
-        assert!(self.stream.len() < self.config.rvq, "RVQ overflow");
-        match item.op.kind {
-            OpClass::Load => {
-                assert!(self.lvq < self.config.lvq, "LVQ overflow");
-                self.lvq += 1;
-            }
-            OpClass::Store => {
-                assert!(self.stb < self.config.stb, "StB overflow");
-                self.stb += 1;
-            }
-            OpClass::Branch => {
-                assert!(self.boq < self.config.boq, "BOQ overflow");
-                self.boq += 1;
-            }
-            _ => {}
-        }
-        self.stream.push_back(item);
-        self.total_enqueued += 1;
-        let occ = self.occupancy();
-        self.peak.rvq = self.peak.rvq.max(occ.rvq);
-        self.peak.lvq = self.peak.lvq.max(occ.lvq);
-        self.peak.boq = self.peak.boq.max(occ.boq);
-        self.peak.stb = self.peak.stb.max(occ.stb);
+    pub fn admit_commit(&mut self) {
+        let o = self.ring.occupancy();
+        assert!(o.rvq <= self.config.rvq, "RVQ overflow");
+        assert!(o.lvq <= self.config.lvq, "LVQ overflow");
+        assert!(o.stb <= self.config.stb, "StB overflow");
+        assert!(o.boq <= self.config.boq, "BOQ overflow");
+        self.peak.rvq = self.peak.rvq.max(o.rvq);
+        self.peak.lvq = self.peak.lvq.max(o.lvq);
+        self.peak.boq = self.peak.boq.max(o.boq);
+        self.peak.stb = self.peak.stb.max(o.stb);
     }
 
-    /// The queued ops, oldest first.
-    pub fn stream(&self) -> &VecDeque<CommittedOp> {
-        &self.stream
+    /// The ring the leader commits into and the checker verifies from.
+    pub fn ring(&self) -> &CommitRing {
+        &self.ring
     }
 
-    /// The trailer-side dequeue view. The trailer pops from this; the
-    /// caller must report each popped op back via
-    /// [`IntercoreQueues::on_trailer_consumed`] to keep the logical
-    /// occupancies in sync.
-    pub fn stream_mut(&mut self) -> &mut VecDeque<CommittedOp> {
-        &mut self.stream
+    /// Mutable access to the ring (leader commit, checker steps).
+    pub fn ring_mut(&mut self) -> &mut CommitRing {
+        &mut self.ring
     }
 
-    /// Records that the trailer consumed (verified or squashed) an op of
-    /// the given class, releasing its LVQ/BOQ/StB slot. Stores leave the
-    /// StB here: the paper commits stores to memory only after checking.
-    #[inline]
-    pub fn on_trailer_consumed(&mut self, kind: OpClass) {
-        match kind {
-            OpClass::Load => self.lvq = self.lvq.saturating_sub(1),
-            OpClass::Store => self.stb = self.stb.saturating_sub(1),
-            OpClass::Branch => self.boq = self.boq.saturating_sub(1),
-            _ => {}
-        }
+    /// The RVQ, oldest first.
+    pub fn queued(&self) -> impl DoubleEndedIterator<Item = &CommittedOp> + ExactSizeIterator {
+        self.ring.queue()
     }
 
-    /// Empties all queues (recovery squash).
+    /// Mutable access to the `i`-th op of the RVQ (oldest is 0).
+    pub fn queued_mut(&mut self, i: usize) -> &mut CommittedOp {
+        assert!(i < self.ring.queued(), "RVQ position {i} out of range");
+        let c = self.ring.next() + i as u64;
+        self.ring.get_mut(c)
+    }
+
+    /// Empties all queues (recovery squash), the checker pipe included;
+    /// returns how many ops were dropped.
     pub fn squash(&mut self) -> usize {
-        let n = self.stream.len();
-        self.stream.clear();
-        self.lvq = 0;
-        self.boq = 0;
-        self.stb = 0;
-        n
+        self.ring.squash()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmt3d_workload::{ArchReg, MemRef, MicroOp};
+    use rmt3d_workload::{ArchReg, MemRef, MicroOp, OpClass};
 
     fn item(seq: u64, kind: OpClass) -> CommittedOp {
         let dest = kind.writes_register().then(|| ArchReg::new(1));
@@ -237,6 +196,29 @@ mod tests {
         }
     }
 
+    /// Commits `items` into the ring as the leader does: straight in,
+    /// then one capacity check.
+    fn commit(q: &mut IntercoreQueues, items: impl IntoIterator<Item = CommittedOp>) {
+        for i in items {
+            q.ring_mut().push(i);
+        }
+        q.admit_commit();
+    }
+
+    /// Lets a checker that verifies one op per cycle verify the `n`
+    /// oldest ops.
+    fn verify(q: &mut IntercoreQueues, n: usize) {
+        let cfg = rmt3d_cpu::TrailerConfig {
+            verify_ports: 1,
+            ..rmt3d_cpu::TrailerConfig::checker()
+        };
+        let mut t = rmt3d_cpu::InOrderCore::new(cfg);
+        let mut out = Vec::new();
+        while out.len() < n {
+            t.step_cycle(q.ring_mut(), &mut out);
+        }
+    }
+
     #[test]
     fn paper_capacities() {
         let q = QueueConfig::paper();
@@ -246,14 +228,23 @@ mod tests {
     #[test]
     fn logical_occupancies_track_op_kinds() {
         let mut q = IntercoreQueues::new(QueueConfig::paper());
-        q.push(item(0, OpClass::IntAlu));
-        q.push(item(1, OpClass::Load));
-        q.push(item(2, OpClass::Store));
-        q.push(item(3, OpClass::Branch));
+        commit(
+            &mut q,
+            [
+                item(0, OpClass::IntAlu),
+                item(1, OpClass::Load),
+                item(2, OpClass::Store),
+                item(3, OpClass::Branch),
+            ],
+        );
         let o = q.occupancy();
         assert_eq!((o.rvq, o.lvq, o.boq, o.stb), (4, 1, 1, 1));
-        q.on_trailer_consumed(OpClass::Load);
-        assert_eq!(q.occupancy().lvq, 0);
+        verify(&mut q, 2);
+        // The checker may have dispatched the other two out of the RVQ
+        // into its pipe; they stay in their side queues until verified.
+        let o = q.occupancy();
+        let unverified = o.rvq + q.ring().in_pipe();
+        assert_eq!((unverified, o.lvq, o.boq, o.stb), (2, 0, 1, 1));
     }
 
     #[test]
@@ -264,11 +255,10 @@ mod tests {
             boq: 40,
             stb: 2,
         });
-        q.push(item(0, OpClass::Store));
-        q.push(item(1, OpClass::Store));
+        commit(&mut q, [item(0, OpClass::Store), item(1, OpClass::Store)]);
         // StB is full: even though the RVQ has room, commit must stall.
         assert!(!q.can_accept(1));
-        q.on_trailer_consumed(OpClass::Store);
+        verify(&mut q, 1);
         assert!(q.can_accept(1));
     }
 
@@ -281,23 +271,25 @@ mod tests {
             boq: 40,
             stb: 1,
         });
-        q.push(item(0, OpClass::Store));
-        q.push(item(1, OpClass::Store));
+        commit(&mut q, [item(0, OpClass::Store), item(1, OpClass::Store)]);
     }
 
     #[test]
     fn squash_clears_everything() {
         let mut q = IntercoreQueues::new(QueueConfig::paper());
-        for i in 0..10 {
-            q.push(item(
-                i,
-                if i % 2 == 0 {
-                    OpClass::Load
-                } else {
-                    OpClass::Store
-                },
-            ));
-        }
+        commit(
+            &mut q,
+            (0..10).map(|i| {
+                item(
+                    i,
+                    if i % 2 == 0 {
+                        OpClass::Load
+                    } else {
+                        OpClass::Store
+                    },
+                )
+            }),
+        );
         assert_eq!(q.squash(), 10);
         let o = q.occupancy();
         assert_eq!((o.rvq, o.lvq, o.boq, o.stb), (0, 0, 0, 0));
@@ -312,9 +304,7 @@ mod tests {
             boq: 10,
             stb: 10,
         });
-        for i in 0..5 {
-            q.push(item(i, OpClass::IntAlu));
-        }
+        commit(&mut q, (0..5).map(|i| item(i, OpClass::IntAlu)));
         assert!((q.rvq_fill() - 0.5).abs() < 1e-12);
     }
 }

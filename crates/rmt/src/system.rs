@@ -5,7 +5,8 @@ use crate::dfs::{DfsConfig, DfsController, DFS_LEVELS};
 use crate::fault::{DirectedOutcome, DrawnFault, EccConfig, FaultFate, FaultInjector, FaultSite};
 use crate::queues::{IntercoreQueues, QueueConfig};
 use rmt3d_cpu::{
-    load_memory_value, CheckOutcome, CommittedOp, InOrderCore, OooCore, TrailerConfig, Verification,
+    load_memory_value, CheckOutcome, CheckSink, CommittedOp, InOrderCore, OooCore, TrailerConfig,
+    Verification,
 };
 use rmt3d_telemetry::{emit, CpiComponent, CpiStack, Event, NullSink, Sink};
 use rmt3d_workload::OpClass;
@@ -78,6 +79,23 @@ impl RmtStats {
     }
 }
 
+/// The checker's report as the system reads it: how many checks passed
+/// and how many failed.
+#[derive(Default)]
+struct Tally {
+    ok: u64,
+    failed: u64,
+}
+
+impl CheckSink for Tally {
+    #[inline]
+    fn record(&mut self, v: Verification) {
+        let ok = v.outcome == CheckOutcome::Ok;
+        self.ok += ok as u64;
+        self.failed += !ok as u64;
+    }
+}
+
 /// The coupled leading-core / checker-core system.
 ///
 /// One call to [`RmtSystem::step`] advances one leading-core cycle; the
@@ -97,12 +115,15 @@ pub struct RmtSystem<S: Sink = NullSink> {
     recovery_cooldown: u64,
     /// Golden architectural register file: updated with fault-free
     /// recomputation of every committed op; the oracle for recovery
-    /// verification.
+    /// verification. Until a fault is applied it equals the leader's
+    /// register file (both recompute the same ops from zeros, and only a
+    /// recovery rewrites the leader's), so it is kept only from the
+    /// first strike on ([`RmtSystem::golden`]); debug builds keep it
+    /// always and check the equality.
     golden: [u64; 64],
+    /// True once `golden` is kept.
+    golden_live: bool,
     stats: RmtStats,
-    commit_buf: Vec<CommittedOp>,
-    verify_buf: Vec<Verification>,
-    replay_scratch: Vec<CommittedOp>,
     fault_fates: Vec<(FaultSite, FaultFate)>,
     sink: S,
 }
@@ -131,10 +152,8 @@ impl<S: Sink + Clone> RmtSystem<S> {
             accum: 0.0,
             recovery_cooldown: 0,
             golden: [0; 64],
+            golden_live: false,
             stats: RmtStats::default(),
-            commit_buf: Vec::with_capacity(8),
-            verify_buf: Vec::with_capacity(8),
-            replay_scratch: Vec::new(),
             fault_fates: Vec::new(),
             sink,
         }
@@ -145,7 +164,32 @@ impl<S: Sink> RmtSystem<S> {
     /// Enables random fault injection.
     pub fn with_fault_injection(mut self, seed: u64, rate: f64, ecc: EccConfig) -> RmtSystem<S> {
         self.injector = Some(FaultInjector::new(seed, rate, ecc));
+        self.keep_golden();
         self
+    }
+
+    /// Starts keeping the golden register file, from the leader's (equal
+    /// to it until a fault is applied).
+    fn keep_golden(&mut self) {
+        if !self.golden_live {
+            self.golden = *self.leader.regfile();
+            self.golden_live = true;
+        }
+    }
+
+    /// The golden architectural register file: the fault-free state of
+    /// everything committed so far.
+    fn golden(&self) -> &[u64; 64] {
+        if self.golden_live {
+            &self.golden
+        } else {
+            debug_assert_eq!(
+                &self.golden,
+                self.leader.regfile(),
+                "golden equals the leader until a fault is applied"
+            );
+            self.leader.regfile()
+        }
     }
 
     /// The leading core.
@@ -244,16 +288,26 @@ impl<S: Sink> RmtSystem<S> {
         // Back-pressure: stall leader commit if any queue is near full.
         let can = self.queues.can_accept(4);
         self.leader.set_commit_stall(!can);
-        self.commit_buf.clear();
-        self.leader.step_cycle(&mut self.commit_buf);
+        let from = self.queues.ring().tail();
+        self.leader.step_cycle(self.queues.ring_mut());
+        let to = self.queues.ring().tail();
 
-        // Golden shadow execution + fault injection + enqueue.
+        // Golden shadow execution + fault injection on the ops the
+        // leader just committed into the ring.
         let cycle = self.leader.activity().cycles;
-        for i in 0..self.commit_buf.len() {
-            let mut item = self.commit_buf[i];
-            self.update_golden(&item);
+        if to > from {
+            self.queues.admit_commit();
+            if self.golden_live || cfg!(debug_assertions) {
+                for c in from..to {
+                    update_golden(&mut self.golden, self.queues.ring().get(c));
+                }
+            }
+            debug_assert!(self.golden_live || self.golden == *self.leader.regfile());
             if let Some(inj) = self.injector.as_mut() {
-                if let Some((fault, corrected)) = inj.draw_event() {
+                for c in from..to {
+                    let Some((fault, corrected)) = inj.draw_event() else {
+                        continue;
+                    };
                     emit(&mut self.sink, || Event::FaultInjected {
                         cycle,
                         site: fault.site.name().into(),
@@ -265,13 +319,15 @@ impl<S: Sink> RmtSystem<S> {
                     } else if fault.site == FaultSite::TrailerRegfile {
                         self.trailer.flip_regfile_bit(fault.reg, fault.bit);
                         self.fault_fates.push((fault.site, FaultFate::Masked));
-                    } else if FaultInjector::apply_to_payload(fault, &mut item) {
+                    } else if FaultInjector::apply_to_payload(
+                        fault,
+                        self.queues.ring_mut().get_mut(c),
+                    ) {
                         // Fate resolved when (if) the checker flags it.
                         self.fault_fates.push((fault.site, FaultFate::Masked));
                     }
                 }
             }
-            self.queues.push(item);
         }
 
         // DFS decision and fractional trailer advance.
@@ -289,73 +345,48 @@ impl<S: Sink> RmtSystem<S> {
         self.stats.slack_sum += self.queues.occupancy().rvq as u64;
         self.stats.slack_samples += 1;
 
-        self.accum += self.dfs.current().fraction();
+        self.accum += after.fraction();
         while self.accum >= 1.0 {
             self.accum -= 1.0;
-            self.verify_buf.clear();
-            self.trailer
-                .step_cycle(self.queues.stream_mut(), &mut self.verify_buf);
-            if !self.verify_buf.is_empty() {
-                self.process_verifications();
-            }
+            self.trailer_tick();
         }
     }
 
-    /// Fault-free shadow execution of one committed op against the
-    /// golden register file (the recovery-verification oracle).
-    fn update_golden(&mut self, item: &CommittedOp) {
-        let golden = &mut self.golden;
-        let op = item.op;
-        let s1 = op.src1_reg.map_or(0, |r| golden[r.index() as usize]);
-        let s2 = op.src2_reg.map_or(0, |r| golden[r.index() as usize]);
-        let result = match op.kind {
-            OpClass::Load => load_memory_value(op.mem_addr),
-            OpClass::Store | OpClass::Branch => 0,
-            _ => op.compute_result(s1, s2),
-        };
-        if let Some(d) = op.dest {
-            golden[d.index() as usize] = result;
+    /// One trailer tick over the ring; a failed check triggers recovery.
+    fn trailer_tick(&mut self) {
+        let mut tally = Tally::default();
+        self.trailer.step_cycle(self.queues.ring_mut(), &mut tally);
+        self.stats.verified_ok += tally.ok;
+        if tally.failed > 0 {
+            self.stats.detected += tally.failed;
+            self.on_detection();
         }
     }
 
-    fn process_verifications(&mut self) {
-        let mut any_error = false;
-        let verifications = std::mem::take(&mut self.verify_buf);
-        for v in verifications.iter() {
-            self.queues.on_trailer_consumed(v.kind);
-            if v.outcome == CheckOutcome::Ok {
-                self.stats.verified_ok += 1;
+    /// Recovers from a failed check and resolves the newest unresolved
+    /// fault's fate.
+    fn on_detection(&mut self) {
+        self.recover();
+        let recovered = self.trailer.regfile() == self.golden();
+        let cycle = self.leader.activity().cycles;
+        let penalty = self.config.recovery_penalty;
+        emit(&mut self.sink, || Event::Recovery {
+            cycle,
+            penalty_cycles: penalty,
+            unrecoverable: !recovered,
+        });
+        if let Some(last) = self
+            .fault_fates
+            .iter_mut()
+            .rev()
+            .find(|(_, fate)| *fate == FaultFate::Masked)
+        {
+            last.1 = if recovered {
+                FaultFate::DetectedRecovered
             } else {
-                self.stats.detected += 1;
-                any_error = true;
-            }
+                FaultFate::DetectedUnrecoverable
+            };
         }
-        if any_error {
-            self.recover();
-            // Mark the most recent unresolved fault as detected.
-            let recovered = self.trailer.regfile() == &self.golden;
-            let cycle = self.leader.activity().cycles;
-            let penalty = self.config.recovery_penalty;
-            emit(&mut self.sink, || Event::Recovery {
-                cycle,
-                penalty_cycles: penalty,
-                unrecoverable: !recovered,
-            });
-            if let Some(last) = self
-                .fault_fates
-                .iter_mut()
-                .rev()
-                .find(|(_, fate)| *fate == FaultFate::Masked)
-            {
-                last.1 = if recovered {
-                    FaultFate::DetectedRecovered
-                } else {
-                    FaultFate::DetectedUnrecoverable
-                };
-            }
-        }
-        self.verify_buf = verifications;
-        self.verify_buf.clear();
     }
 
     /// Recovery (§2): squash everything in flight, re-execute it
@@ -365,25 +396,17 @@ impl<S: Sink> RmtSystem<S> {
         self.stats.recoveries += 1;
         self.recovery_cooldown = self.config.recovery_penalty;
 
-        // Replay the flagged verification batch tail (ops the trailer
-        // refused to retire), then the trailer pipe, then the queued
-        // backlog — all in program order. The scratch buffer lives on
-        // the system so repeated recoveries allocate nothing.
-        let mut replay = std::mem::take(&mut self.replay_scratch);
-        replay.clear();
-        // The trailer parked the payload of every failed check; those are
-        // exactly the ops of the flagged tail it refused to retire.
-        self.trailer.drain_error_items_into(&mut replay);
-        self.trailer.drain_pipe_into(&mut replay);
-        replay.extend(self.queues.stream_mut().drain(..));
-        self.queues.squash();
-        for item in &replay {
+        // Replay the failed checks (ops the trailer refused to retire),
+        // then the trailer pipe, then the queued backlog — all in
+        // program order.
+        self.trailer.replay_error_items();
+        for item in self.queues.ring().unverified() {
             self.trailer.architectural_replay(item);
         }
-        self.replay_scratch = replay;
+        self.queues.squash();
         let rf = *self.trailer.regfile();
         self.leader.restore_regfile(&rf);
-        if rf != self.golden {
+        if rf != *self.golden() {
             self.stats.unrecoverable += 1;
         }
     }
@@ -411,16 +434,17 @@ impl<S: Sink> RmtSystem<S> {
             return DirectedOutcome::CorrectedByEcc;
         }
         if fault.site == FaultSite::TrailerRegfile {
+            self.keep_golden();
             self.trailer.flip_regfile_bit(fault.reg, fault.bit);
         } else {
             let Some(at) = self.strike_target(fault.site) else {
                 return DirectedOutcome::NoTarget;
             };
-            let item = &mut self.queues.stream_mut()[at];
-            let applied = FaultInjector::apply_to_payload(fault, item);
+            self.keep_golden();
+            let applied = FaultInjector::apply_to_payload(fault, self.queues.queued_mut(at));
             debug_assert!(applied, "can_strike guarantees a mutable target");
         }
-        // Fate starts Masked; process_verifications upgrades it when
+        // Fate starts Masked; a failed check upgrades it when
         // (if) the checker flags the corruption.
         self.fault_fates.push((fault.site, FaultFate::Masked));
         emit(&mut self.sink, || Event::FaultInjected {
@@ -438,10 +462,7 @@ impl<S: Sink> RmtSystem<S> {
     /// `TrailerRegfile`, which strikes core state. Read-only, so a
     /// caller can find a strike's cycle without striking.
     pub fn strike_target(&self, site: FaultSite) -> Option<usize> {
-        self.queues
-            .stream()
-            .iter()
-            .rposition(|i| site.can_strike(i))
+        self.queues.queued().rposition(|i| site.can_strike(i))
     }
 
     /// Runs until `n` instructions have committed on the leader.
@@ -463,15 +484,10 @@ impl<S: Sink> RmtSystem<S> {
     pub fn service_interrupt(&mut self) -> u64 {
         let mut cycles = 0u64;
         self.leader.set_commit_stall(true);
-        while self.queues.occupancy().rvq > 0 || self.trailer.in_flight() > 0 {
+        while !self.queues.ring().is_empty() {
             // The leader pipeline keeps ticking (stalled at commit); the
             // checker catches up at its peak frequency.
-            self.verify_buf.clear();
-            self.trailer
-                .step_cycle(self.queues.stream_mut(), &mut self.verify_buf);
-            if !self.verify_buf.is_empty() {
-                self.process_verifications();
-            }
+            self.trailer_tick();
             cycles += 1;
             assert!(
                 cycles < 1_000_000,
@@ -488,16 +504,14 @@ impl<S: Sink> RmtSystem<S> {
     /// committed (call after the last `run_instructions`).
     pub fn drain(&mut self) {
         let mut idle = 0;
-        while self.queues.occupancy().rvq > 0 || self.trailer.in_flight() > 0 {
-            self.verify_buf.clear();
-            self.trailer
-                .step_cycle(self.queues.stream_mut(), &mut self.verify_buf);
-            if self.verify_buf.is_empty() {
+        while !self.queues.ring().is_empty() {
+            let head = self.queues.ring().head();
+            self.trailer_tick();
+            if self.queues.ring().head() == head {
                 idle += 1;
                 assert!(idle < 10_000, "checker failed to drain");
             } else {
                 idle = 0;
-                self.process_verifications();
             }
         }
     }
@@ -511,7 +525,7 @@ impl<S: Sink> RmtSystem<S> {
     /// True when the leader's architectural state matches the golden
     /// shadow (no silent corruption escaped the checker).
     pub fn leader_matches_golden(&self) -> bool {
-        self.leader.regfile() == &self.golden
+        self.leader.regfile() == self.golden()
     }
 
     /// True when the checker's architectural state matches the golden
@@ -520,7 +534,24 @@ impl<S: Sink> RmtSystem<S> {
     /// the recovery point itself is corrupt — latent state corruption
     /// that a future recovery would propagate.
     pub fn trailer_matches_golden(&self) -> bool {
-        self.trailer.regfile() == &self.golden
+        self.trailer.regfile() == self.golden()
+    }
+}
+
+/// Fault-free shadow execution of one committed op against the golden
+/// register file (the recovery-verification oracle).
+#[inline]
+fn update_golden(golden: &mut [u64; 64], item: &CommittedOp) {
+    let op = item.op;
+    let s1 = op.src1_reg.map_or(0, |r| golden[r.index() as usize]);
+    let s2 = op.src2_reg.map_or(0, |r| golden[r.index() as usize]);
+    let result = match op.kind {
+        OpClass::Load => load_memory_value(op.mem_addr),
+        OpClass::Store | OpClass::Branch => 0,
+        _ => op.compute_result(s1, s2),
+    };
+    if let Some(d) = op.dest {
+        golden[d.index() as usize] = result;
     }
 }
 
@@ -668,11 +699,11 @@ mod tests {
         let mut s = system(Benchmark::Gzip);
         s.prefill_caches();
         s.run_instructions(5_000);
-        let backlog = s.queues().occupancy().rvq + s.trailer().in_flight();
+        let backlog = s.queues().occupancy().rvq + s.queues().ring().in_pipe();
         let cycles = s.service_interrupt();
         // Everything verified: safe to take the interrupt.
         assert_eq!(s.queues().occupancy().rvq, 0);
-        assert_eq!(s.trailer().in_flight(), 0);
+        assert_eq!(s.queues().ring().in_pipe(), 0);
         // The wait is bounded by the backlog at checker throughput.
         assert!(
             cycles as usize <= backlog + 64,
@@ -855,8 +886,8 @@ mod tests {
                     out == DirectedOutcome::NoTarget,
                     "{site:?}"
                 );
-                let changed: Vec<usize> = (s.queues().stream().iter())
-                    .zip(struck.queues().stream())
+                let changed: Vec<usize> = (s.queues().queued())
+                    .zip(struck.queues().queued())
                     .enumerate()
                     .filter(|(_, (a, b))| a != b)
                     .map(|(i, _)| i)

@@ -21,7 +21,8 @@
 use crate::dfs::{DfsConfig, DfsController};
 use crate::fault::{DrawnFault, EccConfig, FaultInjector, FaultSite};
 use rmt3d_cpu::{
-    load_memory_value, CheckOutcome, CommittedOp, InOrderCore, OooCore, TrailerConfig, Verification,
+    load_memory_value, CheckOutcome, CommitRing, CommittedOp, InOrderCore, OooCore, TrailerConfig,
+    Verification,
 };
 use rmt3d_workload::OpClass;
 use std::collections::VecDeque;
@@ -45,7 +46,7 @@ pub struct TmrStats {
 pub struct TmrSystem {
     leader: OooCore,
     checkers: [InOrderCore; 2],
-    streams: [VecDeque<CommittedOp>; 2],
+    rings: [CommitRing; 2],
     dfs: DfsController,
     injector: Option<FaultInjector>,
     accum: f64,
@@ -66,7 +67,7 @@ impl TmrSystem {
         TmrSystem {
             leader,
             checkers: [InOrderCore::new(cfg), InOrderCore::new(cfg)],
-            streams: [VecDeque::new(), VecDeque::new()],
+            rings: [CommitRing::default(), CommitRing::default()],
             dfs: DfsController::new(DfsConfig::paper()),
             injector: None,
             accum: 0.0,
@@ -145,8 +146,8 @@ impl TmrSystem {
 
     /// Advances one leading-core cycle.
     pub fn step(&mut self) {
-        let full = self.streams[0].len() + 4 > self.rvq_capacity
-            || self.streams[1].len() + 4 > self.rvq_capacity;
+        let full = self.rings[0].queued() + 4 > self.rvq_capacity
+            || self.rings[1].queued() + 4 > self.rvq_capacity;
         self.leader.set_commit_stall(full);
         self.commit_buf.clear();
         self.leader.step_cycle(&mut self.commit_buf);
@@ -157,26 +158,18 @@ impl TmrSystem {
             if let Some(fault) = self.injector.as_mut().and_then(FaultInjector::draw) {
                 self.apply_fault(fault, &mut copies);
             }
-            self.streams[0].push_back(copies[0]);
-            self.streams[1].push_back(copies[1]);
+            self.rings[0].push(copies[0]);
+            self.rings[1].push(copies[1]);
         }
 
         self.dfs
-            .tick(self.streams[0].len() as f64 / self.rvq_capacity as f64);
+            .tick(self.rings[0].queued() as f64 / self.rvq_capacity as f64);
         self.accum += self.dfs.current().fraction();
         while self.accum >= 1.0 {
             self.accum -= 1.0;
             for c in 0..2 {
-                self.vbuf[c].clear();
-            }
-            let (c0, c1) = self.checkers.split_at_mut(1);
-            let (s0, s1) = self.streams.split_at_mut(1);
-            let (v0, v1) = self.vbuf.split_at_mut(1);
-            c0[0].step_cycle(&mut s0[0], &mut v0[0]);
-            c1[0].step_cycle(&mut s1[0], &mut v1[0]);
-            for c in 0..2 {
-                let drained: Vec<Verification> = self.vbuf[c].drain(..).collect();
-                self.pending[c].extend(drained);
+                self.checkers[c].step_cycle(&mut self.rings[c], &mut self.vbuf[c]);
+                self.pending[c].extend(self.vbuf[c].drain(..));
             }
             self.vote();
         }

@@ -5,7 +5,7 @@
 //! replays deterministically without an external property-test crate.
 
 use rmt3d_cache::{CacheHierarchy, NucaLayout, NucaPolicy};
-use rmt3d_cpu::{CoreConfig, OooCore};
+use rmt3d_cpu::{CoreConfig, InOrderCore, OooCore, TrailerConfig};
 use rmt3d_rmt::{
     DfsConfig, EccConfig, IntercoreQueues, QueueConfig, RmtConfig, RmtSystem, TmrSystem,
 };
@@ -40,16 +40,18 @@ fn queue_occupancy_is_conserved() {
         let mut pushed = 0usize;
         for (i, &k) in kinds.iter().enumerate() {
             if q.can_accept(1) {
-                q.push(item(i as u64, k));
+                q.ring_mut().push(item(i as u64, k));
+                q.admit_commit();
                 pushed += 1;
             }
         }
         assert_eq!(q.occupancy().rvq, pushed);
-        // Draining the stream and reporting consumption empties every
-        // logical queue.
-        let drained: Vec<_> = q.stream_mut().drain(..).collect();
-        for c in &drained {
-            q.on_trailer_consumed(c.op.kind);
+        // A checker verifying the whole stream empties every logical
+        // queue.
+        let mut checker = InOrderCore::new(TrailerConfig::checker());
+        let mut out = Vec::new();
+        while out.len() < pushed {
+            checker.step_cycle(q.ring_mut(), &mut out);
         }
         let o = q.occupancy();
         assert_eq!((o.rvq, o.lvq, o.boq, o.stb), (0, 0, 0, 0));

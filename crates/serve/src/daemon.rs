@@ -457,18 +457,25 @@ fn execute_job(
         JobPayload::Campaign(spec) => {
             let campaign_opts = CampaignOptions {
                 jobs: opts.workers,
+                cancel: Some(Arc::clone(&cancel)),
                 ..CampaignOptions::default()
             };
             match run_campaign_with(spec, &campaign_opts, &mut sink) {
                 Ok(CampaignRun { report, .. }) => {
                     let violations = report.violations().len() as u64;
-                    let total = payload.total_jobs();
+                    // Trials that ran: all but those a cancel stopped
+                    // before they started.
+                    let ran = report
+                        .records
+                        .iter()
+                        .filter(|r| r.outcome.as_ref().err().is_none_or(|e| e != "cancelled"))
+                        .count() as u64;
                     let report_path = opts.state_dir.join("results").join(format!("{id}.jsonl"));
                     if let Err(e) = write_atomic(&report_path, &report.to_jsonl()) {
                         eprintln!("serve: warning: cannot write campaign report for {id}: {e}");
                     }
                     let outcome = JobOutcome {
-                        executed: total,
+                        executed: ran,
                         cache_hits: 0,
                         failures: violations,
                     };

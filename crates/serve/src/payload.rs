@@ -126,6 +126,11 @@ impl JobPayload {
 
     /// Parses and validates a submit spec object for `kind`.
     ///
+    /// A campaign's `faults_per_site` is capped at
+    /// [`rmt3d_campaign::MAX_FAULTS_PER_SITE`] and its `instructions` at
+    /// [`rmt3d_campaign::MAX_INSTRUCTIONS`], so no spec can make the
+    /// daemon allocate a grid or a trace it cannot hold.
+    ///
     /// # Errors
     ///
     /// Returns a structured message for unknown names, ill-typed
@@ -320,6 +325,30 @@ mod tests {
 
     fn sweep(spec: &str) -> Result<JobPayload, String> {
         JobPayload::parse("sweep", &parse(spec).unwrap())
+    }
+
+    #[test]
+    fn campaign_grids_past_the_caps_are_rejected_before_expansion() {
+        let campaign = |spec: &str| JobPayload::parse("campaign", &parse(spec).unwrap());
+        // 2^62 faults per site: expanding that grid would abort on its
+        // allocation, so getting an error back at all shows it was
+        // never built.
+        let err = campaign(r#"{"faults_per_site":4611686018427387904}"#).unwrap_err();
+        assert!(err.contains("faults-per-site"), "{err}");
+        let at_cap = format!(
+            r#"{{"sites":["leader_result"],"benchmarks":["gzip"],"faults_per_site":{}}}"#,
+            rmt3d_campaign::MAX_FAULTS_PER_SITE
+        );
+        assert_eq!(
+            campaign(&at_cap).unwrap().total_jobs(),
+            rmt3d_campaign::MAX_FAULTS_PER_SITE as u64
+        );
+        let over = format!(
+            r#"{{"instructions":{}}}"#,
+            rmt3d_campaign::MAX_INSTRUCTIONS + 1
+        );
+        let err = campaign(&over).unwrap_err();
+        assert!(err.contains("instructions"), "{err}");
     }
 
     #[test]

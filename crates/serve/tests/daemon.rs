@@ -195,6 +195,8 @@ fn malformed_oversized_and_ill_typed_requests_never_kill_the_daemon() {
     expect_error(roundtrip(&oversized));
     let oversized_stats = format!("{{\"op\":\"stats\",\"pad\":\"{}\"}}", "x".repeat(70 * 1024));
     expect_error(roundtrip(&oversized_stats));
+    // A deeply nested line is refused, not recursed into.
+    expect_error(roundtrip(&"[".repeat(20_000)));
     // The reader resynchronized at the newline: same connection, sane
     // request, sane answer.
     let v = roundtrip("{\"op\":\"ping\"}");
@@ -525,5 +527,51 @@ fn a_campaign_job_registers_the_hash_of_its_grid_and_reproduces_the_golden() {
         ),
         "the daemon registers the hash `rmt3d campaign` registers"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn cancelling_a_running_campaign_stops_its_remaining_trials() {
+    let root = tmp("campaign-cancel");
+    let daemon = start(&root, false);
+    // 200 trials of 200k instructions: far longer than the test waits.
+    let spec = r#"{"sites":"all","benchmarks":["gzip"],"faults_per_site":40,"seed":5,"instructions":200000}"#;
+    let resp = client::request(&daemon.addr, &client::submit_line("campaign", spec, 0))
+        .expect("submit accepted");
+    let job = resp.get("job").and_then(JsonValue::as_str).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while job_row(&daemon.addr, job)
+        .get("state")
+        .and_then(JsonValue::as_str)
+        != Some("running")
+    {
+        assert!(Instant::now() < deadline, "campaign never started");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let resp = client::request(&daemon.addr, &client::job_line("cancel", job)).unwrap();
+    assert_eq!(
+        resp.get("state").and_then(JsonValue::as_str),
+        Some("cancel_requested")
+    );
+    // Cancelled trials finish with `"ok":false`, which `wait_done`
+    // refuses; read the terminal line alone.
+    let done = client::watch(&daemon.addr, job)
+        .expect("watch connects")
+        .map(|e| e.expect("event parses"))
+        .find(|v| v.get("event").and_then(JsonValue::as_str) == Some("job_done"))
+        .expect("watch ends with job_done");
+    assert_eq!(
+        done.get("state").and_then(JsonValue::as_str),
+        Some("cancelled")
+    );
+    let row = job_row(&daemon.addr, job);
+    let total = row.get("total_jobs").and_then(JsonValue::as_u64).unwrap();
+    let (executed, _) = counts(&row);
+    assert_eq!(total, 200);
+    assert!(
+        executed < total,
+        "a cancelled campaign ran {executed} of {total} trials"
+    );
+    daemon.stop();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -114,6 +114,13 @@ fn recording_sink_results_match_untraced_simulate() {
     let traced = simulate_traced(&cfg, Benchmark::Gzip, 1_000, sink.clone());
     assert_eq!(plain.leader, traced.leader);
     assert_eq!(plain.total_cycles, traced.total_cycles);
+    // The untraced checker runs behind the leader in batches; the traced
+    // one steps in lockstep. Both must see the same checker.
+    assert_eq!(plain.trailer, traced.trailer);
+    assert_eq!(plain.dfs_histogram, traced.dfs_histogram);
+    assert_eq!(plain.mean_checker_fraction, traced.mean_checker_fraction);
+    assert_eq!(plain.caches, traced.caches);
+    assert_eq!(format!("{:?}", plain.l2), format!("{:?}", traced.l2));
     assert!(!sink.is_empty(), "sink saw events");
 }
 
