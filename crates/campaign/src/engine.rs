@@ -314,6 +314,8 @@ pub fn run_campaign_with<S: Sink>(
 mod tests {
     use super::*;
     use crate::journal::JOURNAL_FILE;
+    use crate::trial::tests::stepped_trial;
+    use rmt3d_rmt::FaultSite;
     use rmt3d_telemetry::{NullSink, RecordingSink};
 
     /// An unjournaled campaign on `jobs` workers.
@@ -420,19 +422,23 @@ mod tests {
     }
 
     /// The default grid on an unseen seed, through the campaign's
-    /// cursors on 2 workers, equals every trial run alone, in grid
-    /// order. Run with `cargo test --release -p rmt3d-campaign --
-    /// --ignored`.
+    /// cursors and leader tapes on 2 workers, equals every trial stepped
+    /// live from cycle 0, in grid order: under the paper's ECC and with
+    /// `trailer_regfile` ECC sabotaged. Run with `cargo test --release
+    /// -p rmt3d-campaign -- --ignored`.
     #[test]
-    #[ignore = "the full 1000-trial grid; run in release"]
-    fn default_grid_equals_lone_trials_on_an_unseen_seed() {
-        let spec = CampaignSpec::default_grid(3);
-        let report = run(&spec, 2, &mut NullSink).expect("campaign runs");
-        let trials = spec.expand();
-        assert_eq!(report.records.len(), trials.len());
-        for (r, t) in report.records.iter().zip(&trials) {
-            assert_eq!(r.spec, *t);
-            assert_eq!(r.outcome, Ok(crate::run_trial(t)), "{}", t.label());
+    #[ignore = "two full 1000-trial grids; run in release"]
+    fn default_grid_equals_stepped_trials_on_an_unseen_seed() {
+        let paper = CampaignSpec::default_grid(3);
+        let sabotaged = paper.clone().sabotage(FaultSite::TrailerRegfile);
+        for spec in [paper, sabotaged.expect("ECC site")] {
+            let report = run(&spec, 2, &mut NullSink).expect("campaign runs");
+            let trials = spec.expand();
+            assert_eq!(report.records.len(), trials.len());
+            for (r, t) in report.records.iter().zip(&trials) {
+                assert_eq!(r.spec, *t);
+                assert_eq!(r.outcome, Ok(stepped_trial(t)), "{}", t.label());
+            }
         }
     }
 

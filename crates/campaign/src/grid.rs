@@ -41,6 +41,9 @@ pub const MAX_FAULTS_PER_SITE: usize = 10_000;
 
 /// Most leader commits per trial a spec may ask for: each benchmark's
 /// warm start holds a trace of that many ops (about 60 MB at the cap).
+/// It is the paper's run length, and it caps a sweep job's measured
+/// instructions too (`rmt3d_serve::JobPayload::validate`), since each
+/// sweep job builds a trace that long.
 pub const MAX_INSTRUCTIONS: u64 = 1_000_000;
 
 /// The default campaign's benchmark slice: two int and two fp-adjacent

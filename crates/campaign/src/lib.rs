@@ -28,7 +28,7 @@
 //!    The fault-free part of a trial is shared: each pool worker
 //!    keeps one fault-free system of the benchmark it is on, a cursor,
 //!    and takes its trials by benchmark and ascending strike, so the
-//!    cursor only steps forward; a trial forks a clone at its strike,
+//!    cursor only steps forward; a trial forks it at its strike,
 //!    with a clone of an oracle already run to `instructions`. Before
 //!    the strike a trial's trajectory depends only on its benchmark,
 //!    so results are bit-identical to starting from cycle 0;
@@ -37,7 +37,11 @@
 //!    a hint nothing downstream reads, so such a trial takes the
 //!    fault-free run's ending, run once per benchmark, instead of
 //!    stepping to it; a BOQ trial reads its strike cycle off the cursor
-//!    without forking.
+//!    without forking. That fault-free run also records its leader as a
+//!    tape, and any other struck trial replays the leader from it while
+//!    the leader's inputs (commit stalls, register-file restores) are
+//!    the fault-free run's, simulating it only from the first that
+//!    differs.
 //! 4. **Crash safety** ([`journal`], [`run_campaign_with`]): an
 //!    append-only write-ahead journal records every trial completion —
 //!    fsynced before the trial is acknowledged — plus periodic
@@ -70,6 +74,7 @@ mod grid;
 pub mod journal;
 mod report;
 mod shrink;
+mod tape;
 mod trial;
 
 pub use engine::{run_campaign_with, CampaignOptions, CampaignRun};

@@ -2,9 +2,11 @@
 //! system at the injection point, strike, and classify the outcome
 //! against the paper's coverage invariant and a differential oracle.
 
+use crate::tape::{LeaderTape, Recorder, TapeLeader};
 use rmt3d_cache::{CacheHierarchy, NucaLayout, NucaPolicy};
 use rmt3d_cpu::{CoreConfig, OooCore, ReferenceExecutor, FETCH_RUN_AHEAD};
-use rmt3d_rmt::{DirectedOutcome, DrawnFault, EccConfig, FaultSite, RmtConfig, RmtSystem};
+use rmt3d_rmt::{DirectedOutcome, DrawnFault, EccConfig, FaultSite, Leader, RmtConfig, RmtSystem};
+use rmt3d_telemetry::NullSink;
 use rmt3d_workload::{Benchmark, Trace};
 use std::sync::OnceLock;
 
@@ -252,6 +254,12 @@ impl TrialResult {
 /// fault-free trajectory to its end; the warm start runs that end
 /// once, on first demand, and every such trial reads it.
 ///
+/// Any other strike reaches the leading core only through its
+/// commit-stall flags and recovery's register-file restore, so the
+/// fault-free run also records its leader as a [`LeaderTape`], and a
+/// struck trial replays it while those inputs are the fault-free run's
+/// ([`TapeLeader`]).
+///
 /// The instruction stream is generated once, as one [`Trace`] of the
 /// run's length shared by the prefilled system, every cursor, every
 /// trial and the oracle.
@@ -263,10 +271,26 @@ pub(crate) struct WarmStart {
     start: RmtSystem,
     /// The reference executor, already run to `instructions`.
     oracle: ReferenceExecutor,
-    /// The fault-free run's ending, built from the first trajectory
-    /// state that needs it.
-    fault_free: OnceLock<Ending>,
+    /// False for a lone trial's warm start: one trial cannot amortize
+    /// a tape, so it records none, and builds the fault-free run only
+    /// when its strike is absorbed.
+    shared: bool,
+    /// The fault-free run, built on first use.
+    fault_free: OnceLock<FaultFree>,
 }
+
+/// The fault-free run from the prefilled cycle-0 state to
+/// `instructions` committed.
+#[derive(Debug)]
+struct FaultFree {
+    ending: Ending,
+    /// The leader's run; empty for a lone trial's warm start.
+    tape: LeaderTape,
+}
+
+/// What a struck trial's leader took from the tape: whether it ended
+/// on it, and the leader cycles the tape served that no core stepped.
+type TapeUse = (bool, u64);
 
 /// One pool worker's fault-free system: a state on a warm start's
 /// trajectory that only moves forward. A trial forks from it at its
@@ -333,9 +357,13 @@ impl Ending {
     /// the leader register file, the trailer register file, and the
     /// oracle's — ground truth computed with no pipeline, queue, or
     /// recovery machinery.
-    fn reach(mut sys: RmtSystem, instructions: u64, oracle: &ReferenceExecutor) -> Ending {
+    fn reach<L: Leader>(
+        sys: &mut RmtSystem<NullSink, L>,
+        instructions: u64,
+        oracle: &ReferenceExecutor,
+    ) -> Ending {
         let mut detect_cycle = None;
-        while sys.leader().activity().committed < instructions {
+        while sys.leader().committed() < instructions {
             sys.step();
             if detect_cycle.is_none() && sys.stats().detected > 0 {
                 detect_cycle = Some(sys.total_cycles());
@@ -349,7 +377,7 @@ impl Ending {
         }
 
         // Differential oracle: replay the committed stream independently.
-        let committed = sys.leader().activity().committed;
+        let committed = sys.leader().committed();
         let mut oracle = oracle.clone();
         oracle.run_to(committed);
         let states_clean = sys.leader().regfile() == oracle.regfile()
@@ -383,7 +411,7 @@ impl Ending {
 
 /// The trial system at cycle 0 fetching from `trace`, caches
 /// prefilled.
-fn prefilled_system(trace: Trace) -> RmtSystem {
+pub(crate) fn prefilled_system(trace: Trace) -> RmtSystem {
     let leader = OooCore::new(
         CoreConfig::leading_ev7_like(),
         trace,
@@ -396,7 +424,8 @@ fn prefilled_system(trace: Trace) -> RmtSystem {
 
 impl WarmStart {
     /// Builds and prefills the fault-free system of `benchmark` at
-    /// cycle 0, and runs the reference executor to `instructions`.
+    /// cycle 0, and runs the reference executor to `instructions`: the
+    /// warm start of a campaign's trials of `benchmark`.
     pub(crate) fn new(benchmark: Benchmark, instructions: u64) -> WarmStart {
         let trace = Trace::new(
             benchmark.profile(),
@@ -410,7 +439,16 @@ impl WarmStart {
             instructions,
             start,
             oracle,
+            shared: true,
             fault_free: OnceLock::new(),
+        }
+    }
+
+    /// The warm start of one trial alone.
+    fn lone(benchmark: Benchmark, instructions: u64) -> WarmStart {
+        WarmStart {
+            shared: false,
+            ..WarmStart::new(benchmark, instructions)
         }
     }
 
@@ -424,14 +462,22 @@ impl WarmStart {
         }
     }
 
-    /// The ending of the fault-free run, built on first use from a
-    /// clone of `on_trajectory`, a state of that run no further than
-    /// the first cycle that committed `instructions`. Every such state
-    /// steps to the same ending, so it is the ending of every trial
-    /// whose strike changes no state that execution reads.
-    fn fault_free(&self, on_trajectory: &RmtSystem) -> &Ending {
-        self.fault_free
-            .get_or_init(|| Ending::reach(on_trajectory.clone(), self.instructions, &self.oracle))
+    /// The fault-free run, built on first use from the cycle-0 state,
+    /// recording the leader's tape when the warm start is shared. Its
+    /// ending is the ending of every trial whose strike changes no
+    /// state that execution reads.
+    fn fault_free(&self) -> &FaultFree {
+        self.fault_free.get_or_init(|| {
+            let mut tape = LeaderTape::default();
+            let ending = if self.shared {
+                let leader = Recorder::new(self.start.leader().clone(), &mut tape);
+                let mut sys = self.start.fork_with(leader);
+                Ending::reach(&mut sys, self.instructions, &self.oracle)
+            } else {
+                Ending::reach(&mut self.start.clone(), self.instructions, &self.oracle)
+            };
+            FaultFree { ending, tape }
+        })
     }
 }
 
@@ -449,15 +495,16 @@ impl WarmStart {
 /// absorbs, or a BOQ-outcome strike once it lands, leaves the system
 /// on its fault-free trajectory, so unless the fault-free run itself
 /// detects something, such a trial takes the fault-free run's ending
-/// instead of stepping to it (a lone BOQ trial steps on from the
-/// strike: building the ending would cost it the same run, and no
-/// other trial would share it).
+/// instead of stepping to it, and a campaign's other trials replay the
+/// fault-free leader from its tape while they can. A lone trial builds
+/// neither tape nor ending it does not need: a BOQ trial steps on from
+/// the strike, and a struck one steps its leader live.
 ///
 /// # Panics
 ///
 /// Panics if the spec fails [`TrialSpec::validate`].
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
-    let warm = WarmStart::new(spec.benchmark, spec.instructions);
+    let warm = WarmStart::lone(spec.benchmark, spec.instructions);
     run_trial_from(&warm, &mut None, spec)
 }
 
@@ -476,6 +523,16 @@ pub(crate) fn run_trial_from(
     cursor: &mut Option<Cursor>,
     spec: &TrialSpec,
 ) -> TrialResult {
+    run_trial_taped(warm, cursor, spec).0
+}
+
+/// [`run_trial_from`], with what the struck run took from the tape
+/// (`None` when no tape leader ran).
+fn run_trial_taped(
+    warm: &WarmStart,
+    cursor: &mut Option<Cursor>,
+    spec: &TrialSpec,
+) -> (TrialResult, Option<TapeUse>) {
     spec.validate().expect("invalid trial spec");
     assert!(
         spec.benchmark == warm.benchmark && spec.instructions == warm.instructions,
@@ -483,13 +540,9 @@ pub(crate) fn run_trial_from(
         spec.label()
     );
     if spec.ecc.corrects(spec.site) {
-        let on_trajectory = match cursor {
-            Some(c) if c.follows(warm) => &c.sys,
-            _ => &warm.start,
-        };
-        let free = warm.fault_free(on_trajectory);
+        let free = &warm.fault_free().ending;
         if free.detections == 0 {
-            return free.result(spec, TrialFate::CorrectedByEcc, 0);
+            return (free.result(spec, TrialFate::CorrectedByEcc, 0), None);
         }
     }
     let reset = !cursor
@@ -505,9 +558,9 @@ pub(crate) fn run_trial_from(
     // trial's inject cycle is the first at or after `inject_at` with a
     // branch queued, and its ending is the fault-free run's. The cursor
     // steps there (as the retry below would) and serves on. A lone
-    // trial (a fresh cursor, no ending built) steps on from the strike
-    // instead: building the ending would cost it the same run.
-    if spec.site == FaultSite::BoqOutcome && !(reset && warm.fault_free.get().is_none()) {
+    // trial steps on from the strike instead: building the ending
+    // would cost it the same run.
+    if spec.site == FaultSite::BoqOutcome && warm.shared {
         while cursor.sys.strike_target(spec.site).is_none()
             && cursor.sys.leader().activity().committed < spec.instructions
         {
@@ -515,15 +568,43 @@ pub(crate) fn run_trial_from(
             cursor.reached = None;
         }
         if cursor.sys.strike_target(spec.site).is_none() {
-            return not_injected(&cursor.sys);
+            return (not_injected(&cursor.sys), None);
         }
-        let free = warm.fault_free(&cursor.sys);
+        let free = &warm.fault_free().ending;
         if free.detections == 0 {
-            return free.result(spec, TrialFate::MaskedHarmless, cursor.sys.total_cycles());
+            let inject_cycle = cursor.sys.total_cycles();
+            return (
+                free.result(spec, TrialFate::MaskedHarmless, inject_cycle),
+                None,
+            );
         }
     }
 
-    let mut sys = cursor.sys.clone();
+    // A shared warm start's fault-free run is taped; the struck system
+    // borrows the cursor's leader instead of copying it, and copies it
+    // only if it leaves the tape. A run that recovered is no tape.
+    let free = warm.shared.then(|| warm.fault_free());
+    match free.filter(|free| free.ending.detections == 0) {
+        Some(free) => {
+            let leader = TapeLeader::new(&free.tape, cursor.sys.leader());
+            let mut sys = cursor.sys.fork_with(leader);
+            let result = strike(&mut sys, warm, spec);
+            (
+                result,
+                Some((sys.leader().on_tape(), sys.leader().replayed())),
+            )
+        }
+        None => (strike(&mut cursor.sys.clone(), warm, spec), None),
+    }
+}
+
+/// Strikes `sys`, forked from a cursor at `spec.inject_at`, and runs
+/// it to the trial's ending.
+fn strike<L: Leader>(
+    sys: &mut RmtSystem<NullSink, L>,
+    warm: &WarmStart,
+    spec: &TrialSpec,
+) -> TrialResult {
     let fault = DrawnFault {
         site: spec.site,
         bit: spec.bit,
@@ -532,14 +613,12 @@ pub(crate) fn run_trial_from(
     let mut injected = sys.inject_directed(fault, spec.ecc);
     // Payload sites need a suitable op in the RVQ; step until one shows
     // up (a branch or load is at most a few commits away).
-    while injected == DirectedOutcome::NoTarget
-        && sys.leader().activity().committed < spec.instructions
-    {
+    while injected == DirectedOutcome::NoTarget && sys.leader().committed() < spec.instructions {
         sys.step();
         injected = sys.inject_directed(fault, spec.ecc);
     }
     if injected == DirectedOutcome::NoTarget {
-        return not_injected(&sys);
+        return not_injected(sys);
     }
     let inject_cycle = sys.total_cycles();
     let ending = Ending::reach(sys, spec.instructions, &warm.oracle);
@@ -555,14 +634,14 @@ pub(crate) fn run_trial_from(
 
 /// The result of a trial whose strike found no target before `sys`
 /// committed the whole run.
-fn not_injected(sys: &RmtSystem) -> TrialResult {
+fn not_injected<L: Leader>(sys: &RmtSystem<NullSink, L>) -> TrialResult {
     TrialResult {
         fate: TrialFate::NotInjected,
         violation: Some(Violation::TargetUnavailable),
         detect_cycles: 0,
         detections: 0,
         recoveries: 0,
-        committed: sys.leader().activity().committed,
+        committed: sys.leader().committed(),
     }
 }
 
@@ -603,7 +682,7 @@ fn classify(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::CampaignSpec;
     use rmt3d_workload::SplitMix64;
@@ -654,7 +733,7 @@ mod tests {
     #[test]
     fn a_lone_boq_trial_steps_on_from_the_strike() {
         let s = spec(FaultSite::BoqOutcome);
-        let warm = WarmStart::new(s.benchmark, s.instructions);
+        let warm = WarmStart::lone(s.benchmark, s.instructions);
         assert_eq!(run_trial_from(&warm, &mut None, &s), stepped_trial(&s));
         assert!(
             warm.fault_free.get().is_none(),
@@ -686,7 +765,7 @@ mod tests {
     /// on while no target is queued, as [`run_trial_from`] does),
     /// stepped to `instructions`, drained, and compared with a fresh
     /// reference executor.
-    fn stepped_trial(spec: &TrialSpec) -> TrialResult {
+    pub(crate) fn stepped_trial(spec: &TrialSpec) -> TrialResult {
         let mut sys = prefilled_system(Trace::new(spec.benchmark.profile(), 0));
         while sys.leader().activity().committed < spec.inject_at {
             sys.step();
@@ -779,15 +858,19 @@ mod tests {
 
             // Plant an ending no stepped run reaches: a trial that
             // returns it took the shortcut.
-            let warm = WarmStart::new(b, grid.instructions);
+            let mut warm = WarmStart::new(b, grid.instructions);
             let mut cursor = Some(warm.cursor());
-            let free = *warm.fault_free(&warm.start);
+            warm.fault_free();
+            let free = warm.fault_free.take().expect("built above");
             let planted = Ending {
-                committed: free.committed + 1_000,
-                ..free
+                committed: free.ending.committed + 1_000,
+                ..free.ending
             };
             let warm = WarmStart {
-                fault_free: OnceLock::from(planted),
+                fault_free: OnceLock::from(FaultFree {
+                    ending: planted,
+                    ..free
+                }),
                 ..warm
             };
             let mut shortcut = 0;
@@ -858,7 +941,7 @@ mod tests {
 
         // Fill in the ending so the BOQ strike reads off the cursor, and
         // step past a first cycle to find its branch.
-        warm.fault_free(&warm.start);
+        warm.fault_free();
         let boq = TrialSpec {
             site: FaultSite::BoqOutcome,
             ..base
@@ -895,7 +978,10 @@ mod tests {
             states_clean: false,
         };
         let warm = WarmStart::new(s.benchmark, s.instructions);
-        warm.fault_free.set(ending).expect("unset");
+        let tape = LeaderTape::default();
+        warm.fault_free
+            .set(FaultFree { ending, tape })
+            .expect("unset");
         let r = run_trial_from(&warm, &mut None, &s);
         assert_eq!(r.violation, Some(Violation::SilentCorruption));
         assert_eq!(r.committed, 8_003);
@@ -908,8 +994,107 @@ mod tests {
             detections: 1,
             ..ending
         };
-        warm.fault_free.set(detecting).expect("unset");
+        let tape = LeaderTape::default();
+        warm.fault_free
+            .set(FaultFree {
+                ending: detecting,
+                tape,
+            })
+            .expect("unset");
         assert_eq!(run_trial_from(&warm, &mut None, &s), stepped_trial(&s));
+    }
+
+    /// Runs `grid` as a one-worker campaign does (per benchmark one
+    /// warm start and one cursor, strikes ascending) and sums what the
+    /// struck runs took from the tape: runs that forked a tape leader,
+    /// runs that ended on the tape, leader cycles it replayed.
+    fn tape_use(grid: &CampaignSpec) -> (u64, u64, u64) {
+        let trials = grid.expand();
+        let (mut runs, mut ended_on_tape, mut replayed) = (0, 0, 0);
+        for &b in &grid.benchmarks {
+            let mut mine: Vec<&TrialSpec> = trials.iter().filter(|t| t.benchmark == b).collect();
+            mine.sort_by_key(|t| t.inject_at);
+            let warm = WarmStart::new(b, grid.instructions);
+            let mut cursor = None;
+            for t in mine {
+                if let (_, Some((on_tape, cycles))) = run_trial_taped(&warm, &mut cursor, t) {
+                    runs += 1;
+                    ended_on_tape += u64::from(on_tape);
+                    replayed += cycles;
+                }
+            }
+        }
+        (runs, ended_on_tape, replayed)
+    }
+
+    /// The tape's share of the default grid is deterministic; a change
+    /// that makes struck runs leave the tape sooner, or never use it,
+    /// fails here instead of only slowing the campaign.
+    #[test]
+    fn replay_counts_of_the_seed_1_default_grid_are_pinned() {
+        assert_eq!(
+            tape_use(&CampaignSpec::default_grid(1)),
+            (400, 251, 5_806_616)
+        );
+    }
+
+    /// A warm start of `s`'s benchmark and run length whose fault-free
+    /// run is `free`.
+    fn planted(s: &TrialSpec, free: FaultFree) -> WarmStart {
+        let warm = WarmStart::new(s.benchmark, s.instructions);
+        warm.fault_free.set(free).expect("unset");
+        warm
+    }
+
+    /// A trial that leaves the tape at any cycle after its fork ends as
+    /// the stepped trial does: a planted tape whose stall flag is
+    /// inverted at a chosen cycle forces the struck run off the tape
+    /// there at the latest.
+    #[test]
+    fn a_trial_forced_off_the_tape_at_any_cycle_equals_the_stepped_trial() {
+        let s = spec(FaultSite::RvqOperand);
+        let expected = stepped_trial(&s);
+        let warm = WarmStart::new(s.benchmark, s.instructions);
+        let free = warm.fault_free();
+        let mut cursor = warm.cursor();
+        cursor.step_to(s.inject_at);
+        let fork = cursor.sys.leader().activity().cycles;
+        let (r, used) = run_trial_taped(&warm, &mut None, &s);
+        assert_eq!(r, expected);
+        assert!(used.is_some(), "a shared warm start tapes");
+        for at in [fork, fork + 1, fork + 2, fork + 400, free.tape.len() - 1] {
+            let mut tape = free.tape.clone();
+            tape.flip_stall(at);
+            let forced = planted(&s, FaultFree { tape, ..*free });
+            let (r, used) = run_trial_taped(&forced, &mut None, &s);
+            assert_eq!(r, expected, "forced off the tape at cycle {at}");
+            assert_eq!(used, Some((false, 0)), "cycle {at}");
+        }
+    }
+
+    /// With `trailer_regfile` ECC sabotaged, a strike there can make
+    /// recovery restore a corrupt register file into the leader, which
+    /// takes the trial off the tape; every such trial of a smoke grid
+    /// ends as the stepped trial does.
+    #[test]
+    fn an_unrecoverable_restore_leaves_the_tape_and_equals_the_stepped_trial() {
+        let grid = CampaignSpec::smoke(8)
+            .sabotage(FaultSite::TrailerRegfile)
+            .expect("ECC site");
+        let warm = WarmStart::new(Benchmark::Gzip, grid.instructions);
+        let mut unrecoverable = 0;
+        for t in grid.expand() {
+            if t.site != FaultSite::TrailerRegfile {
+                continue;
+            }
+            let (r, used) = run_trial_taped(&warm, &mut None, &t);
+            assert_eq!(r, stepped_trial(&t), "{}", t.label());
+            if r.violation == Some(Violation::UnrecoverableRecovery) {
+                unrecoverable += 1;
+                assert_eq!(used, Some((false, 0)), "{}", t.label());
+            }
+        }
+        assert!(unrecoverable > 0, "the grid restores a corrupt state");
     }
 
     #[test]

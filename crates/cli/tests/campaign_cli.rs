@@ -195,6 +195,10 @@ const PINNED: &[(&[&str], &str)] = &[
         "error: \"instructions\" must be at least 1",
     ),
     (
+        &["sweep", "--instructions", "1099511627776"],
+        "error: instructions 1099511627776 exceeds the cap of 1000000",
+    ),
+    (
         &["sweep", "--resume", "--no-cache"],
         "error: --resume and --no-cache are mutually exclusive",
     ),

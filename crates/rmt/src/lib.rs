@@ -12,7 +12,8 @@
 //! * [`RmtSystem`] — the coupled system with detection and recovery,
 //!   plus a golden architectural oracle that proves recoveries correct
 //!   (kept from the first applied fault on; until then it equals the
-//!   leader's register file),
+//!   leader's register file); its leading core is any [`Leader`], an
+//!   [`rmt3d_cpu::OooCore`] unless a campaign trial replays one,
 //! * [`TmrSystem`] — the §4 triple-modular-redundancy extension.
 //!
 //! A leader cycle of [`RmtSystem`] commits straight into the ring, then
@@ -47,5 +48,5 @@ mod tmr;
 pub use dfs::{DfsConfig, DfsController, DFS_LEVELS};
 pub use fault::{DirectedOutcome, DrawnFault, EccConfig, FaultFate, FaultInjector, FaultSite};
 pub use queues::{IntercoreQueues, QueueConfig, QueueOccupancy};
-pub use system::{RmtConfig, RmtStats, RmtSystem};
+pub use system::{Leader, RmtConfig, RmtStats, RmtSystem};
 pub use tmr::{TmrStats, TmrSystem};

@@ -5,8 +5,8 @@ use crate::dfs::{DfsConfig, DfsController, DFS_LEVELS};
 use crate::fault::{DirectedOutcome, DrawnFault, EccConfig, FaultFate, FaultInjector, FaultSite};
 use crate::queues::{IntercoreQueues, QueueConfig};
 use rmt3d_cpu::{
-    load_memory_value, CheckOutcome, CheckSink, CommittedOp, InOrderCore, OooCore, TrailerConfig,
-    Verification,
+    load_memory_value, CheckOutcome, CheckSink, CommitRing, CommittedOp, InOrderCore, OooCore,
+    TrailerConfig, Verification,
 };
 use rmt3d_telemetry::{emit, CpiComponent, CpiStack, Event, NullSink, Sink};
 use rmt3d_workload::OpClass;
@@ -96,14 +96,71 @@ impl CheckSink for Tally {
     }
 }
 
+/// What the coupled system reads of its leading core, and all it writes
+/// to it: the commit back-pressure input, one cycle committed into the
+/// commit ring, the committed and cycle counts, and the register file
+/// that recovery reads and restores (§2). A checker-side fault reaches
+/// the leader only through these.
+///
+/// [`OooCore`] is the leader of every simulation; a stand-in that
+/// answers the same calls the same way may take its place
+/// ([`RmtSystem::fork_with`]).
+pub trait Leader {
+    /// Applies or releases commit back-pressure for the next cycle.
+    fn set_commit_stall(&mut self, stalled: bool);
+    /// Advances one cycle, committing into `ring`; returns the number
+    /// committed.
+    fn step_cycle(&mut self, ring: &mut CommitRing) -> u32;
+    /// Instructions committed.
+    fn committed(&self) -> u64;
+    /// Cycles stepped.
+    fn cycles(&self) -> u64;
+    /// The architectural register file.
+    fn regfile(&self) -> &[u64; 64];
+    /// Overwrites the architectural register file (recovery).
+    fn restore_regfile(&mut self, rf: &[u64; 64]);
+}
+
+impl<S: Sink> Leader for OooCore<S> {
+    #[inline]
+    fn set_commit_stall(&mut self, stalled: bool) {
+        OooCore::set_commit_stall(self, stalled);
+    }
+
+    #[inline]
+    fn step_cycle(&mut self, ring: &mut CommitRing) -> u32 {
+        OooCore::step_cycle(self, ring)
+    }
+
+    #[inline]
+    fn committed(&self) -> u64 {
+        self.activity().committed
+    }
+
+    #[inline]
+    fn cycles(&self) -> u64 {
+        self.activity().cycles
+    }
+
+    #[inline]
+    fn regfile(&self) -> &[u64; 64] {
+        OooCore::regfile(self)
+    }
+
+    #[inline]
+    fn restore_regfile(&mut self, rf: &[u64; 64]) {
+        OooCore::restore_regfile(self, rf);
+    }
+}
+
 /// The coupled leading-core / checker-core system.
 ///
 /// One call to [`RmtSystem::step`] advances one leading-core cycle; the
 /// checker advances fractionally according to the DFS controller's
 /// current normalized frequency (GALS-style decoupling, §2.1).
 #[derive(Debug, Clone)]
-pub struct RmtSystem<S: Sink = NullSink> {
-    leader: OooCore<S>,
+pub struct RmtSystem<S: Sink = NullSink, L = OooCore<S>> {
+    leader: L,
     trailer: InOrderCore<S>,
     queues: IntercoreQueues,
     dfs: DfsController,
@@ -161,8 +218,50 @@ impl<S: Sink + Clone> RmtSystem<S> {
 }
 
 impl<S: Sink> RmtSystem<S> {
+    /// Warm the leader's caches and reset statistics (see
+    /// [`OooCore::prefill_caches`]).
+    pub fn prefill_caches(&mut self) {
+        self.leader.prefill_caches();
+    }
+
+    /// Leader CPI stack lifted into the system cycle domain: the
+    /// per-core stack (populated only when the sink is enabled) plus
+    /// one `Recovery` cycle per recovery stall, during which the leader
+    /// core does not step. When the sink is enabled the components sum
+    /// exactly to [`RmtSystem::total_cycles`].
+    pub fn leader_cpi_stack(&self) -> CpiStack {
+        let mut s = *self.leader.cpi_stack();
+        s.add_cycles(CpiComponent::Recovery, self.stats.recovery_stall_cycles);
+        s
+    }
+}
+
+impl<S: Sink + Clone, L> RmtSystem<S, L> {
+    /// A copy of this system with `leader` in place of its leading core:
+    /// every other part is cloned. `leader` should stand where this
+    /// system's leader stands.
+    pub fn fork_with<M: Leader>(&self, leader: M) -> RmtSystem<S, M> {
+        RmtSystem {
+            leader,
+            trailer: self.trailer.clone(),
+            queues: self.queues.clone(),
+            dfs: self.dfs.clone(),
+            injector: self.injector.clone(),
+            config: self.config,
+            accum: self.accum,
+            recovery_cooldown: self.recovery_cooldown,
+            golden: self.golden,
+            golden_live: self.golden_live,
+            stats: self.stats.clone(),
+            fault_fates: self.fault_fates.clone(),
+            sink: self.sink.clone(),
+        }
+    }
+}
+
+impl<S: Sink, L: Leader> RmtSystem<S, L> {
     /// Enables random fault injection.
-    pub fn with_fault_injection(mut self, seed: u64, rate: f64, ecc: EccConfig) -> RmtSystem<S> {
+    pub fn with_fault_injection(mut self, seed: u64, rate: f64, ecc: EccConfig) -> RmtSystem<S, L> {
         self.injector = Some(FaultInjector::new(seed, rate, ecc));
         self.keep_golden();
         self
@@ -193,7 +292,7 @@ impl<S: Sink> RmtSystem<S> {
     }
 
     /// The leading core.
-    pub fn leader(&self) -> &OooCore<S> {
+    pub fn leader(&self) -> &L {
         &self.leader
     }
 
@@ -229,18 +328,7 @@ impl<S: Sink> RmtSystem<S> {
 
     /// Leader cycles including recovery stalls.
     pub fn total_cycles(&self) -> u64 {
-        self.leader.activity().cycles + self.stats.recovery_stall_cycles
-    }
-
-    /// Leader CPI stack lifted into the system cycle domain: the
-    /// per-core stack (populated only when the sink is enabled) plus
-    /// one `Recovery` cycle per recovery stall, during which the leader
-    /// core does not step. When the sink is enabled the components sum
-    /// exactly to [`RmtSystem::total_cycles`].
-    pub fn leader_cpi_stack(&self) -> CpiStack {
-        let mut s = *self.leader.cpi_stack();
-        s.add_cycles(CpiComponent::Recovery, self.stats.recovery_stall_cycles);
-        s
+        self.leader.cycles() + self.stats.recovery_stall_cycles
     }
 
     /// Checker CPI stack lifted into the same (leader) cycle domain:
@@ -252,7 +340,7 @@ impl<S: Sink> RmtSystem<S> {
     pub fn trailer_cpi_stack(&self) -> CpiStack {
         let mut s = *self.trailer.cpi_stack();
         s.add_cycles(CpiComponent::Recovery, self.stats.recovery_stall_cycles);
-        let leader_cycles = self.leader.activity().cycles;
+        let leader_cycles = self.leader.cycles();
         let trailer_ticks = self.trailer.activity().cycles;
         s.add_cycles(
             CpiComponent::DfsThrottled,
@@ -268,14 +356,8 @@ impl<S: Sink> RmtSystem<S> {
         if c == 0 {
             0.0
         } else {
-            self.leader.activity().committed as f64 / c as f64
+            self.leader.committed() as f64 / c as f64
         }
-    }
-
-    /// Warm the leader's caches and reset statistics (see
-    /// [`OooCore::prefill_caches`]).
-    pub fn prefill_caches(&mut self) {
-        self.leader.prefill_caches();
     }
 
     /// Advances one leading-core cycle.
@@ -294,7 +376,7 @@ impl<S: Sink> RmtSystem<S> {
 
         // Golden shadow execution + fault injection on the ops the
         // leader just committed into the ring.
-        let cycle = self.leader.activity().cycles;
+        let cycle = self.leader.cycles();
         if to > from {
             self.queues.admit_commit();
             if self.golden_live || cfg!(debug_assertions) {
@@ -368,7 +450,7 @@ impl<S: Sink> RmtSystem<S> {
     fn on_detection(&mut self) {
         self.recover();
         let recovered = self.trailer.regfile() == self.golden();
-        let cycle = self.leader.activity().cycles;
+        let cycle = self.leader.cycles();
         let penalty = self.config.recovery_penalty;
         emit(&mut self.sink, || Event::Recovery {
             cycle,
@@ -423,7 +505,7 @@ impl<S: Sink> RmtSystem<S> {
     /// slack. Returns [`DirectedOutcome::NoTarget`] when nothing
     /// suitable is queued; the caller may step and retry.
     pub fn inject_directed(&mut self, fault: DrawnFault, ecc: EccConfig) -> DirectedOutcome {
-        let cycle = self.leader.activity().cycles;
+        let cycle = self.leader.cycles();
         if ecc.corrects(fault.site) {
             emit(&mut self.sink, || Event::FaultInjected {
                 cycle,
@@ -467,8 +549,8 @@ impl<S: Sink> RmtSystem<S> {
 
     /// Runs until `n` instructions have committed on the leader.
     pub fn run_instructions(&mut self, n: u64) {
-        let start = self.leader.activity().committed;
-        while self.leader.activity().committed - start < n {
+        let start = self.leader.committed();
+        while self.leader.committed() - start < n {
             self.step();
         }
     }

@@ -18,7 +18,7 @@
 //! dedups against the cache the CLI populated.
 
 use rmt3d::{ProcessorModel, RunScale};
-use rmt3d_campaign::CampaignSpec;
+use rmt3d_campaign::{CampaignSpec, MAX_INSTRUCTIONS};
 use rmt3d_rmt::FaultSite;
 use rmt3d_sweep::{JobSpec, SweepSpec};
 use rmt3d_telemetry::json::{write_json_string, JsonObject, JsonValue};
@@ -127,9 +127,10 @@ impl JobPayload {
     /// Parses and validates a submit spec object for `kind`.
     ///
     /// A campaign's `faults_per_site` is capped at
-    /// [`rmt3d_campaign::MAX_FAULTS_PER_SITE`] and its `instructions` at
-    /// [`rmt3d_campaign::MAX_INSTRUCTIONS`], so no spec can make the
-    /// daemon allocate a grid or a trace it cannot hold.
+    /// [`rmt3d_campaign::MAX_FAULTS_PER_SITE`], and the `instructions`
+    /// of either kind at [`rmt3d_campaign::MAX_INSTRUCTIONS`], so no
+    /// spec can make the daemon allocate a grid or a trace it cannot
+    /// hold.
     ///
     /// # Errors
     ///
@@ -174,8 +175,9 @@ impl JobPayload {
     }
 
     /// Checks the job can run: a sweep needs at least one instruction
-    /// per job, a campaign a grid that passes
-    /// [`CampaignSpec::validate`].
+    /// per job and at most [`rmt3d_campaign::MAX_INSTRUCTIONS`] (the
+    /// paper's run length; each job builds a trace that long), a
+    /// campaign a grid that passes [`CampaignSpec::validate`].
     ///
     /// # Errors
     ///
@@ -185,6 +187,10 @@ impl JobPayload {
             JobPayload::Sweep(spec) if spec.scale.instructions == 0 => {
                 Err("\"instructions\" must be at least 1".to_string())
             }
+            JobPayload::Sweep(spec) if spec.scale.instructions > MAX_INSTRUCTIONS => Err(format!(
+                "instructions {} exceeds the cap of {MAX_INSTRUCTIONS}",
+                spec.scale.instructions
+            )),
             JobPayload::Sweep(_) => Ok(()),
             JobPayload::Campaign(spec) => spec.validate(),
         }
@@ -349,6 +355,19 @@ mod tests {
         );
         let err = campaign(&over).unwrap_err();
         assert!(err.contains("instructions"), "{err}");
+    }
+
+    #[test]
+    fn sweeps_past_the_run_length_cap_are_rejected_before_a_trace() {
+        // A 2^40-instruction job's trace would need 60 TB: getting an
+        // error back at all shows none was built.
+        let err =
+            sweep(r#"{"models":["2d-a"],"benchmarks":["gzip"],"instructions":1099511627776}"#)
+                .unwrap_err();
+        assert_eq!(err, "instructions 1099511627776 exceeds the cap of 1000000");
+        assert_eq!(MAX_INSTRUCTIONS, RunScale::paper().instructions);
+        let at_cap = format!(r#"{{"instructions":{MAX_INSTRUCTIONS}}}"#);
+        assert!(sweep(&at_cap).is_ok());
     }
 
     #[test]

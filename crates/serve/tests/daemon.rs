@@ -427,7 +427,7 @@ fn shutdown_drains_in_flight_and_a_restart_resumes_the_queue() {
     // and it races straight to `done` on a fast simulator.
     let big = submit(
         &daemon.addr,
-        r#"{"models":["2d-a","3d-2a"],"benchmarks":["gzip"],"instructions":1200000}"#,
+        r#"{"models":["2d-a","3d-2a"],"benchmarks":["gzip"],"instructions":1000000}"#,
         0,
     );
     let queued_hi = submit(
