@@ -44,7 +44,7 @@ impl HierarchyStats {
 
 /// The leading core's cache hierarchy: 32 KB 2-way L1s, a banked NUCA L2
 /// and a flat memory latency (300 cycles at 2 GHz, Table 1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheHierarchy {
     l1i: SetAssocCache,
     l1d: SetAssocCache,
@@ -128,29 +128,32 @@ impl CacheHierarchy {
         self.instructions += n;
     }
 
-    /// Warms the data path with a region `[base, base + bytes)`: every
-    /// line is touched in L2 and L1D in address order. Emulates the
-    /// steady state a long-running program would have reached (the paper
-    /// simulates 100M-instruction windows of warmed-up SimPoints).
-    /// Regions larger than a cache leave its most-recently-touched tail
-    /// resident — the correct LRU steady state for a sequential sweep.
+    /// Warms the data path with a region `[base, base + bytes)`: leaves
+    /// L2 and L1D holding what touching every line in address order
+    /// would leave. Emulates the steady state a long-running program
+    /// would have reached (the paper simulates 100M-instruction windows
+    /// of warmed-up SimPoints). Regions larger than a cache leave its
+    /// most-recently-touched tail resident — the correct LRU steady
+    /// state for a sequential sweep. Statistics are left untouched.
     pub fn prefill_data_region(&mut self, base: u64, bytes: u64) {
-        let mut addr = base;
-        while addr < base + bytes {
-            self.l2.access(addr, false);
-            self.l1d.access(addr, false);
-            addr += 64;
-        }
+        let (first, lines) = Self::prefill_lines(base, bytes);
+        self.l2.install_run(first, lines);
+        self.l1d.install_run(first, lines);
     }
 
-    /// Warms the instruction path with the code footprint.
+    /// Warms the instruction path (L1I and L2) with the code footprint,
+    /// as [`CacheHierarchy::prefill_data_region`] warms the data path.
+    /// Statistics are left untouched.
     pub fn prefill_code_region(&mut self, base: u64, bytes: u64) {
-        let mut addr = base;
-        while addr < base + bytes {
-            self.l1i.access(addr, false);
-            self.l2.access(addr, false);
-            addr += 64;
-        }
+        let (first, lines) = Self::prefill_lines(base, bytes);
+        self.l1i.install_run(first, lines);
+        self.l2.install_run(first, lines);
+    }
+
+    /// The 64 B line run a region covers: `(first line, line count)`.
+    /// Every level of the hierarchy has 64 B lines.
+    fn prefill_lines(base: u64, bytes: u64) -> (u64, u64) {
+        (base / 64, bytes.div_ceil(64))
     }
 
     /// Snapshot of all counters.
@@ -244,6 +247,48 @@ mod tests {
         assert_eq!(h.stats().l1d.accesses, 0);
         let a = h.data_access(0x1000, false);
         assert_eq!(a.level, 1, "contents survive stat reset");
+    }
+
+    /// The line-by-line prefill the run installers replace: every line
+    /// of the region accessed in L2 and L1 in address order.
+    fn walk_region(h: &mut CacheHierarchy, (base, bytes): (u64, u64), code: bool) {
+        let mut addr = base;
+        while addr < base + bytes {
+            if code {
+                h.l1i.access(addr, false);
+            } else {
+                h.l1d.access(addr, false);
+            }
+            h.l2.access(addr, false);
+            addr += 64;
+        }
+    }
+
+    #[test]
+    fn prefill_equals_the_line_walk_for_every_benchmark_and_layout() {
+        use rmt3d_workload::{Benchmark, MemoryRegions};
+        for layout in [
+            NucaLayout::two_d_a(),
+            NucaLayout::two_d_2a(),
+            NucaLayout::three_d_2a(),
+            NucaLayout::three_d_hetero_90nm(),
+        ] {
+            for b in Benchmark::ALL {
+                // The order `OooCore::prefill_caches` warms in.
+                let r = MemoryRegions::of(&b.profile());
+                let mut walk = CacheHierarchy::new(layout.clone(), NucaPolicy::DistributedSets);
+                let mut installed = walk.clone();
+                walk_region(&mut walk, r.warm, false);
+                walk_region(&mut walk, r.hot, false);
+                walk_region(&mut walk, r.code, true);
+                installed.prefill_data_region(r.warm.0, r.warm.1);
+                installed.prefill_data_region(r.hot.0, r.hot.1);
+                installed.prefill_code_region(r.code.0, r.code.1);
+                assert_eq!(installed.stats(), HierarchyStats::default());
+                walk.reset_stats();
+                assert!(installed == walk, "{b:?} on {}", layout.name);
+            }
+        }
     }
 
     #[test]

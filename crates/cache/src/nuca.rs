@@ -94,7 +94,7 @@ struct WayEntry {
 /// * [`NucaPolicy::DistributedWays`]: one way of every set per bank, a
 ///   centralized tag array consulted first, and hit-triggered migration
 ///   toward banks closer to the controller.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NucaCache {
     layout: NucaLayout,
     policy: NucaPolicy,
@@ -162,6 +162,9 @@ impl NucaCache {
     /// Resets statistics, keeping contents (for post-warm-up measurement).
     pub fn reset_stats(&mut self) {
         self.stats = NucaStats::new(self.layout.bank_count());
+        for bank in &mut self.banks {
+            bank.reset_stats();
+        }
     }
 
     /// Accesses a physical address.
@@ -245,6 +248,34 @@ impl NucaCache {
                 hit: false,
                 cycles: self.tag_cycles + self.layout.access_cycles(bank),
                 bank,
+            }
+        }
+    }
+
+    /// Installs the `count` consecutive 64 B lines from line number
+    /// `first` (`addr / 64`), leaving exactly the contents that
+    /// [`NucaCache::access`]ing each line in ascending order would leave.
+    /// Statistics are left untouched.
+    ///
+    /// Under [`NucaPolicy::DistributedSets`] bank `b` receives the run's
+    /// lines `≡ b (mod n)`, which are consecutive bank-local lines, so
+    /// each bank installs one run. [`NucaPolicy::DistributedWays`] walks
+    /// the lines: its central tags migrate blocks on hits.
+    pub fn install_run(&mut self, first: u64, count: u64) {
+        match self.policy {
+            NucaPolicy::DistributedSets => {
+                let n = self.layout.bank_count() as u64;
+                for line in first..first + count.min(n) {
+                    let in_bank = (first + count - 1 - line) / n + 1;
+                    self.banks[(line % n) as usize].install_run(line / n, in_bank);
+                }
+            }
+            NucaPolicy::DistributedWays => {
+                let (lookups, migrations) = (self.stats.tag_lookups, self.stats.migrations);
+                for line in first..first + count {
+                    self.access_ways(line * 64);
+                }
+                (self.stats.tag_lookups, self.stats.migrations) = (lookups, migrations);
             }
         }
     }
@@ -362,6 +393,51 @@ mod tests {
         // One more way's worth starts evicting.
         let evicting = c.access(6 * LINES_PER_BANK * 64, false);
         assert!(!evicting.hit);
+    }
+
+    #[test]
+    fn run_installer_equals_the_line_walk() {
+        use rmt3d_workload::SplitMix64;
+        let mut rng = SplitMix64::new(0x0b5e_55ed);
+        // Two bank counts (6 and 10); each bank holds 16 384 lines.
+        for layout in [NucaLayout::two_d_a(), NucaLayout::three_d_hetero_90nm()] {
+            let capacity = layout.bank_count() as u64 * LINES_PER_BANK;
+            let mut walk = NucaCache::new(layout, NucaPolicy::DistributedSets);
+            for case in 0..12 {
+                // Random prior contents near the run, so it hits
+                // resident lines; they accumulate over the cases.
+                let first = rng.below(2 * capacity);
+                for _ in 0..rng.below(4_000) {
+                    walk.access((first + rng.below(capacity)) * 64, false);
+                }
+                // Up to 1.5x the cache, and some short runs.
+                let count = match case % 3 {
+                    0 => rng.below(64),
+                    _ => rng.below(3 * capacity / 2),
+                };
+                walk.reset_stats();
+                let mut installed = walk.clone();
+                installed.install_run(first, count);
+                assert!(installed.stats.accesses == 0, "statistics untouched");
+                for line in first..first + count {
+                    walk.access(line * 64, false);
+                }
+                // Compare contents: only the walk counted its accesses.
+                walk.reset_stats();
+                assert!(
+                    installed == walk,
+                    "case {case}: run of {count} from line {first}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ways_installer_walks_without_counting() {
+        let mut c = NucaCache::new(NucaLayout::two_d_a(), NucaPolicy::DistributedWays);
+        c.install_run(1_000, 500);
+        assert_eq!(c.stats(), &NucaStats::new(c.layout().bank_count()));
+        assert!(c.access(1_200 * 64, false).hit);
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl CacheStats {
 /// assert!(!c.access(0, false));
 /// assert!(c.access(0, false));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     config: CacheConfig,
     /// Tag storage: `sets x ways`, most-recently-used first within each
@@ -123,6 +123,47 @@ impl SetAssocCache {
                 self.stats.write_misses += 1;
             }
             false
+        }
+    }
+
+    /// Installs the `count` consecutive lines from line number `first`
+    /// (an address shifted right by `log2(line_bytes)`), leaving exactly
+    /// the contents that accessing those lines one at a time, in
+    /// ascending order, would leave. Statistics are left untouched.
+    ///
+    /// Lines of one set lie `sets` apart, so a run's lines in a set have
+    /// consecutive tags. Each set the run touches ends up holding the
+    /// run's last `min(m, ways)` lines there (`m` lines fell in the set),
+    /// most recently used first, followed by its old entries whose tags
+    /// the run did not touch, in their old order: the true-LRU stack
+    /// after the walk, cut to `ways`.
+    pub fn install_run(&mut self, first: u64, count: u64) {
+        let ways = self.config.ways as usize;
+        let sets = 1u64 << self.set_bits;
+        let last = first + count;
+        for line in first..last.min(first + sets) {
+            let in_set = (last - 1 - line) / sets + 1;
+            let lo = line >> self.set_bits;
+            let hi = lo + in_set - 1;
+            let base = (line & (sets - 1)) as usize * ways;
+            let slot = &mut self.tags[base..base + ways];
+            // Compact the untouched entries to the front, in order. At
+            // most `fresh` entries are touched, so at least `ways -
+            // fresh` survive to be shifted behind the run's lines.
+            let mut kept = 0;
+            for i in 0..ways {
+                let t = slot[i];
+                if t < lo || t > hi {
+                    slot[kept] = t;
+                    kept += 1;
+                }
+            }
+            let fresh = (in_set as usize).min(ways);
+            debug_assert!(kept + fresh >= ways);
+            slot.copy_within(0..ways - fresh, fresh);
+            for (tag, s) in (0..fresh as u64).map(|j| hi - j).zip(&mut slot[..fresh]) {
+                *s = tag;
+            }
         }
     }
 
@@ -285,6 +326,42 @@ mod tests {
                 assert_eq!(c.index_tag(x), config.index_tag(x), "{config} at {x:#x}");
             }
             assert_eq!(c.index_tag(u64::MAX), config.index_tag(u64::MAX));
+        }
+    }
+
+    #[test]
+    fn run_installer_equals_the_line_walk() {
+        use rmt3d_workload::SplitMix64;
+        let mut rng = SplitMix64::new(0x5eed_cafe);
+        // 8 sets x 4 ways, so short runs stay inside a set's tag range
+        // and long ones wrap every set several times.
+        let config = CacheConfig::new(2048, 4, 64, 1).unwrap();
+        for case in 0..2_000 {
+            let mut walk = SetAssocCache::new(config);
+            // Random prior contents over a small line space, so runs
+            // often hit resident lines; some invalidated ways too.
+            for _ in 0..rng.below(80) {
+                let line = rng.below(96);
+                if rng.below(8) == 0 {
+                    walk.invalidate(line * 64);
+                } else {
+                    walk.access(line * 64, rng.below(2) == 0);
+                }
+            }
+            walk.reset_stats();
+            let mut installed = walk.clone();
+            let first = rng.below(96);
+            // Up to 3x the cache's 32 lines, and sometimes empty.
+            let count = rng.below(100);
+            for line in first..first + count {
+                walk.access(line * 64, false);
+            }
+            installed.install_run(first, count);
+            assert_eq!(
+                installed.tags, walk.tags,
+                "case {case}: run of {count} from line {first}"
+            );
+            assert_eq!(installed.stats(), CacheStats::default());
         }
     }
 

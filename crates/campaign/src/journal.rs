@@ -336,6 +336,22 @@ mod tests {
     }
 
     #[test]
+    fn two_megabyte_error_message_replays() {
+        let path = tmp("long-error");
+        let spec = spec();
+        let message: String = "trial panicked: ä \"x\"\n".repeat(100_000);
+        assert!(message.len() > 2_000_000);
+        let mut j = Journal::create(&path, &spec).unwrap();
+        j.trial_done(0, &Err(message.clone())).unwrap();
+        j.trial_done(1, &Ok(result())).unwrap();
+        let r = replay(&std::fs::read_to_string(&path).unwrap(), &spec);
+        assert!(r.discarded.is_none(), "{:?}", r.discarded);
+        assert_eq!(r.completed[&0], Err(message));
+        assert_eq!(r.completed[&1], Ok(result()));
+        assert_eq!(r.skipped_lines, 0);
+    }
+
+    #[test]
     fn open_append_terminates_a_torn_trailing_line() {
         let path = tmp("torn");
         let spec = spec();

@@ -68,30 +68,32 @@ impl CheckSink for Vec<Verification> {
     }
 }
 
-/// Functional unit per class, indexed by `OpClass as usize`
-/// (`IntAlu, IntMul, FpAlu, FpMul, Load, Store, Branch`): 0 integer
+/// Functional unit per class in both cores, indexed by `OpClass as
+/// usize` (`IntAlu, IntMul, FpAlu, FpMul, Load, Store, Branch`): 0 integer
 /// ALU (which also serves loads, stores and branches), 1 integer
 /// multiplier, 2 FP ALU, 3 FP multiplier.
-const UNIT: [usize; 7] = [0, 1, 2, 3, 0, 0, 0];
+pub(crate) const UNIT: [usize; 7] = [0, 1, 2, 3, 0, 0, 0];
 
 /// Dispatch-to-verify latency per class: the execute latency, except
 /// that a load reads its value from the LVQ in one cycle.
 const LATENCY: [u64; 7] = [1, 3, 2, 4, 1, 1, 1];
 
-/// Where the checker's result for a class comes from; the value
-/// indexes `[recomputed, loaded, 0]`.
+/// Where a class's result comes from, in the leader's commit and the
+/// checker's verification alike; the value indexes `[recomputed,
+/// loaded, 0]`.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum ResultSource {
+pub(crate) enum ResultSource {
     /// Recomputed from the operands.
     Compute = 0,
-    /// The loaded value, from the LVQ.
+    /// The loaded value (from memory in the leader, the LVQ in the
+    /// checker).
     Lvq = 1,
     /// No register result (stores, branches).
     Zero = 2,
 }
 
 /// Result source per class, indexed by `OpClass as usize`.
-const SOURCE: [ResultSource; 7] = [
+pub(crate) const SOURCE: [ResultSource; 7] = [
     ResultSource::Compute,
     ResultSource::Compute,
     ResultSource::Compute,
@@ -410,10 +412,10 @@ impl<S: Sink> InOrderCore<S> {
     }
 }
 
-/// Index of an optional register in [`InOrderCore`]'s `regs`: the
-/// register's index + 1, or the sink slot 0 when absent.
+/// Index of an optional register in [`InOrderCore`]'s `regs` (and the
+/// leader's): the register's index + 1, or slot 0 when absent.
 #[inline]
-fn reg_slot(r: Option<rmt3d_workload::ArchReg>) -> usize {
+pub(crate) fn reg_slot(r: Option<rmt3d_workload::ArchReg>) -> usize {
     r.map_or(0, |r| r.index() as usize + 1)
 }
 

@@ -11,6 +11,7 @@ use crate::activity::ActivityCounters;
 use crate::bpred::CombinedPredictor;
 use crate::commit::CommittedOp;
 use crate::config::CoreConfig;
+use crate::inorder::{reg_slot, SOURCE, UNIT};
 use crate::ring::CommitSink;
 use rmt3d_cache::CacheHierarchy;
 use rmt3d_telemetry::{emit, CpiComponent, CpiStack, Event, NullSink, Sink};
@@ -28,61 +29,64 @@ const PENDING: u64 = u64::MAX;
 /// commits plus this many ops is never read past its end.
 pub const FETCH_RUN_AHEAD: u64 = RING as u64;
 
+/// No op waits on this ring slot: the end of a waiter list.
+const NO_WAITER: u16 = u16::MAX;
+
+/// Execute latency per class, indexed by `OpClass as usize`; a load's
+/// cache time is added at issue.
+const LATENCY: [u64; 7] = [1, 3, 2, 4, 1, 1, 1];
+
+/// Issue queue per class: 0 integer, 1 floating point.
+const IQ: [usize; 7] = [0, 0, 1, 1, 0, 0, 0];
+
+/// Load/store-queue entries per class: one for loads and stores.
+const LSQ: [u32; 7] = [0, 0, 0, 0, 1, 1, 0];
+
+/// Register-file slot that absorbs the writes of ops with no
+/// destination; slot 0 (an absent operand) is never written, so it
+/// always reads 0.
+const SINK: usize = 65;
+
 /// Per-cycle functional-unit issue budget.
 #[derive(Debug, Clone, Copy)]
 struct FuBudget {
-    int_alu: u32,
-    int_mul: u32,
-    fp_alu: u32,
-    fp_mul: u32,
+    /// Free units per [`UNIT`] index.
+    units: [u32; 4],
+    /// Free global issue slots.
     total: u32,
 }
 
 impl FuBudget {
     fn new(cfg: &CoreConfig) -> FuBudget {
         FuBudget {
-            int_alu: cfg.int_alu,
-            int_mul: cfg.int_mul,
-            fp_alu: cfg.fp_alu,
-            fp_mul: cfg.fp_mul,
+            units: [cfg.int_alu, cfg.int_mul, cfg.fp_alu, cfg.fp_mul],
             total: cfg.dispatch_width, // global issue width
         }
     }
 
-    /// Tries to reserve a unit for `kind`; returns false when exhausted.
-    fn take(&mut self, kind: OpClass) -> bool {
-        if self.total == 0 {
-            return false;
-        }
-        let slot = match kind {
-            // Loads, stores and branches use an integer ALU for address
-            // generation / condition evaluation.
-            OpClass::IntAlu | OpClass::Load | OpClass::Store | OpClass::Branch => &mut self.int_alu,
-            OpClass::IntMul => &mut self.int_mul,
-            OpClass::FpAlu => &mut self.fp_alu,
-            OpClass::FpMul => &mut self.fp_mul,
-        };
-        if *slot == 0 {
+    /// Tries to reserve a unit for class `k`; returns false when its
+    /// units are taken. The caller checks `total` first.
+    fn take(&mut self, k: usize) -> bool {
+        let free = &mut self.units[UNIT[k]];
+        if *free == 0 {
             false
         } else {
-            *slot -= 1;
+            *free -= 1;
             self.total -= 1;
             true
         }
     }
 }
 
-/// A dispatched-but-unissued op in the select window.
+/// A dispatched op whose producers have all issued, waiting in the
+/// select window.
 #[derive(Debug, Clone, Copy)]
 struct Waiting {
     seq: u64,
     kind: OpClass,
     /// Cycle at which every operand is available: the max of the
-    /// producers' `complete_at`. `PENDING` while `blocker` is unissued.
+    /// producers' `complete_at`.
     ready_at: u64,
-    /// An unissued producer; only meaningful while `ready_at` is
-    /// `PENDING`.
-    blocker: u64,
 }
 
 /// The out-of-order leading core.
@@ -125,21 +129,34 @@ pub struct OooCore<S: Sink = NullSink> {
     commit_head: u64,
     dispatch_head: u64,
     fetch_tail: u64,
-    /// Dispatched-but-unissued ops in program order: the issue stage's
-    /// select window. Each entry caches its operand-ready cycle, so a
-    /// scan tests one field per waiting op; entries leave on issue.
+    /// Dispatched-but-unissued ops whose producers have all issued, in
+    /// program order: the issue stage's select window. Each entry caches
+    /// its operand-ready cycle, so a scan tests one field per waiting
+    /// op; entries leave on issue.
     unissued: Vec<Waiting>,
-    /// Earliest cycle at which any waiting op can issue; `do_issue`
-    /// skips its scan before then. Set by each scan, lowered by
-    /// dispatch.
+    /// Waiter lists, intrusive and indexed by ring slot: a dispatched
+    /// op with an unissued producer waits on that producer's list
+    /// (`waiters[producer]` is the head, `next_waiter[op]` the link,
+    /// [`NO_WAITER`] the end) and is re-filed when the producer issues.
+    waiters: [u16; RING],
+    next_waiter: [u16; RING],
+    /// Ops woken during an issue scan, merged into `unissued` after it.
+    woken: Vec<Waiting>,
+    /// Earliest cycle at which any op in `unissued` can issue;
+    /// `do_issue` skips its scan before then. Set by each scan, lowered
+    /// by dispatch.
     issue_wake: u64,
-    iq_int: u32,
-    iq_fp: u32,
+    /// Issue-queue occupancy per [`IQ`] index (integer, floating point).
+    iq: [u32; 2],
     lsq: u32,
     /// Completion cycle per ring slot; `PENDING` from fetch until issue,
     /// so `complete_at[slot] != PENDING` doubles as the issued flag.
     complete_at: Box<[u64; RING]>,
-    regfile: [u64; 64],
+    /// The architectural register file behind two extra slots: register
+    /// `i` lives at `regs[i + 1]` (its [`reg_slot`]), slot 0 reads 0 for
+    /// an absent operand, and [`SINK`] takes the writes of ops with no
+    /// destination.
+    regs: [u64; 66],
     commit_stalled: bool,
     activity: ActivityCounters,
     cpi: CpiStack,
@@ -192,12 +209,14 @@ impl<S: Sink> OooCore<S> {
             dispatch_head: 0,
             fetch_tail: 0,
             unissued: Vec::with_capacity(cfg.rob_size as usize),
+            waiters: [NO_WAITER; RING],
+            next_waiter: [NO_WAITER; RING],
+            woken: Vec::with_capacity(cfg.rob_size as usize),
             issue_wake: PENDING,
-            iq_int: 0,
-            iq_fp: 0,
+            iq: [0; 2],
             lsq: 0,
             complete_at: Box::new([0; RING]),
-            regfile: [0; 64],
+            regs: [0; 66],
             commit_stalled: false,
             activity: ActivityCounters::default(),
             cpi: CpiStack::new(),
@@ -218,12 +237,12 @@ impl<S: Sink> OooCore<S> {
 
     /// Integer issue-queue occupancy (entries).
     pub fn iq_int_occupancy(&self) -> u32 {
-        self.iq_int
+        self.iq[0]
     }
 
     /// Floating-point issue-queue occupancy (entries).
     pub fn iq_fp_occupancy(&self) -> u32 {
-        self.iq_fp
+        self.iq[1]
     }
 
     /// Load/store-queue occupancy (entries).
@@ -279,18 +298,20 @@ impl<S: Sink> OooCore<S> {
     /// Injects a single-bit flip into the architectural register file
     /// (leading-core transient-fault model).
     pub fn flip_regfile_bit(&mut self, reg: u8, bit: u8) {
-        self.regfile[reg as usize % 64] ^= 1u64 << (bit % 64);
+        self.regs[reg as usize % 64 + 1] ^= 1u64 << (bit % 64);
     }
 
     /// Read-only view of the architectural register file.
     pub fn regfile(&self) -> &[u64; 64] {
-        &self.regfile
+        self.regs[1..SINK]
+            .try_into()
+            .expect("64 registers follow the zero slot")
     }
 
     /// Overwrites the architectural register file — the recovery action:
     /// the leader restarts from the trailer's checked state (§2).
     pub fn restore_regfile(&mut self, rf: &[u64; 64]) {
-        self.regfile = *rf;
+        self.regs[1..SINK].copy_from_slice(rf);
     }
 
     /// Resets statistics after warm-up, keeping microarchitectural state.
@@ -377,8 +398,8 @@ impl<S: Sink> OooCore<S> {
                     CpiComponent::BaseIssue
                 }
             } else if self.rob_occupancy() >= self.cfg.rob_size
-                || self.iq_int >= self.cfg.iq_int_size
-                || self.iq_fp >= self.cfg.iq_fp_size
+                || self.iq[0] >= self.cfg.iq_int_size
+                || self.iq[1] >= self.cfg.iq_fp_size
                 || self.lsq >= self.cfg.lsq_size
             {
                 CpiComponent::StructFull
@@ -406,31 +427,25 @@ impl<S: Sink> OooCore<S> {
             }
             let op = self.ops[slot];
             self.commit_head += 1;
-            // Architectural value semantics (in commit order).
-            let s1 = op.src1_reg.map_or(0, |r| self.regfile[r.index() as usize]);
-            let s2 = op.src2_reg.map_or(0, |r| self.regfile[r.index() as usize]);
-            let (result, mem_value) = match op.kind {
-                OpClass::Load => {
-                    let v = load_memory_value(op.mem_addr);
-                    (v, v)
-                }
-                OpClass::Store => {
-                    // Stores write the data operand; the write is charged
-                    // to the D-cache at commit.
-                    self.caches.data_access(op.mem_addr, true);
-                    self.activity.dcache_accesses += 1;
-                    (0, 0)
-                }
-                OpClass::Branch => (0, 0),
-                _ => (op.compute_result(s1, s2), 0),
-            };
-            if let Some(d) = op.dest {
-                self.regfile[d.index() as usize] = result;
-                self.activity.regfile_writes += 1;
+            // Architectural value semantics (in commit order), selected
+            // by class without branching on it.
+            let k = op.kind as usize;
+            let s1 = self.regs[reg_slot(op.src1_reg)];
+            let s2 = self.regs[reg_slot(op.src2_reg)];
+            let loaded = load_memory_value(op.mem_addr);
+            let source = SOURCE[k] as usize;
+            let result = [op.compute_result(s1, s2), loaded, 0][source];
+            let mem_value = [0, loaded, 0][source];
+            if op.kind == OpClass::Store {
+                // Stores write the data operand; the write is charged
+                // to the D-cache at commit.
+                self.caches.data_access(op.mem_addr, true);
+                self.activity.dcache_accesses += 1;
             }
-            if op.kind.is_memory() {
-                self.lsq -= 1;
-            }
+            let rd = reg_slot(op.dest);
+            self.regs[if rd == 0 { SINK } else { rd }] = result;
+            self.activity.regfile_writes += (rd != 0) as u64;
+            self.lsq -= LSQ[k];
             self.activity.committed += 1;
             self.caches.add_instructions(1);
             out.commit(CommittedOp {
@@ -448,22 +463,17 @@ impl<S: Sink> OooCore<S> {
 
     fn do_issue(&mut self) {
         let cycle = self.cycle;
+        if cfg!(debug_assertions) {
+            self.check_select_window(cycle < self.issue_wake);
+        }
         if cycle < self.issue_wake {
-            // No waiting op is ready: the full scan would issue nothing.
-            debug_assert!(
-                self.unissued.iter().all(|w| !Self::operands_ready(
-                    &self.complete_at,
-                    &self.ops[(w.seq % RING as u64) as usize],
-                    cycle
-                )),
-                "skipped an issue scan with a ready op at cycle {cycle}"
-            );
+            // No op in the window is ready: a scan would issue nothing.
             return;
         }
         let mut budget = FuBudget::new(&self.cfg);
         let mut wake = PENDING;
-        // Oldest-first select over the waiting window; ops that issue
-        // are compacted out of the list in place.
+        // Oldest-first select over the window; ops that issue are
+        // compacted out of the list in place.
         let len = self.unissued.len();
         let mut keep = 0;
         let mut i = 0;
@@ -474,83 +484,105 @@ impl<S: Sink> OooCore<S> {
                 wake = cycle + 1;
                 break;
             }
-            let mut w = self.unissued[i];
+            let w = self.unissued[i];
             i += 1;
-            if w.ready_at == PENDING
-                && self.complete_at[(w.blocker % RING as u64) as usize] != PENDING
-            {
-                // The blocker has issued, in an earlier scan or (being
-                // older) earlier in this one: re-derive.
-                (w.ready_at, w.blocker) =
-                    Self::ready_at(&self.complete_at, &self.ops[(w.seq % RING as u64) as usize]);
-            }
-            let stay = if w.ready_at > cycle {
-                Some(w.ready_at)
-            } else if !budget.take(w.kind) {
-                // Ready, but its functional units are taken this cycle.
-                Some(cycle + 1)
-            } else {
-                None
-            };
-            if let Some(at) = stay {
-                wake = wake.min(at);
+            let k = w.kind as usize;
+            if w.ready_at > cycle || !budget.take(k) {
+                // Operands not ready yet, or ready but its functional
+                // units are taken this cycle.
+                wake = wake.min(w.ready_at.max(cycle + 1));
                 self.unissued[keep] = w;
                 keep += 1;
                 continue;
             }
             let slot = (w.seq % RING as u64) as usize;
-            let kind = w.kind;
-            let complete = match kind {
-                OpClass::Load => {
-                    let addr = self.ops[slot].mem_addr;
-                    let acc = self.caches.data_access(addr, false);
-                    self.activity.dcache_accesses += 1;
-                    cycle + 1 + acc.cycles as u64
-                }
-                _ => cycle + kind.execute_latency() as u64,
-            };
+            let mut complete = cycle + LATENCY[k];
+            if w.kind == OpClass::Load {
+                let addr = self.ops[slot].mem_addr;
+                complete += self.caches.data_access(addr, false).cycles as u64;
+                self.activity.dcache_accesses += 1;
+            }
             self.complete_at[slot] = complete;
-            let op = &self.ops[slot];
             // Free the issue-queue slot.
-            if op.kind.is_fp() {
-                self.iq_fp -= 1;
-            } else {
-                self.iq_int -= 1;
-            }
-            self.activity.issued += 1;
-            self.activity.regfile_reads +=
-                op.src1_reg.is_some() as u64 + op.src2_reg.is_some() as u64;
-            self.activity.bypass_transfers += 1;
-            match kind {
-                OpClass::IntMul => self.activity.int_mul_ops += 1,
-                OpClass::FpAlu => self.activity.fp_alu_ops += 1,
-                OpClass::FpMul => self.activity.fp_mul_ops += 1,
-                _ => self.activity.int_alu_ops += 1,
-            }
-            if kind.is_memory() {
-                self.activity.lsq_accesses += 1;
-            }
+            self.iq[IQ[k]] -= 1;
+            let op = &self.ops[slot];
+            let a = &mut self.activity;
+            a.issued += 1;
+            a.regfile_reads += op.src1_reg.is_some() as u64 + op.src2_reg.is_some() as u64;
+            a.bypass_transfers += 1;
+            let unit = UNIT[k];
+            a.int_alu_ops += (unit == 0) as u64;
+            a.int_mul_ops += (unit == 1) as u64;
+            a.fp_alu_ops += (unit == 2) as u64;
+            a.fp_mul_ops += (unit == 3) as u64;
+            a.lsq_accesses += LSQ[k] as u64;
+            wake = wake.min(self.wake_waiters(slot));
         }
         self.unissued.truncate(keep);
+        // A woken op is ready no earlier than the next cycle, so it
+        // could not have issued in this scan; it joins the window at
+        // its program-order place.
+        for w in self.woken.drain(..) {
+            let at = self.unissued.partition_point(|u| u.seq < w.seq);
+            self.unissued.insert(at, w);
+        }
         self.issue_wake = wake;
     }
 
-    /// The cycle at which all of `op`'s operands are available, or
-    /// `(PENDING, producer)` while some producer has not issued. A
-    /// producer's `complete_at` is written once, at issue, and its ring
-    /// slot outlives every waiting consumer, so the result never goes
-    /// stale.
-    fn ready_at(ring: &[u64; RING], op: &MicroOp) -> (u64, u64) {
-        let mut ready = 0;
-        for dist in [op.src1_dist, op.src2_dist].into_iter().flatten() {
-            let producer = op.seq - dist.get() as u64;
-            let done = ring[(producer % RING as u64) as usize];
-            if done == PENDING {
-                return (PENDING, producer);
+    /// Re-files every op waiting on the op in `slot`, which has just
+    /// issued; returns the earliest operand-ready cycle among the ops
+    /// this leaves in `woken` (`PENDING` for none).
+    fn wake_waiters(&mut self, slot: usize) -> u64 {
+        let mut wake = PENDING;
+        let mut next = std::mem::replace(&mut self.waiters[slot], NO_WAITER);
+        while next != NO_WAITER {
+            let waiter = next as usize;
+            next = self.next_waiter[waiter];
+            if let Some(w) = self.file(waiter) {
+                wake = wake.min(w.ready_at);
+                self.woken.push(w);
             }
-            ready = ready.max(done);
         }
-        (ready, 0)
+        wake
+    }
+
+    /// Files the dispatched op in `slot`: onto the waiter list of its
+    /// first unissued producer, or, when every producer has issued,
+    /// returns it as a window entry with its operand-ready cycle.
+    fn file(&mut self, slot: usize) -> Option<Waiting> {
+        let op = &self.ops[slot];
+        match Self::ready_at(&self.complete_at, op) {
+            Ok(ready_at) => Some(Waiting {
+                seq: op.seq,
+                kind: op.kind,
+                ready_at,
+            }),
+            Err(producer) => {
+                let head = (producer % RING as u64) as usize;
+                self.next_waiter[slot] = self.waiters[head];
+                self.waiters[head] = slot as u16;
+                None
+            }
+        }
+    }
+
+    /// The cycle at which all of `op`'s operands are available, or
+    /// `Err(producer)` while that producer has not issued. A producer's
+    /// `complete_at` is written once, at issue, and its ring slot
+    /// outlives every waiting consumer, so the result never goes stale.
+    #[inline]
+    fn ready_at(ring: &[u64; RING], op: &MicroOp) -> Result<u64, u64> {
+        // A distance of 0 means no producer. It names the op's own slot,
+        // which reads `PENDING`, so its completion is masked to 0.
+        let d1 = op.src1_dist.map_or(0, |d| d.get() as u64);
+        let d2 = op.src2_dist.map_or(0, |d| d.get() as u64);
+        let (p1, p2) = (op.seq - d1, op.seq - d2);
+        let c1 = ring[(p1 % RING as u64) as usize] & 0u64.wrapping_sub((d1 != 0) as u64);
+        let c2 = ring[(p2 % RING as u64) as usize] & 0u64.wrapping_sub((d2 != 0) as u64);
+        match c1.max(c2) {
+            PENDING => Err(if c1 == PENDING { p1 } else { p2 }),
+            ready => Ok(ready),
+        }
     }
 
     /// The readiness predicate a full per-cycle rescan would apply;
@@ -565,7 +597,49 @@ impl<S: Sink> OooCore<S> {
         true
     }
 
+    /// Debug-build check of the select window: `unissued` is in program
+    /// order, every dispatched, unissued op is in exactly one of
+    /// `unissued` or a single waiter list, and no issued op is in
+    /// either. With `skipped`, also checks that none of them is ready
+    /// this cycle (the scan being skipped would have issued nothing).
+    fn check_select_window(&self, skipped: bool) {
+        assert!(
+            self.unissued.windows(2).all(|w| w[0].seq < w[1].seq),
+            "select window out of program order at cycle {}",
+            self.cycle
+        );
+        let slot = |seq: u64| (seq % RING as u64) as usize;
+        let mut filed = [0u32; RING];
+        for w in &self.unissued {
+            filed[slot(w.seq)] += 1;
+        }
+        for seq in self.commit_head..self.dispatch_head {
+            let mut next = self.waiters[slot(seq)];
+            while next != NO_WAITER {
+                filed[next as usize] += 1;
+                next = self.next_waiter[next as usize];
+            }
+        }
+        for seq in self.commit_head..self.dispatch_head {
+            let s = slot(seq);
+            let unissued = self.complete_at[s] == PENDING;
+            assert_eq!(
+                filed[s], unissued as u32,
+                "op {seq} filed {} times at cycle {}",
+                filed[s], self.cycle
+            );
+            assert!(
+                !(skipped
+                    && unissued
+                    && Self::operands_ready(&self.complete_at, &self.ops[s], self.cycle)),
+                "skipped an issue scan with op {seq} ready at cycle {}",
+                self.cycle
+            );
+        }
+    }
+
     fn do_dispatch(&mut self) {
+        let iq_size = [self.cfg.iq_int_size, self.cfg.iq_fp_size];
         for _ in 0..self.cfg.dispatch_width {
             if self.rob_occupancy() >= self.cfg.rob_size {
                 break;
@@ -573,39 +647,24 @@ impl<S: Sink> OooCore<S> {
             if self.dispatch_head == self.fetch_tail {
                 break;
             }
-            let op = &self.ops[(self.dispatch_head % RING as u64) as usize];
-            let kind = op.kind;
-            // Structural checks before consuming.
-            if kind.is_fp() {
-                if self.iq_fp >= self.cfg.iq_fp_size {
-                    break;
-                }
-            } else if self.iq_int >= self.cfg.iq_int_size {
+            let slot = (self.dispatch_head % RING as u64) as usize;
+            let k = self.ops[slot].kind as usize;
+            // Structural checks before consuming. The LSQ never holds
+            // more than its size, so only a memory op can find it full.
+            let (iq, lsq) = (IQ[k], LSQ[k]);
+            if self.iq[iq] >= iq_size[iq] || self.lsq + lsq > self.cfg.lsq_size {
                 break;
             }
-            if kind.is_memory() && self.lsq >= self.cfg.lsq_size {
-                break;
-            }
-            if kind.is_fp() {
-                self.iq_fp += 1;
-            } else {
-                self.iq_int += 1;
-            }
-            if kind.is_memory() {
-                self.lsq += 1;
-            }
+            self.iq[iq] += 1;
+            self.lsq += lsq;
             // The ring slot already reads PENDING (marked at fetch), so
-            // there is no ROB entry to fill: dispatch records when the
-            // operands will be ready and advances the cursor into the
-            // issue window.
-            let (ready_at, blocker) = Self::ready_at(&self.complete_at, op);
-            self.issue_wake = self.issue_wake.min(ready_at);
-            self.unissued.push(Waiting {
-                seq: self.dispatch_head,
-                kind,
-                ready_at,
-                blocker,
-            });
+            // there is no ROB entry to fill: dispatch files the op in the
+            // select window or on a producer's waiter list and advances
+            // the cursor.
+            if let Some(w) = self.file(slot) {
+                self.issue_wake = self.issue_wake.min(w.ready_at);
+                self.unissued.push(w);
+            }
             self.dispatch_head += 1;
             self.activity.dispatched += 1;
         }
@@ -640,6 +699,7 @@ impl<S: Sink> OooCore<S> {
             // Mark the slot pending as soon as the op exists, so stale
             // ring contents can never look "ready".
             self.complete_at[slot] = PENDING;
+            debug_assert_eq!(self.waiters[slot], NO_WAITER, "a committed op has waiters");
             // I-cache: one access per new line.
             let line = op.pc / 64;
             if line != self.last_fetch_line {
@@ -698,6 +758,7 @@ pub fn load_memory_value(addr: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inorder::ResultSource;
     use rmt3d_cache::{NucaLayout, NucaPolicy};
     use rmt3d_workload::{Benchmark, TraceGenerator};
 
@@ -707,6 +768,53 @@ mod tests {
             TraceGenerator::new(b.profile()),
             CacheHierarchy::new(NucaLayout::two_d_a(), NucaPolicy::DistributedSets),
         )
+    }
+
+    #[test]
+    fn class_tables_follow_op_classes() {
+        for k in OpClass::ALL {
+            let i = k as usize;
+            assert_eq!(LATENCY[i], k.execute_latency() as u64, "{k:?}");
+            assert_eq!(IQ[i], k.is_fp() as usize, "{k:?}");
+            assert_eq!(LSQ[i], k.is_memory() as u32, "{k:?}");
+            // Issue counts an op on its unit's counter: loads, stores
+            // and branches on the integer ALU's.
+            let unit = match k {
+                OpClass::IntMul => 1,
+                OpClass::FpAlu => 2,
+                OpClass::FpMul => 3,
+                _ => 0,
+            };
+            assert_eq!(UNIT[i], unit, "{k:?}");
+            let source = match k {
+                OpClass::Load => ResultSource::Lvq,
+                OpClass::Store | OpClass::Branch => ResultSource::Zero,
+                _ => ResultSource::Compute,
+            };
+            assert!(SOURCE[i] == source, "{k:?}");
+        }
+    }
+
+    #[test]
+    fn register_file_sits_between_the_zero_and_sink_slots() {
+        let mut c = core(Benchmark::Gzip);
+        c.regs[SINK] = 0xdead;
+        c.flip_regfile_bit(0, 3);
+        c.flip_regfile_bit(63, 1);
+        assert_eq!((c.regfile()[0], c.regfile()[63]), (8, 2));
+        c.restore_regfile(&[7; 64]);
+        assert_eq!(c.regfile(), &[7; 64]);
+        assert_eq!((c.regs[0], c.regs[SINK]), (0, 0xdead));
+        // Whatever the sink holds, an absent operand reads 0.
+        let mut out = Vec::new();
+        while out.len() < 3000 {
+            c.step_cycle(&mut out);
+        }
+        for co in &out {
+            assert!(co.op.src1_reg.is_some() || co.src1_value == 0, "{}", co.op);
+            assert!(co.op.src2_reg.is_some() || co.src2_value == 0, "{}", co.op);
+        }
+        assert_eq!(c.regs[0], 0);
     }
 
     #[test]
@@ -809,8 +917,8 @@ mod tests {
         for _ in 0..10_000 {
             c.step_cycle(&mut out);
             assert!(c.rob_occupancy() <= c.cfg.rob_size);
-            assert!(c.iq_int <= c.cfg.iq_int_size);
-            assert!(c.iq_fp <= c.cfg.iq_fp_size);
+            assert!(c.iq[0] <= c.cfg.iq_int_size);
+            assert!(c.iq[1] <= c.cfg.iq_fp_size);
             assert!(c.lsq <= c.cfg.lsq_size);
         }
     }

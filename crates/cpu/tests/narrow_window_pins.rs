@@ -6,7 +6,7 @@
 //! stream `(seq, commit_cycle, result)` and of the final
 //! `ActivityCounters`, plus the cycle count for a readable diff. The
 //! values were captured from the rescan-every-cycle select, so they
-//! prove the wake-up driven select retires the same ops on the same
+//! prove the waiter-list select retires the same ops on the same
 //! cycles with the same values.
 
 use rmt3d_cache::{CacheHierarchy, NucaLayout, NucaPolicy};

@@ -201,6 +201,7 @@ pub const MAX_DEPTH: usize = 128;
 /// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -215,6 +216,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    /// The input, for slicing string runs out without re-validating.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open at `pos`.
@@ -335,11 +338,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 scalar (input is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both
+                    // are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    self.pos = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -440,6 +446,26 @@ mod tests {
         assert_eq!(arr[1].as_f64(), Some(2.5));
         assert_eq!(arr[2].get("b"), Some(&JsonValue::Null));
         assert_eq!(v.get("c").unwrap().as_str(), Some("hi"));
+    }
+
+    #[test]
+    fn megabyte_string_parses_and_round_trips() {
+        // Multi-byte scalars between escapes, to 1 MiB. A parser that
+        // re-validates the rest of the line per character takes tens of
+        // seconds here.
+        let mut big = String::new();
+        while big.len() < 1 << 20 {
+            big.push_str("plain ascii é € 😀 \"quote\" back\\slash\n");
+        }
+        let mut o = JsonObject::new();
+        o.str("s", &big);
+        let line = o.finish();
+        let v = parse(&line).unwrap();
+        assert_eq!(v.get("s").unwrap().as_str(), Some(big.as_str()));
+        let mut again = JsonObject::new();
+        again.str("s", v.get("s").unwrap().as_str().unwrap());
+        assert_eq!(again.finish(), line);
+        assert!(parse(&line[..line.len() - 2]).is_err(), "unterminated");
     }
 
     #[test]
