@@ -2,7 +2,6 @@
 //! (model × benchmark) grid, plus cache-hit replay cost.
 //!
 //! Run with `cargo bench -p rmt3d-bench --bench sweep`. Set
-//! `RMT3D_PAPER=1` for the full 19-benchmark suite and
 //! `RMT3D_BENCH_JSON=path` for machine-readable records.
 
 use rmt3d::{ProcessorModel, RunScale};
@@ -12,24 +11,16 @@ use rmt3d_telemetry::NullSink;
 use rmt3d_workload::Benchmark;
 use std::hint::black_box;
 
-fn suite() -> SweepSpec {
-    if std::env::var("RMT3D_PAPER").is_ok() {
-        SweepSpec::paper_suite(RunScale::paper())
-    } else {
-        SweepSpec::new(
-            &ProcessorModel::ALL,
-            &[Benchmark::Gzip, Benchmark::Swim, Benchmark::Vpr],
-            RunScale {
-                warmup_instructions: 10_000,
-                instructions: 60_000,
-                thermal_grid: 25,
-            },
-        )
-    }
-}
-
 fn main() {
-    let spec = suite();
+    let spec = SweepSpec::new(
+        &ProcessorModel::ALL,
+        &[Benchmark::Gzip, Benchmark::Swim, Benchmark::Vpr],
+        RunScale {
+            warmup_instructions: 10_000,
+            instructions: 60_000,
+            thermal_grid: 25,
+        },
+    );
     let jobs = spec.expand();
     let workers = SweepOptions::default().worker_count();
     println!("sweep: {} jobs, {} workers available", jobs.len(), workers);

@@ -1,13 +1,12 @@
-//! Benchmark-harness crate: see `benches/` for the targets that
-//! regenerate every table and figure of the paper.
+//! Benchmark-harness crate: see `benches/` for its two targets.
 //!
-//! * `benches/tables.rs` — Tables 4-8.
-//! * `benches/figures.rs` — Figures 4-9.
-//! * `benches/experiments.rs` — §3.3 iso-thermal, §3.4 interconnect,
-//!   §4 heterogeneous die, Fig. 1 summary.
+//! * `benches/gate.rs` — the perf-regression gate's timed simulations
+//!   and exact stats.
+//! * `benches/sweep.rs` — serial vs parallel sweep wall time and cached
+//!   replay.
 //!
-//! Set `RMT3D_PAPER=1` to run the full 19-benchmark suite at paper
-//! scale.
+//! The paper's tables and figures come from `rmt3d experiment <name>
+//! [--paper]` and the `paper_run` example, not from here.
 //!
 //! The harness is a self-contained `std::time::Instant` timing loop
 //! (no external benchmarking dependency): each target runs a warmup

@@ -4,10 +4,12 @@
 //! cargo run --release -p rmt3d-cli --example paper_run | tee paper_results.txt
 //! ```
 //!
-//! Takes on the order of 15-30 minutes serially; the heavy sweeps
-//! (Fig. 4, Fig. 5, iso-thermal) run on the `rmt3d-sweep` parallel
-//! engine, one worker per available core. `EXPERIMENTS.md` records one
-//! such run against the paper's numbers.
+//! Takes about 3.5 minutes (207 s) on a 2-vCPU Xeon VM, most of it in
+//! single-threaded thermal solves. Every section's simulations run on
+//! the `rmt3d-sweep` parallel engine, one worker per available core;
+//! stdout is the same with one worker. `EXPERIMENTS.md` records the run
+//! against the paper's numbers, and CI `cmp`s stdout with the committed
+//! `paper_results.txt`.
 
 use rmt3d::experiments::{
     fig4, fig5, fig6, fig7, heterogeneous, interconnect, iso_thermal, rmt_summary, tables,
@@ -64,11 +66,11 @@ fn main() {
     }
 
     println!("\n== Fig. 6 (full suite) ==");
-    let f6 = fig6::run(&all, scale);
+    let f6 = fig6::run_with(&sim, &all, scale);
     print!("{}", f6.to_table());
 
     println!("\n== Fig. 7 (full suite) ==");
-    let f7 = fig7::run(&all, scale);
+    let f7 = fig7::run_with(&sim, &all, scale);
     print!("{}", f7.to_table());
     println!(
         "timing-error improvement vs full speed: {:.0}x (65nm), {:.0}x (90nm)",
@@ -110,9 +112,11 @@ fn main() {
     println!("\n== Sec 4: heterogeneous die ==");
     print!(
         "{}",
-        heterogeneous::run(&all, scale).expect("hetero").to_table()
+        heterogeneous::run_with(&sim, &all, scale)
+            .expect("hetero")
+            .to_table()
     );
 
     println!("\n== Fig. 1 summary ==");
-    print!("{}", rmt_summary::run(&all, scale).to_table());
+    print!("{}", rmt_summary::run_with(&sim, &all, scale).to_table());
 }

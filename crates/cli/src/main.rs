@@ -484,6 +484,7 @@ fn run_experiment_command(mut a: Args) -> Result<ExitCode, String> {
         None | Some(1) => Box::new(SerialSimulator),
         Some(n) => Box::new(ParallelSimulator::new(n)),
     };
+    let sim = sim.as_ref();
     a.finish()?;
     let (benchmarks, scale): (Vec<Benchmark>, RunScale) = if paper {
         (Benchmark::ALL.to_vec(), RunScale::paper())
@@ -507,22 +508,21 @@ fn run_experiment_command(mut a: Args) -> Result<ExitCode, String> {
         }
         "fig4" => print!(
             "{}",
-            fig4::run_with(sim.as_ref(), &benchmarks, scale)
+            fig4::run_with(sim, &benchmarks, scale)
                 .expect("fig4")
                 .to_table()
         ),
         "fig5" => print!(
             "{}",
-            fig5::run_with(sim.as_ref(), &benchmarks, scale)
+            fig5::run_with(sim, &benchmarks, scale)
                 .expect("fig5")
                 .to_table()
         ),
-        "fig6" => print!("{}", fig6::run(&benchmarks, scale).to_table()),
-        "fig7" => print!("{}", fig7::run(&benchmarks, scale).to_table()),
+        "fig6" => print!("{}", fig6::run_with(sim, &benchmarks, scale).to_table()),
+        "fig7" => print!("{}", fig7::run_with(sim, &benchmarks, scale).to_table()),
         "iso-thermal" => {
             for w in [7.0, 15.0] {
-                let p = iso_thermal::run_with(sim.as_ref(), w, &benchmarks, scale)
-                    .expect("iso-thermal");
+                let p = iso_thermal::run_with(sim, w, &benchmarks, scale).expect("iso-thermal");
                 println!(
                     "{:4.0} W checker: {:.2} GHz, perf loss {:.1}%",
                     w,
@@ -534,26 +534,32 @@ fn run_experiment_command(mut a: Args) -> Result<ExitCode, String> {
         "interconnect" => print!("{}", interconnect::run().to_table()),
         "heterogeneous" => print!(
             "{}",
-            heterogeneous::run(&benchmarks, scale)
+            heterogeneous::run_with(sim, &benchmarks, scale)
                 .expect("heterogeneous")
                 .to_table()
         ),
         "margins" => {
-            let f7 = fig7::run(&benchmarks, scale);
+            let f7 = fig7::run_with(sim, &benchmarks, scale);
             print!("{}", margins::run(&f7, TechNode::N65, 12).to_table());
         }
         "dfs-ablation" => print!("{}", dfs_ablation::run(&benchmarks, scale).to_table()),
         "hard-error" => print!("{}", hard_error::run(&benchmarks, scale).to_table()),
-        "summary" => print!("{}", rmt_summary::run(&benchmarks, scale).to_table()),
+        "summary" => print!(
+            "{}",
+            rmt_summary::run_with(sim, &benchmarks, scale).to_table()
+        ),
         "tmr" => print!(
             "{}",
             tmr_study::run(Benchmark::Twolf, if paper { 20 } else { 6 }, 2e-3, 30_000).to_table()
         ),
         "interrupts" => print!("{}", interrupts::run(&benchmarks, 10_000, scale).to_table()),
-        "resilience" => print!("{}", resilience::run(&benchmarks, scale).to_table()),
+        "resilience" => print!(
+            "{}",
+            resilience::run_with(sim, &benchmarks, scale).to_table()
+        ),
         "dtm" => print!(
             "{}",
-            dtm::run(rmt3d_units::Celsius(82.0), &benchmarks, scale)
+            dtm::run_with(sim, rmt3d_units::Celsius(82.0), &benchmarks, scale)
                 .expect("dtm study")
                 .to_table()
         ),
@@ -562,7 +568,7 @@ fn run_experiment_command(mut a: Args) -> Result<ExitCode, String> {
             shared_cache::run(if paper { 400_000 } else { 80_000 }).to_table()
         ),
         "leakage" => {
-            let r = leakage_feedback::run(Benchmark::Gzip, scale).expect("coupled solve");
+            let r = leakage_feedback::run_with(sim, Benchmark::Gzip, scale).expect("coupled solve");
             println!(
                 "leakage-temperature coupling: open-loop peak {:.2} C, \
                  closed-loop {:.2} C (shift {:+.3} C in {} iterations) — negligible, \

@@ -8,9 +8,10 @@
 //! the §3.3 iso-thermal study from "match the baseline" to "meet a
 //! thermal envelope".
 
+use crate::experiments::simulate_grid;
 use crate::model::{ProcessorModel, RunScale};
 use crate::powermap::{build_power_map, override_checker_power, PowerMapConfig};
-use crate::simulate::{simulate, SimConfig};
+use crate::simulate::{SimConfig, Simulator};
 use rmt3d_power::{CheckerPowerModel, DvfsPoint};
 use rmt3d_thermal::{solve, ThermalConfig, ThermalError};
 use rmt3d_units::{Celsius, Gigahertz, Watts};
@@ -63,7 +64,10 @@ impl DtmReport {
     }
 }
 
+/// Suite-mean peak temperature and work rate of `model` at `freq`; the
+/// per-benchmark runs go through `sim` as one batch.
 fn point(
+    sim: &dyn Simulator,
     model: ProcessorModel,
     benchmarks: &[Benchmark],
     freq: Gigahertz,
@@ -74,14 +78,14 @@ fn point(
         grid: scale.thermal_grid,
         ..ThermalConfig::paper()
     };
+    let cfg = SimConfig {
+        frequency: freq,
+        ..SimConfig::nominal(model, scale)
+    };
+    let [perfs] = simulate_grid(sim, [cfg], benchmarks);
     let mut temp = 0.0;
     let mut work = 0.0;
-    for &b in benchmarks {
-        let cfg = SimConfig {
-            frequency: freq,
-            ..SimConfig::nominal(model, scale)
-        };
-        let perf = simulate(&cfg, b);
+    for perf in perfs {
         let mut pm =
             PowerMapConfig::with_checker(CheckerPowerModel::with_peak(checker_w.max(Watts(1.0))));
         pm.dvfs = DvfsPoint::from_frequency_linear_vdd(freq.value() / 2.0);
@@ -101,18 +105,15 @@ fn point(
 }
 
 /// Finds the DTM operating point for one organization under `cap`.
-///
-/// # Errors
-///
-/// Propagates thermal solver failures.
-pub fn throttle_to_cap(
+fn throttle_to_cap(
+    sim: &dyn Simulator,
     model: ProcessorModel,
     checker_w: Watts,
     cap: Celsius,
     benchmarks: &[Benchmark],
     scale: RunScale,
 ) -> Result<DtmRow, ThermalError> {
-    let (full_temp, full_work) = point(model, benchmarks, Gigahertz(2.0), checker_w, scale)?;
+    let (full_temp, full_work) = point(sim, model, benchmarks, Gigahertz(2.0), checker_w, scale)?;
     if full_temp.0 <= cap.0 {
         return Ok(DtmRow {
             model,
@@ -127,7 +128,7 @@ pub fn throttle_to_cap(
     let mut best = (Gigahertz(lo), 0.0);
     for _ in 0..6 {
         let mid = 0.5 * (lo + hi);
-        let (t, w) = point(model, benchmarks, Gigahertz(mid), checker_w, scale)?;
+        let (t, w) = point(sim, model, benchmarks, Gigahertz(mid), checker_w, scale)?;
         if t.0 > cap.0 {
             hi = mid;
         } else {
@@ -144,26 +145,24 @@ pub fn throttle_to_cap(
     })
 }
 
-/// Runs the study for the three organizations at 7 W and 15 W checkers.
+/// Runs the study for the three organizations at 7 W and 15 W checkers,
+/// every probed operating point's runs going through `sim` as one batch.
 ///
 /// # Errors
 ///
 /// Propagates thermal solver failures.
-pub fn run(
+pub fn run_with(
+    sim: &dyn Simulator,
     cap: Celsius,
     benchmarks: &[Benchmark],
     scale: RunScale,
 ) -> Result<DtmReport, ThermalError> {
-    let mut rows = vec![throttle_to_cap(
-        ProcessorModel::TwoDA,
-        Watts::ZERO,
-        cap,
-        benchmarks,
-        scale,
-    )?];
+    let throttle =
+        |model, checker_w| throttle_to_cap(sim, model, checker_w, cap, benchmarks, scale);
+    let mut rows = vec![throttle(ProcessorModel::TwoDA, Watts::ZERO)?];
     for w in [7.0, 15.0] {
         for model in [ProcessorModel::TwoD2A, ProcessorModel::ThreeD2A] {
-            rows.push(throttle_to_cap(model, Watts(w), cap, benchmarks, scale)?);
+            rows.push(throttle(model, Watts(w))?);
         }
     }
     Ok(DtmReport { cap, rows })
@@ -172,10 +171,17 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialSimulator;
 
     #[test]
     fn hotter_organizations_throttle_harder() {
-        let r = run(Celsius(82.0), &[Benchmark::Gzip], RunScale::quick()).expect("dtm study");
+        let r = run_with(
+            &SerialSimulator,
+            Celsius(82.0),
+            &[Benchmark::Gzip],
+            RunScale::quick(),
+        )
+        .expect("dtm study");
         let loss = |m: ProcessorModel, w: f64| {
             r.rows
                 .iter()

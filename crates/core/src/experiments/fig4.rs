@@ -6,9 +6,10 @@
 //! benchmark-averaged power maps, and compares against the 2d-a baseline
 //! line.
 
+use crate::experiments::simulate_grid;
 use crate::model::{ProcessorModel, RunScale};
 use crate::powermap::{build_power_map, override_checker_power, PowerMapConfig};
-use crate::simulate::{PerfResult, SerialSimulator, SimConfig, Simulator};
+use crate::simulate::{PerfResult, SimConfig, Simulator};
 use rmt3d_power::CheckerPowerModel;
 use rmt3d_thermal::{solve, ThermalConfig, ThermalError};
 use rmt3d_units::{Celsius, Watts};
@@ -124,22 +125,9 @@ fn mean_peak(
     mean_peak_on_plan(perfs, checker_w, grid, &model.floorplan())
 }
 
-/// Runs the Fig. 4 experiment over the given benchmarks.
-///
-/// # Errors
-///
-/// Propagates thermal solver failures.
-///
-/// # Panics
-///
-/// Panics if `benchmarks` is empty.
-pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> Result<Fig4Result, ThermalError> {
-    run_with(&SerialSimulator, benchmarks, scale)
-}
-
-/// [`run`] with an explicit [`Simulator`]: all `4 × |benchmarks|`
-/// performance runs are submitted as one batch, so a parallel
-/// simulator overlaps them.
+/// Runs the Fig. 4 experiment over the given benchmarks. All
+/// `4 × |benchmarks|` performance runs go through `sim` as one batch,
+/// so a parallel simulator overlaps them.
 ///
 /// # Errors
 ///
@@ -154,26 +142,11 @@ pub fn run_with(
     scale: RunScale,
 ) -> Result<Fig4Result, ThermalError> {
     assert!(!benchmarks.is_empty(), "need at least one benchmark");
-    let models = [
-        ProcessorModel::TwoDA,
-        ProcessorModel::TwoD2A,
-        ProcessorModel::ThreeD2A,
-        ProcessorModel::ThreeDChecker,
-    ];
-    let jobs: Vec<(SimConfig, Benchmark)> = models
-        .iter()
-        .flat_map(|&m| {
-            benchmarks
-                .iter()
-                .map(move |&b| (SimConfig::nominal(m, scale), b))
-        })
-        .collect();
-    let mut perfs = sim.simulate_batch(&jobs);
-    // Batch order is model-major, so each model's runs are contiguous.
-    let pc_perfs = perfs.split_off(3 * benchmarks.len());
-    let p3_perfs = perfs.split_off(2 * benchmarks.len());
-    let p2_perfs = perfs.split_off(benchmarks.len());
-    let base_perfs = perfs;
+    let [base_perfs, p2_perfs, p3_perfs, pc_perfs] = simulate_grid(
+        sim,
+        ProcessorModel::ALL.map(|m| SimConfig::nominal(m, scale)),
+        benchmarks,
+    );
 
     let baseline = mean_peak(&base_perfs, ProcessorModel::TwoDA, 0.0, scale.thermal_grid)?;
     let mut points = Vec::new();
@@ -221,9 +194,11 @@ pub fn run_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialSimulator;
 
     fn quick() -> Fig4Result {
-        run(
+        run_with(
+            &SerialSimulator,
             &[Benchmark::Gzip, Benchmark::Mcf, Benchmark::Swim],
             RunScale::quick(),
         )

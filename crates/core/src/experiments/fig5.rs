@@ -2,9 +2,10 @@
 //! configurations: 2d-a, 2d-2a @7 W, 3d-2a @7 W, 2d-2a @15 W,
 //! 3d-2a @15 W.
 
+use crate::experiments::simulate_grid;
 use crate::model::{ProcessorModel, RunScale};
 use crate::powermap::{build_power_map, override_checker_power, PowerMapConfig};
-use crate::simulate::{PerfResult, SerialSimulator, SimConfig, Simulator};
+use crate::simulate::{PerfResult, SimConfig, Simulator};
 use rmt3d_power::CheckerPowerModel;
 use rmt3d_thermal::{solve, ThermalConfig, ThermalError};
 use rmt3d_units::{Celsius, Watts};
@@ -67,19 +68,10 @@ impl Fig5Result {
 }
 
 /// Runs Fig. 5 for the given benchmarks (use [`Benchmark::ALL`] for the
-/// paper's full set).
-///
-/// # Errors
-///
-/// Propagates thermal solver failures.
-pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> Result<Fig5Result, ThermalError> {
-    run_with(&SerialSimulator, benchmarks, scale)
-}
-
-/// [`run`] with an explicit [`Simulator`]. Each of the three distinct
-/// models simulates once per benchmark (checker wattage only affects
-/// the thermal solve, so the 7 W and 15 W columns share one
-/// performance run) and the whole grid is submitted as one batch.
+/// paper's full set). Each of the three distinct models simulates once
+/// per benchmark (checker wattage only affects the thermal solve, so
+/// the 7 W and 15 W columns share one performance run) and the whole
+/// grid goes through `sim` as one batch.
 ///
 /// # Errors
 ///
@@ -93,20 +85,16 @@ pub fn run_with(
         grid: scale.thermal_grid,
         ..ThermalConfig::paper()
     };
-    let models = [
-        ProcessorModel::TwoDA,
-        ProcessorModel::TwoD2A,
-        ProcessorModel::ThreeD2A,
-    ];
-    let jobs: Vec<(SimConfig, Benchmark)> = models
-        .iter()
-        .flat_map(|&m| {
-            benchmarks
-                .iter()
-                .map(move |&b| (SimConfig::nominal(m, scale), b))
-        })
-        .collect();
-    let perfs = sim.simulate_batch(&jobs);
+    let [base, p2, p3] = simulate_grid(
+        sim,
+        [
+            ProcessorModel::TwoDA,
+            ProcessorModel::TwoD2A,
+            ProcessorModel::ThreeD2A,
+        ]
+        .map(|m| SimConfig::nominal(m, scale)),
+        benchmarks,
+    );
     let solve_at = |perf: &PerfResult, watts: f64| {
         let mut chip = build_power_map(
             perf,
@@ -119,9 +107,7 @@ pub fn run_with(
     };
     let mut rows = Vec::with_capacity(benchmarks.len());
     for (i, &b) in benchmarks.iter().enumerate() {
-        let base = &perfs[i];
-        let p2 = &perfs[benchmarks.len() + i];
-        let p3 = &perfs[2 * benchmarks.len() + i];
+        let (base, p2, p3) = (&base[i], &p2[i], &p3[i]);
         rows.push(Fig5Row {
             benchmark: b,
             two_d_a: solve_at(base, 0.0)?,
@@ -137,10 +123,16 @@ pub fn run_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialSimulator;
 
     #[test]
     fn per_benchmark_ordering_holds() {
-        let r = run(&[Benchmark::Gzip, Benchmark::Mcf], RunScale::quick()).expect("fig5 solves");
+        let r = run_with(
+            &SerialSimulator,
+            &[Benchmark::Gzip, Benchmark::Mcf],
+            RunScale::quick(),
+        )
+        .expect("fig5 solves");
         for row in &r.rows {
             // 3D runs hotter than the 2D chip with the same contents
             // (a small tolerance at 7 W, where cool benchmarks tie).

@@ -1,10 +1,11 @@
 //! Figure 6 — per-benchmark IPC for the four processor models, plus the
 //! §3.3 cache-organization summary (L2 hit latency, misses per 10K,
-//! 3d-2a vs 2d-2a improvement) and the distributed-ways comparison.
+//! 3d-2a vs 2d-2a improvement). The tests check §3.3's distributed-ways
+//! comparison.
 
+use crate::experiments::simulate_grid;
 use crate::model::{ProcessorModel, RunScale};
-use crate::simulate::{simulate, SimConfig};
-use rmt3d_cache::NucaPolicy;
+use crate::simulate::{SimConfig, Simulator};
 use rmt3d_workload::Benchmark;
 
 /// One benchmark's IPC across the four models.
@@ -83,36 +84,30 @@ impl Fig6Result {
     }
 }
 
-/// Runs Fig. 6 with the given NUCA policy (the paper's default is
-/// distributed sets; §3.3 notes distributed ways is < 2% better).
-pub fn run_with_policy(
-    benchmarks: &[Benchmark],
-    scale: RunScale,
-    policy: NucaPolicy,
-) -> Fig6Result {
+/// Runs Fig. 6 at the paper's nominal settings, whose NUCA policy is
+/// distributed sets. All `4 × |benchmarks|` performance runs go through
+/// `sim` as one batch.
+pub fn run_with(sim: &dyn Simulator, benchmarks: &[Benchmark], scale: RunScale) -> Fig6Result {
+    let [a, b, c, d] = simulate_grid(
+        sim,
+        ProcessorModel::ALL.map(|m| SimConfig::nominal(m, scale)),
+        benchmarks,
+    );
     let mut rows = Vec::with_capacity(benchmarks.len());
     let mut hit_a = 0.0;
     let mut hit_b = 0.0;
     let mut hit_c = 0.0;
     let mut miss6 = 0.0;
     let mut miss15 = 0.0;
-    for &b in benchmarks {
-        let mut cfg = SimConfig::nominal(ProcessorModel::TwoDA, scale);
-        cfg.policy = policy;
-        let ra = simulate(&cfg, b);
-        cfg.model = ProcessorModel::TwoD2A;
-        let rb = simulate(&cfg, b);
-        cfg.model = ProcessorModel::ThreeD2A;
-        let rc = simulate(&cfg, b);
-        cfg.model = ProcessorModel::ThreeDChecker;
-        let rd = simulate(&cfg, b);
+    for (i, &benchmark) in benchmarks.iter().enumerate() {
+        let (ra, rb, rc, rd) = (&a[i], &b[i], &c[i], &d[i]);
         hit_a += ra.l2.mean_hit_cycles();
         hit_b += rb.l2.mean_hit_cycles();
         hit_c += rc.l2.mean_hit_cycles();
         miss6 += ra.l2_misses_per_10k();
         miss15 += rc.l2_misses_per_10k();
         rows.push(Fig6Row {
-            benchmark: b,
+            benchmark,
             two_d_a: ra.ipc(),
             two_d_2a: rb.ipc(),
             three_d_2a: rc.ipc(),
@@ -130,18 +125,20 @@ pub fn run_with_policy(
     }
 }
 
-/// Runs Fig. 6 with the paper's default distributed-sets policy.
-pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> Fig6Result {
-    run_with_policy(benchmarks, scale, NucaPolicy::DistributedSets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate::simulate;
+    use crate::SerialSimulator;
+    use rmt3d_cache::NucaPolicy;
+
+    fn serial(benchmarks: &[Benchmark], scale: RunScale) -> Fig6Result {
+        run_with(&SerialSimulator, benchmarks, scale)
+    }
 
     #[test]
     fn cache_organization_effects() {
-        let r = run(
+        let r = serial(
             &[Benchmark::Gzip, Benchmark::Vpr, Benchmark::Swim],
             RunScale::quick(),
         );
@@ -164,7 +161,7 @@ mod tests {
 
     #[test]
     fn checker_costs_nothing_and_cache_grows_help_little() {
-        let r = run(&[Benchmark::Gzip], RunScale::quick());
+        let r = serial(&[Benchmark::Gzip], RunScale::quick());
         let row = &r.rows[0];
         // 3d-checker ~= 2d-a (same cache, free checker).
         assert!(
@@ -181,10 +178,12 @@ mod tests {
     #[test]
     fn distributed_ways_is_slightly_better() {
         // §3.3: < 2% better than distributed sets.
-        let scale = RunScale::quick();
-        let sets = run_with_policy(&[Benchmark::Gzip], scale, NucaPolicy::DistributedSets);
-        let ways = run_with_policy(&[Benchmark::Gzip], scale, NucaPolicy::DistributedWays);
-        let ratio = ways.gmean(|r| r.two_d_2a) / sets.gmean(|r| r.two_d_2a);
+        let sets = SimConfig::nominal(ProcessorModel::TwoD2A, RunScale::quick());
+        let ways = SimConfig {
+            policy: NucaPolicy::DistributedWays,
+            ..sets.clone()
+        };
+        let ratio = simulate(&ways, Benchmark::Gzip).ipc() / simulate(&sets, Benchmark::Gzip).ipc();
         assert!(
             (0.98..1.06).contains(&ratio),
             "ways vs sets on 2d-2a: {ratio}"
@@ -193,7 +192,7 @@ mod tests {
 
     #[test]
     fn table_output() {
-        let r = run(&[Benchmark::Eon], RunScale::quick());
+        let r = serial(&[Benchmark::Eon], RunScale::quick());
         assert!(r.to_table().contains("eon"));
     }
 }

@@ -1,8 +1,9 @@
 //! Figure 7 — histogram of the checker's DFS frequency levels, and the
 //! timing-margin analysis of §3.5 built on it.
 
+use crate::experiments::simulate_grid;
 use crate::model::{ProcessorModel, RunScale};
-use crate::simulate::{simulate, SimConfig};
+use crate::simulate::{SimConfig, Simulator};
 use rmt3d_reliability::TimingModel;
 use rmt3d_rmt::DFS_LEVELS;
 use rmt3d_units::TechNode;
@@ -59,12 +60,17 @@ impl Fig7Result {
 }
 
 /// Runs Fig. 7: aggregates the DFS histograms of 3d-2a runs across
-/// benchmarks (weighted by intervals equally per benchmark).
-pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> Fig7Result {
+/// benchmarks (weighted by intervals equally per benchmark). The
+/// per-benchmark runs go through `sim` as one batch.
+pub fn run_with(sim: &dyn Simulator, benchmarks: &[Benchmark], scale: RunScale) -> Fig7Result {
+    let [perfs] = simulate_grid(
+        sim,
+        [SimConfig::nominal(ProcessorModel::ThreeD2A, scale)],
+        benchmarks,
+    );
     let mut histogram = [0.0; DFS_LEVELS];
     let mut mean = 0.0;
-    for &b in benchmarks {
-        let r = simulate(&SimConfig::nominal(ProcessorModel::ThreeD2A, scale), b);
+    for r in perfs {
         for (h, x) in histogram.iter_mut().zip(r.dfs_histogram) {
             *h += x / benchmarks.len() as f64;
         }
@@ -79,12 +85,14 @@ pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> Fig7Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialSimulator;
 
     fn quick() -> Fig7Result {
         // Mid/high-IPC programs: the checker's operating point tracks
         // leader throughput, so memory-bound programs pull the whole
         // histogram down (they appear in the full-suite run).
-        run(
+        run_with(
+            &SerialSimulator,
             &[Benchmark::Gzip, Benchmark::Vortex, Benchmark::Gap],
             RunScale::quick(),
         )

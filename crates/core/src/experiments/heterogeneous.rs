@@ -11,9 +11,10 @@
 //!   the DFS controller saturates at 0.7 f and the leader slows ~3%;
 //! * variability and SER both improve (Table 6, Figs. 8-9).
 
+use crate::experiments::simulate_grid;
 use crate::model::{ProcessorModel, RunScale};
 use crate::powermap::{build_power_map, PowerMapConfig};
-use crate::simulate::{simulate, SimConfig};
+use crate::simulate::{PerfResult, SimConfig, Simulator};
 use rmt3d_cache::{CactiLite, NucaLayout};
 use rmt3d_floorplan::ChipFloorplan;
 use rmt3d_power::{tech, CheckerPowerModel};
@@ -90,14 +91,12 @@ impl HeteroReport {
     }
 }
 
-/// Suite-mean peak temperature for a plan with a fixed checker power.
+/// Suite-mean peak temperature of `perfs` on a plan with a fixed
+/// checker power.
 fn mean_peak(
     plan: &ChipFloorplan,
-    model: ProcessorModel,
-    layout: Option<NucaLayout>,
-    benchmarks: &[Benchmark],
+    perfs: &[PerfResult],
     checker_w: Watts,
-    checker_cap: f64,
     scale: RunScale,
 ) -> Result<Celsius, ThermalError> {
     let tcfg = ThermalConfig {
@@ -105,30 +104,30 @@ fn mean_peak(
         ..ThermalConfig::paper()
     };
     let mut acc = 0.0;
-    for &b in benchmarks {
-        let cfg = SimConfig {
-            layout: layout.clone(),
-            checker_peak_fraction: checker_cap,
-            ..SimConfig::nominal(model, scale)
-        };
-        let perf = simulate(&cfg, b);
+    for perf in perfs {
         let mut chip = build_power_map(
-            &perf,
+            perf,
             &PowerMapConfig::with_checker(CheckerPowerModel::with_peak(checker_w)),
         );
         crate::powermap::override_checker_power(&mut chip, checker_w);
         let r = solve(plan, &chip.map, &tcfg)?;
         acc += r.peak().0;
     }
-    Ok(Celsius(acc / benchmarks.len() as f64))
+    Ok(Celsius(acc / perfs.len() as f64))
 }
 
-/// Runs the §4 study with the pessimistic 15 W-class checker.
+/// Runs the §4 study with the pessimistic 15 W-class checker. Its three
+/// configurations (free 3d-2a, capped 90 nm 3d-2a, 2d-a baseline) run
+/// through `sim` as one batch; the thermal comparison reuses them.
 ///
 /// # Errors
 ///
 /// Propagates thermal solver failures.
-pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> Result<HeteroReport, ThermalError> {
+pub fn run_with(
+    sim: &dyn Simulator,
+    benchmarks: &[Benchmark],
+    scale: RunScale,
+) -> Result<HeteroReport, ThermalError> {
     // Power remap of the checker core (Table 8 arithmetic).
     let checker = CheckerPowerModel::pessimistic_15w();
     let (dyn65, leak65) = checker.split();
@@ -150,16 +149,17 @@ pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> Result<HeteroReport, Th
     let peak_ghz = 1000.0 / stage.0;
 
     // Performance with the capped checker vs uncapped.
+    let free_cfg = SimConfig::nominal(ProcessorModel::ThreeD2A, scale);
+    let capped_cfg = SimConfig {
+        layout: Some(NucaLayout::three_d_hetero_90nm()),
+        checker_peak_fraction: peak_ghz / 2.0,
+        ..free_cfg.clone()
+    };
+    let base_cfg = SimConfig::nominal(ProcessorModel::TwoDA, scale);
+    let [free, capped, base] = simulate_grid(sim, [free_cfg, capped_cfg, base_cfg], benchmarks);
     let mut slow_acc = 0.0;
     let mut need_acc = 0.0;
-    for &b in benchmarks {
-        let free = simulate(&SimConfig::nominal(ProcessorModel::ThreeD2A, scale), b);
-        let capped_cfg = SimConfig {
-            layout: Some(NucaLayout::three_d_hetero_90nm()),
-            checker_peak_fraction: peak_ghz / 2.0,
-            ..SimConfig::nominal(ProcessorModel::ThreeD2A, scale)
-        };
-        let capped = simulate(&capped_cfg, b);
+    for (free, capped) in free.iter().zip(&capped) {
         slow_acc += 1.0 - capped.ipc() / free.ipc();
         need_acc += free.mean_checker_fraction * 2.0;
     }
@@ -168,33 +168,14 @@ pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> Result<HeteroReport, Th
 
     // Thermals: homogeneous (65 nm checker, 15 W dense strip) versus
     // heterogeneous (90 nm checker, more power over more area).
-    let temp_homogeneous = mean_peak(
-        &ChipFloorplan::three_d_2a(),
-        ProcessorModel::ThreeD2A,
-        None,
-        benchmarks,
-        Watts(15.0),
-        1.0,
-        scale,
-    )?;
+    let temp_homogeneous = mean_peak(&ChipFloorplan::three_d_2a(), &free, Watts(15.0), scale)?;
     let temp_heterogeneous = mean_peak(
         &ChipFloorplan::three_d_2a_hetero_90nm(),
-        ProcessorModel::ThreeD2A,
-        Some(NucaLayout::three_d_hetero_90nm()),
-        benchmarks,
+        &capped,
         checker_90,
-        peak_ghz / 2.0,
         scale,
     )?;
-    let temp_baseline = mean_peak(
-        &ChipFloorplan::two_d_a(),
-        ProcessorModel::TwoDA,
-        None,
-        benchmarks,
-        Watts::ZERO,
-        1.0,
-        scale,
-    )?;
+    let temp_baseline = mean_peak(&ChipFloorplan::two_d_a(), &base, Watts::ZERO, scale)?;
 
     Ok(HeteroReport {
         checker_65: Watts(15.0),
@@ -214,9 +195,15 @@ pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> Result<HeteroReport, Th
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialSimulator;
 
     fn quick() -> HeteroReport {
-        run(&[Benchmark::Gzip, Benchmark::Swim], RunScale::quick()).expect("hetero study")
+        run_with(
+            &SerialSimulator,
+            &[Benchmark::Gzip, Benchmark::Swim],
+            RunScale::quick(),
+        )
+        .expect("hetero study")
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! (8.2%) performance — less than the frequency loss because memory
 //! latency is constant in nanoseconds.
 
+use crate::experiments::simulate_grid;
 use crate::model::{ProcessorModel, RunScale};
 use crate::powermap::{build_power_map, PowerMapConfig};
-use crate::simulate::{SerialSimulator, SimConfig, Simulator};
+use crate::simulate::{SimConfig, Simulator};
 use rmt3d_power::{CheckerPowerModel, DvfsPoint};
 use rmt3d_thermal::{solve, ThermalConfig, ThermalError};
 use rmt3d_units::{Celsius, Gigahertz, Watts};
@@ -44,21 +45,14 @@ fn mean_peak(
         grid: scale.thermal_grid,
         ..ThermalConfig::paper()
     };
-    let jobs: Vec<(SimConfig, Benchmark)> = benchmarks
-        .iter()
-        .map(|&b| {
-            (
-                SimConfig {
-                    frequency: freq,
-                    ..SimConfig::nominal(model, scale)
-                },
-                b,
-            )
-        })
-        .collect();
+    let cfg = SimConfig {
+        frequency: freq,
+        ..SimConfig::nominal(model, scale)
+    };
+    let [perfs] = simulate_grid(sim, [cfg], benchmarks);
     let mut temp = 0.0;
     let mut work = 0.0;
-    for perf in sim.simulate_batch(&jobs) {
+    for perf in perfs {
         let mut pm_cfg = PowerMapConfig::with_checker(checker);
         pm_cfg.dvfs = DvfsPoint::from_frequency_linear_vdd(freq.value() / 2.0);
         let chip = build_power_map(&perf, &pm_cfg);
@@ -71,22 +65,9 @@ fn mean_peak(
 }
 
 /// Bisects the 3d-2a frequency until its thermals match the 2d-a
-/// baseline.
-///
-/// # Errors
-///
-/// Propagates thermal solver failures.
-pub fn run(
-    checker_watts: f64,
-    benchmarks: &[Benchmark],
-    scale: RunScale,
-) -> Result<IsoThermalPoint, ThermalError> {
-    run_with(&SerialSimulator, checker_watts, benchmarks, scale)
-}
-
-/// [`run`] with an explicit [`Simulator`]. The bisection is inherently
-/// sequential (each frequency choice depends on the previous solve),
-/// but every step's per-benchmark runs are batched, so a parallel
+/// baseline. The bisection is inherently sequential (each frequency
+/// choice depends on the previous solve), but every step's
+/// per-benchmark runs go through `sim` as one batch, so a parallel
 /// simulator still overlaps within a step.
 ///
 /// # Errors
@@ -107,7 +88,7 @@ pub fn run_with(
         checker,
         scale,
     )?;
-    let (_, work_full) = mean_peak(
+    let (temp_full, work_full) = mean_peak(
         sim,
         ProcessorModel::ThreeD2A,
         benchmarks,
@@ -137,16 +118,8 @@ pub fn run_with(
         }
     }
     // If even 2.0 GHz is cool enough, report no loss.
-    let (t2, w2) = mean_peak(
-        sim,
-        ProcessorModel::ThreeD2A,
-        benchmarks,
-        Gigahertz(2.0),
-        checker,
-        scale,
-    )?;
-    if t2.0 <= baseline.0 {
-        best = (Gigahertz(2.0), w2);
+    if temp_full.0 <= baseline.0 {
+        best = (Gigahertz(2.0), work_full);
     }
     Ok(IsoThermalPoint {
         checker_power: Watts(checker_watts),
@@ -159,11 +132,17 @@ pub fn run_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialSimulator;
 
     #[test]
     fn seven_watt_checker_iso_thermal() {
-        let p = run(7.0, &[Benchmark::Gzip, Benchmark::Swim], RunScale::quick())
-            .expect("iso-thermal search");
+        let p = run_with(
+            &SerialSimulator,
+            7.0,
+            &[Benchmark::Gzip, Benchmark::Swim],
+            RunScale::quick(),
+        )
+        .expect("iso-thermal search");
         // Paper: ~1.9 GHz and ~4.1% loss. Allow a generous band for the
         // quick scale.
         let f = p.matched_frequency.value();
@@ -179,8 +158,8 @@ mod tests {
     fn bigger_checker_needs_lower_frequency() {
         let scale = RunScale::quick();
         let bench = [Benchmark::Gzip];
-        let p7 = run(7.0, &bench, scale).unwrap();
-        let p15 = run(15.0, &bench, scale).unwrap();
+        let p7 = run_with(&SerialSimulator, 7.0, &bench, scale).unwrap();
+        let p15 = run_with(&SerialSimulator, 15.0, &bench, scale).unwrap();
         assert!(
             p15.matched_frequency.value() <= p7.matched_frequency.value() + 1e-9,
             "15W {} vs 7W {}",

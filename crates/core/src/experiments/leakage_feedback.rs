@@ -7,9 +7,10 @@
 //! temperature, re-solve — and verifies convergence to a peak shift of
 //! well under a degree.
 
+use crate::experiments::simulate_grid;
 use crate::model::{ProcessorModel, RunScale};
 use crate::powermap::{build_power_map, PowerMapConfig};
-use crate::simulate::{simulate, SimConfig};
+use crate::simulate::{SimConfig, Simulator};
 use rmt3d_cache::CactiLite;
 use rmt3d_floorplan::BlockId;
 use rmt3d_power::CheckerPowerModel;
@@ -38,16 +39,21 @@ impl LeakageFeedback {
     }
 }
 
-/// Runs the coupled solve for one benchmark on the 3d-2a chip.
+/// Runs the coupled solve for one benchmark on the 3d-2a chip, whose
+/// performance run goes through `sim`.
 ///
 /// # Errors
 ///
 /// Propagates thermal solver failures.
-pub fn run(benchmark: Benchmark, scale: RunScale) -> Result<LeakageFeedback, ThermalError> {
+pub fn run_with(
+    sim: &dyn Simulator,
+    benchmark: Benchmark,
+    scale: RunScale,
+) -> Result<LeakageFeedback, ThermalError> {
     let model = ProcessorModel::ThreeD2A;
-    let perf = simulate(&SimConfig::nominal(model, scale), benchmark);
+    let [perfs] = simulate_grid(sim, [SimConfig::nominal(model, scale)], &[benchmark]);
     let base = build_power_map(
-        &perf,
+        &perfs[0],
         &PowerMapConfig::with_checker(CheckerPowerModel::optimistic_7w()),
     );
     let tcfg = ThermalConfig {
@@ -95,10 +101,12 @@ pub fn run(benchmark: Benchmark, scale: RunScale) -> Result<LeakageFeedback, The
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialSimulator;
 
     #[test]
     fn coupling_is_negligible_as_the_paper_reports() {
-        let r = run(Benchmark::Gzip, RunScale::quick()).expect("coupled solve");
+        let r =
+            run_with(&SerialSimulator, Benchmark::Gzip, RunScale::quick()).expect("coupled solve");
         // Banks run *below* CACTI's 85 C reference here, so the coupling
         // can even be slightly negative; either way the paper's claim is
         // that it barely moves the peak.

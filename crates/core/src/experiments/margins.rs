@@ -110,7 +110,11 @@ mod tests {
     use rmt3d_workload::Benchmark;
 
     fn report() -> MarginsReport {
-        let f7 = fig7::run(&[Benchmark::Gzip, Benchmark::Gap], RunScale::quick());
+        let f7 = fig7::run_with(
+            &crate::SerialSimulator,
+            &[Benchmark::Gzip, Benchmark::Gap],
+            RunScale::quick(),
+        );
         run(&f7, TechNode::N65, 12)
     }
 

@@ -5,6 +5,7 @@
 
 use crate::experiments::fig7;
 use crate::model::RunScale;
+use crate::simulate::Simulator;
 use rmt3d_reliability::{ChipInventory, TimingModel};
 use rmt3d_units::TechNode;
 use rmt3d_workload::Benchmark;
@@ -49,10 +50,14 @@ impl ResilienceReport {
     }
 }
 
-/// Runs the synthesis: measures the Fig. 7 profile, then evaluates the
-/// three organizations.
-pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> ResilienceReport {
-    let profile = fig7::run(benchmarks, scale);
+/// Runs the synthesis: measures the Fig. 7 profile through `sim`, then
+/// evaluates the three organizations.
+pub fn run_with(
+    sim: &dyn Simulator,
+    benchmarks: &[Benchmark],
+    scale: RunScale,
+) -> ResilienceReport {
+    let profile = fig7::run_with(sim, benchmarks, scale);
     let base = ChipInventory::two_d_a();
     let base_core = base.core_residual_rate();
 
@@ -79,10 +84,15 @@ pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialSimulator;
 
     #[test]
     fn resilience_ordering_matches_the_abstract() {
-        let r = run(&[Benchmark::Gzip, Benchmark::Gap], RunScale::quick());
+        let r = run_with(
+            &SerialSimulator,
+            &[Benchmark::Gzip, Benchmark::Gap],
+            RunScale::quick(),
+        );
         assert_eq!(r.rows.len(), 3);
         let base = &r.rows[0];
         let at65 = &r.rows[1];

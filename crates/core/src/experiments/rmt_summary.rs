@@ -4,9 +4,10 @@
 //! power overhead is modest, and fault coverage is complete under the
 //! §2 fault model.
 
+use crate::experiments::simulate_grid;
 use crate::model::{ProcessorModel, RunScale};
 use crate::powermap::{build_power_map, PowerMapConfig};
-use crate::simulate::{simulate, SimConfig};
+use crate::simulate::{SimConfig, Simulator};
 use rmt3d_power::CheckerPowerModel;
 use rmt3d_rmt::{EccConfig, RmtConfig, RmtSystem};
 use rmt3d_units::Watts;
@@ -50,15 +51,19 @@ impl RmtSummary {
     }
 }
 
-/// Measures the Fig. 1 summary on the 3d-2a system.
-pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> RmtSummary {
+/// Measures the Fig. 1 summary on the 3d-2a system. The 2d-a and
+/// 3d-2a performance runs go through `sim` as one batch.
+pub fn run_with(sim: &dyn Simulator, benchmarks: &[Benchmark], scale: RunScale) -> RmtSummary {
+    let [bases, rmts] = simulate_grid(
+        sim,
+        [ProcessorModel::TwoDA, ProcessorModel::ThreeD2A].map(|m| SimConfig::nominal(m, scale)),
+        benchmarks,
+    );
     let mut freq = 0.0;
     let mut slow = 0.0;
     let mut wire_power = Watts::ZERO;
     let mut overhead = 0.0;
-    for &b in benchmarks {
-        let base = simulate(&SimConfig::nominal(ProcessorModel::TwoDA, scale), b);
-        let rmt = simulate(&SimConfig::nominal(ProcessorModel::ThreeD2A, scale), b);
+    for (base, rmt) in bases.iter().zip(&rmts) {
         freq += rmt.mean_checker_fraction;
         // Work rates at equal clocks: IPC ratio.
         slow += (1.0 - rmt.ipc() / base.ipc()).max(0.0);
@@ -66,12 +71,12 @@ pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> RmtSummary {
         // Power: baseline chip vs reliable chip with a DFS-throttled 7 W
         // checker.
         let base_chip = build_power_map(
-            &base,
+            base,
             &PowerMapConfig::with_checker(CheckerPowerModel::optimistic_7w()),
         );
         let mut cfg = PowerMapConfig::with_checker(CheckerPowerModel::optimistic_7w());
         cfg.throttle_checker_by_dfs = true;
-        let rmt_chip = build_power_map(&rmt, &cfg);
+        let rmt_chip = build_power_map(rmt, &cfg);
         let wires = rmt_chip
             .wires
             .intercore_power(&rmt3d_interconnect::WireModel::paper());
@@ -115,10 +120,15 @@ pub fn run(benchmarks: &[Benchmark], scale: RunScale) -> RmtSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialSimulator;
 
     #[test]
     fn summary_matches_figure_1_claims() {
-        let s = run(&[Benchmark::Gzip, Benchmark::Twolf], RunScale::quick());
+        let s = run_with(
+            &SerialSimulator,
+            &[Benchmark::Gzip, Benchmark::Twolf],
+            RunScale::quick(),
+        );
         // Trailer runs well below leader frequency (paper: ~45-63%).
         assert!(
             (0.3..0.8).contains(&s.checker_frequency_fraction),

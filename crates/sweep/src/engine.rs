@@ -380,8 +380,9 @@ pub fn run_sweep<S: Sink>(
 }
 
 /// A [`rmt3d::Simulator`] that fans batches out through [`run_sweep`],
-/// letting the experiment drivers (`fig4::run_with`, `fig5::run_with`,
-/// `iso_thermal::run_with`, …) overlap their independent simulations.
+/// letting every experiment driver's `run_with` (fig4, fig5, fig6,
+/// fig7, iso-thermal, heterogeneous, the Fig. 1 summary, DTM, leakage
+/// feedback and resilience) overlap its independent simulations.
 ///
 /// # Panics
 ///

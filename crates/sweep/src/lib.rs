@@ -31,8 +31,8 @@
 //!    far past the median without finishing.
 //!
 //! [`ParallelSimulator`] plugs the engine into the experiment drivers
-//! (`fig4::run_with`, `fig5::run_with`, `iso_thermal::run_with`)
-//! through the [`rmt3d::Simulator`] trait.
+//! through the [`rmt3d::Simulator`] trait: every simulating experiment
+//! in `rmt3d::experiments` has one entry point, `run_with(sim, …)`.
 //!
 //! ```no_run
 //! use rmt3d::{ProcessorModel, RunScale};

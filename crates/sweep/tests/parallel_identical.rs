@@ -2,10 +2,14 @@
 //! sweep aggregates byte-identical results to the 1-thread run, and a
 //! second run over the same cache directory is 100% cache hits. Jobs
 //! that share a trace, run grouped by benchmark, keep the records and
-//! events of jobs run one by one.
+//! events of jobs run one by one. The experiment drivers print the same
+//! tables on the pool as on the serial simulator.
 
-use rmt3d::{simulate, ProcessorModel, RunScale};
-use rmt3d_sweep::{codec, run_sweep, CacheMode, SweepOptions, SweepReport, SweepSpec};
+use rmt3d::experiments::{fig6, fig7, heterogeneous, rmt_summary};
+use rmt3d::{simulate, ProcessorModel, RunScale, SerialSimulator, Simulator};
+use rmt3d_sweep::{
+    codec, run_sweep, CacheMode, ParallelSimulator, SweepOptions, SweepReport, SweepSpec,
+};
 use rmt3d_telemetry::{Event, NullSink, RecordingSink};
 use rmt3d_workload::Benchmark;
 use std::path::PathBuf;
@@ -226,4 +230,21 @@ fn model_major_jobs_share_traces_and_keep_their_records_and_events() {
         started.sort_unstable();
         assert_eq!(started, (0..jobs.len() as u64).collect::<Vec<_>>());
     }
+}
+
+#[test]
+fn experiment_tables_are_identical_on_the_serial_and_parallel_simulators() {
+    let benchmarks = [Benchmark::Gzip, Benchmark::Mcf];
+    let scale = spec().scale;
+    let tables = |sim: &dyn Simulator| {
+        [
+            fig6::run_with(sim, &benchmarks, scale).to_table(),
+            fig7::run_with(sim, &benchmarks, scale).to_table(),
+            heterogeneous::run_with(sim, &benchmarks, scale)
+                .expect("heterogeneous")
+                .to_table(),
+            rmt_summary::run_with(sim, &benchmarks, scale).to_table(),
+        ]
+    };
+    assert_eq!(tables(&SerialSimulator), tables(&ParallelSimulator::new(2)));
 }

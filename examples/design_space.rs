@@ -10,7 +10,7 @@
 //! the default uses a representative subset.
 
 use rmt3d::experiments::{fig4, fig6, iso_thermal};
-use rmt3d::RunScale;
+use rmt3d::{RunScale, SerialSimulator};
 use rmt3d_workload::Benchmark;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
     };
 
     println!("== Fig. 6: performance across processor models ==");
-    let f6 = fig6::run(&benchmarks, scale);
+    let f6 = fig6::run_with(&SerialSimulator, &benchmarks, scale);
     print!("{}", f6.to_table());
     println!("\nIPC chart (2d-a | 3d-2a):");
     let labels: Vec<&str> = f6.rows.iter().map(|r| r.benchmark.name()).collect();
@@ -50,7 +50,7 @@ fn main() {
     );
 
     println!("\n== Fig. 4: thermal overhead vs. checker power ==");
-    let f4 = fig4::run(&benchmarks, scale).expect("fig4");
+    let f4 = fig4::run_with(&SerialSimulator, &benchmarks, scale).expect("fig4");
     print!("{}", f4.to_table());
     println!("3d-2a temperature rise over 2d-a:");
     let rise: Vec<(String, f64)> = f4
@@ -68,7 +68,8 @@ fn main() {
 
     println!("\n== Sec 3.3: iso-thermal operating points ==");
     for w in [7.0, 15.0] {
-        let p = iso_thermal::run(w, &benchmarks, scale).expect("iso-thermal");
+        let p =
+            iso_thermal::run_with(&SerialSimulator, w, &benchmarks, scale).expect("iso-thermal");
         println!(
             "{:4.0} W checker: match 2d-a thermals ({:.1} C) at {:.2} GHz, perf loss {:.1}%",
             w,

@@ -9,7 +9,7 @@
 
 use rmt3d::experiments::{heterogeneous, tables};
 use rmt3d::reliability::{mbu_probability_at, per_bit_ser, variability, TimingModel};
-use rmt3d::RunScale;
+use rmt3d::{RunScale, SerialSimulator};
 use rmt3d_units::TechNode;
 use rmt3d_workload::Benchmark;
 
@@ -25,8 +25,12 @@ fn main() {
         instructions: 300_000,
         thermal_grid: 50,
     };
-    let report = heterogeneous::run(&[Benchmark::Gzip, Benchmark::Swim, Benchmark::Vpr], scale)
-        .expect("heterogeneous study");
+    let report = heterogeneous::run_with(
+        &SerialSimulator,
+        &[Benchmark::Gzip, Benchmark::Swim, Benchmark::Vpr],
+        scale,
+    )
+    .expect("heterogeneous study");
     print!("{}", report.to_table());
 
     println!("\n== reliability upside of the older process ==");
